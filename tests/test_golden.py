@@ -1,0 +1,33 @@
+"""Reports pinned byte for byte against files in tests/golden/.
+
+The files were produced by the CLI before the intersection form moved to
+its single cached factorization, so any change in the solved log
+discrepancies, their rendering or the scan aggregation shows up here.
+To regenerate after an intended change, rerun each argv below with its
+output redirected to the named file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from germkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    (("scan", "--family", "corpus", "--count", "40", "--seed", "9", "--oracle-depth", "1"),
+     "scan_corpus.json"),
+    (("scan", "--family", "hj", "--n-min", "2", "--n-max", "30", "--q", "3", "--format", "csv"),
+     "scan_hj.csv"),
+    (("mld", "{chain.json}", "--oracle-depth", "2"), "chain.mld.json"),
+    (("mld", "{tree.json}", "--oracle-depth", "2"), "tree.mld.json"),
+    (("mld", "{cycle.json}", "--oracle-depth", "2"), "cycle.mld.json"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", CASES, ids=[c[1] for c in CASES])
+def test_report_matches_golden(argv, expected, capsys):
+    args = [str(GOLDEN / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
