@@ -8,11 +8,10 @@ contradiction).  All reports are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from .coefflattice import DEFAULT_BUDGET, partition_of_one, verify_partition
+from .coefflattice import DEFAULT_BUDGET, partition_of_one
 from .complements import epsilon_tag
 from .corpus import sqrt2_basis
 from .discrepancy import (
@@ -33,6 +32,7 @@ from .explorer import (
     complement_report,
     emit_json,
     emit_report,
+    load_doc,
     load_model,
     mld_equal,
     model_digest,
@@ -54,14 +54,6 @@ def _fraction_arg(text: str) -> Fraction:
         raise ModelError(f"bad rational literal {text!r}") from None
 
 
-def _load_doc(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ModelError(f"{path} is not valid JSON: {e}") from None
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -72,7 +64,7 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     model = load_model(args.model)
-    a = solve_discrepancies(model, args.refine_budget)
+    a = solve_discrepancies(model)
     doc = {
         "digest": model_digest(model),
         "a": {str(v): value_json(a[v], args.refine_budget) for v in sorted(a)},
@@ -150,7 +142,6 @@ def cmd_partition(args) -> int:
         basis = sqrt2_basis()
     delta = _fraction_arg(args.delta)
     part = partition_of_one(basis, delta, args.refine_budget)
-    checks = verify_partition(part, args.refine_budget)
     entries = []
     for weight, snap in part.entries:
         entries.append(
@@ -166,14 +157,14 @@ def cmd_partition(args) -> int:
         "basis": list(basis.symbols),
         "delta": str(delta),
         "entries": entries,
-        "checks": checks,
+        "checks": part.checks,
     }
     _write(emit_json(doc), args.out)
     return 0
 
 
 def cmd_check_complement(args) -> int:
-    datum = parse_complement_datum(_load_doc(args.data))
+    datum = parse_complement_datum(load_doc(args.data))
     doc = complement_report(datum, args.refine_budget)
     _write(emit_json(doc), args.out)
     strong = doc["strong_auto"]
@@ -199,7 +190,10 @@ def _pair_args(pairs, basis, label):
 def cmd_gen_hj(args) -> int:
     from .coefflattice import TRIVIAL_BASIS
 
-    g = hj_graph(args.n, args.q)
+    try:
+        g = hj_graph(args.n, args.q)
+    except ValueError as e:
+        raise ModelError(str(e), "gen-hj") from None
     branches = tuple(
         Branch(v, x) for v, x in _pair_args(args.branch, TRIVIAL_BASIS, "--branch")
     )
@@ -373,10 +367,7 @@ def main(argv=None) -> int:
     except HypothesesUnmet as e:
         print(f"hypotheses unmet: {e}", file=sys.stderr)
         return 1
-    except GermkitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (GermkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -11,9 +11,9 @@ the engine relies on that declaration and never tries to prove it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .enclosures import (
     ContinuedFractionEnclosure,
@@ -24,7 +24,7 @@ from .enclosures import (
     ProductEnclosure,
     positive_from_level,
 )
-from .errors import BasisMismatch, FloorUndecidable, RefinementExhausted
+from .errors import BasisMismatch, FloorUndecidable, InvariantViolated, RefinementExhausted
 from .linalg import pivot_columns, row_space_coordinates, rref
 
 DEFAULT_BUDGET = 64
@@ -480,12 +480,15 @@ class PartitionOfOne:
     (within delta), and the weighted combination reproduces every basis
     symbol exactly.  Weights live over the product extension of the basis
     because they are products of per-symbol interpolation factors.
+    ``checks`` holds the verify_partition flags that partition_of_one
+    certified; it takes no part in comparison.
     """
 
     basis: BasisDescriptor
     weights_basis: BasisDescriptor
     entries: Tuple[Tuple[SpanElement, QLinearMap], ...]
     delta: Fraction
+    checks: Optional[Dict[str, bool]] = field(default=None, compare=False, repr=False)
 
     def weight_total(self) -> SpanElement:
         total = self.weights_basis.zero()
@@ -523,7 +526,8 @@ def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -
     Entry sigma takes the product of its chosen factors as weight and snaps
     every symbol to its chosen endpoint.  The construction is verified
     before returning: weights positive and summing to one, every map fixing
-    1, and the weighted combination equal to the identity matrix exactly.
+    1, and the weighted combination equal to the identity matrix exactly;
+    the flags are kept as ``checks`` on the result.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -532,9 +536,6 @@ def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -
         raise ValueError("delta must be positive")
     n = basis.dim - 1
     pb = product_basis(basis)
-    if n == 0:
-        entries = ((pb.rational(1), QLinearMap.identity(basis)),)
-        return PartitionOfOne(basis, pb, entries, delta)
     snaps: List[Tuple[Fraction, Fraction]] = []
     lowers: List[SpanElement] = []
     uppers: List[SpanElement] = []
@@ -577,11 +578,11 @@ def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -
         )
         entries.append((weight, QLinearMap(basis, basis, matrix)))
     part = PartitionOfOne(basis, pb, tuple(entries), delta)
-    report = verify_partition(part, budget)
-    bad = [k for k, ok in report.items() if not ok]
+    checks = verify_partition(part, budget)
+    bad = [k for k, ok in checks.items() if not ok]
     if bad:
         raise RefinementExhausted(f"partition verification failed: {', '.join(bad)}")
-    return part
+    return replace(part, checks=checks)
 
 
 def verify_partition(part: PartitionOfOne, budget: int | None = None) -> Dict[str, bool]:
@@ -634,7 +635,8 @@ def shrink_delta(
     e0 = [Fraction(1)] + [Fraction(0)] * (width - 1)
     rows = [e0] + [list(x.coords) for x in old]
     reduced = rref(rows)
-    assert reduced[0] == e0, "reduction must keep the constant generator first"
+    if reduced[0] != e0:
+        raise InvariantViolated("reduction must keep the constant generator first")
     worst = Fraction(0)
     for x in new:
         if x.basis != basis:

@@ -2,10 +2,11 @@
 
 A model bundles a weighted dual graph with branch coefficients, nef loads
 and an optional positivity threshold, all exact values over one declared
-basis.  The solver inverts the intersection form to get per-curve log
-discrepancies; the point minimum over curves, meeting points and branch
-points is computed with certified comparisons, alongside an independent
-brute-force tower enumeration used to cross-check it.
+basis.  The solver reads the graph's one factorization of the intersection
+form to get per-curve log discrepancies; the point minimum over curves,
+meeting points and branch points is computed with certified comparisons,
+alongside an independent brute-force tower enumeration used to cross-check
+it.
 """
 
 from __future__ import annotations
@@ -33,11 +34,16 @@ from .dualgraph import (
     find_chain,
     fork_census,
     graph_determinant_abs,
-    intersection_matrix,
     is_negative_definite,
     split_at_edge,
 )
-from .errors import HypothesesUnmet, ModelError, NotNegativeDefinite, RefinementExhausted
+from .errors import (
+    HypothesesUnmet,
+    InvariantViolated,
+    ModelError,
+    NotNegativeDefinite,
+    RefinementExhausted,
+)
 from .linalg import solve_exact
 
 
@@ -129,15 +135,6 @@ class SurfaceGermModel:
                 "intersection matrix of the dual graph is not negative definite"
             )
 
-    def load(self, vid: int) -> SpanElement:
-        for v, mu in self.nef_loads:
-            if v == vid:
-                return mu
-        return self.basis.zero()
-
-    def branches_at(self, vid: Optional[int]) -> List[Tuple[int, Branch]]:
-        return [(i, b) for i, b in enumerate(self.branches) if b.vertex == vid]
-
 
 def apply_to_coefficients(model: SurfaceGermModel, f: QLinearMap) -> SurfaceGermModel:
     """Push every branch coefficient, load and epsilon through a snap map."""
@@ -166,37 +163,25 @@ class DiscrepancyProfile:
         return dict(self.a)
 
 
-def solve_discrepancies(model: SurfaceGermModel, budget: int | None = None) -> Dict[int, SpanElement]:
+def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
     """Per-curve log discrepancies from the pullback linear system.
 
     For each vertex j the system reads
         sum_i (1 - a_i) (E_i . E_j) = (w_j + 2) - (branch coefficients at j) - load(j)
-    and negative definiteness makes it uniquely solvable.  The solve runs
-    once per basis coordinate, entirely over Fraction.
+    and negative definiteness, certified when the model was built, makes it
+    uniquely solvable.  One substitution on the graph's factor solves every
+    basis coordinate at once, entirely over Fraction.
     """
     g = model.graph
-    if not is_negative_definite(g):
-        raise NotNegativeDefinite("dual graph is not negative definite")
-    ids = g.ids()
-    if not ids:
-        return {}
-    m = intersection_matrix(g)
-    rhs_rows: List[SpanElement] = []
-    for vid in ids:
-        r = model.basis.rational(g.weight(vid) + 2)
-        for _, br in model.branches_at(vid):
-            r = r - br.coeff
-        r = r - model.load(vid)
-        rhs_rows.append(r)
-    dim = model.basis.dim
-    frac_m = [[Fraction(x) for x in row] for row in m]
-    cols = [[rhs_rows[i].coords[c] for i in range(len(ids))] for c in range(dim)]
-    sols = solve_exact(frac_m, cols)
-    out: Dict[int, SpanElement] = {}
-    for i, vid in enumerate(ids):
-        u = model.basis.element([sols[c][i] for c in range(dim)])
-        out[vid] = model.basis.rational(1) - u
-    return out
+    basis = model.basis
+    pos = {vid: i for i, vid in enumerate(g.ids())}
+    rows = [[Fraction(w + 2)] + [Fraction(0)] * (basis.dim - 1) for _, w in g.vertices]
+    inputs = [(br.vertex, br.coeff) for br in model.branches if br.vertex is not None]
+    for vid, x in inputs + list(model.nef_loads):
+        rows[pos[vid]] = [r - c for r, c in zip(rows[pos[vid]], x.coords)]
+    sols = solve_exact(g.factor, rows)
+    one = basis.rational(1)
+    return {vid: one - basis.element(sols[i]) for vid, i in pos.items()}
 
 
 def _candidates(
@@ -224,7 +209,7 @@ def mld_point(model: SurfaceGermModel, budget: int | None = None) -> Discrepancy
     fixed order (vertices by id, then edges, then branches), so the
     realizing locus is deterministic.
     """
-    a = solve_discrepancies(model, budget)
+    a = solve_discrepancies(model)
     basis = model.basis
     realizing: Locus
     mld: MldValue
@@ -295,7 +280,7 @@ def mld_oracle(model: SurfaceGermModel, depth: int, budget: int | None = None) -
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    a = solve_discrepancies(model, budget)
+    a = solve_discrepancies(model)
     one = model.basis.rational(1)
     two = model.basis.rational(2)
 
@@ -393,8 +378,7 @@ def check_convexity(
     adj = model.graph.adjacency()
     out: List[Violation] = []
     half = Fraction(1, 2)
-    for vid in model.graph.ids():
-        w = model.graph.weight(vid)
+    for vid, w in model.graph.vertices:
         ns = adj[vid]
         if w <= -2:
             for x in range(len(ns)):
@@ -580,8 +564,10 @@ def resolution_model(model: SurfaceGermModel, budget: int | None = None) -> Reso
     )
     new_profile = mld_point(new_model, budget)
     new_a = new_profile.a_map()
-    assert new_a[new_id] == profile.mld, "blow-up must be crepant at the new curve"
-    assert new_profile.mld == profile.mld, "one blow-up must preserve the minimum"
+    if new_a[new_id] != profile.mld:
+        raise InvariantViolated("blow-up must be crepant at the new curve")
+    if new_profile.mld != profile.mld:
+        raise InvariantViolated("one blow-up must preserve the minimum")
     minus_ones = [v for v, w in new_graph.vertices if w == -1]
     return ResolutionStep(
         new_model, "blown-up", new_id, new_profile, minus_ones == [new_id]
@@ -697,7 +683,8 @@ def find_computing_path(model: SurfaceGermModel, budget: int | None = None) -> C
         # the computing prefix is short: drop it and start at its last vertex
         path_ids = base[j:]
         kind = "noncomputing-neighbor"
-        assert path_ids[1] not in computing
+        if path_ids[1] in computing:
+            raise InvariantViolated("the vertex after the last computing one computes the mld")
     else:
         if not run_is_computing(base[: j + 1]):
             raise HypothesesUnmet(
@@ -849,50 +836,40 @@ def adjunction_form(
     """Certify the arithmetic shape of the adjunction coefficient.
 
     The coefficient is affine in the other branch coefficients and the
-    loads, so solving with unit inputs recovers each linear weight exactly;
-    the form holds when the no-input constant is 1 - 1/l, every weight
-    times l is a nonnegative integer, and the affine reconstruction matches
-    the actual coefficient.  l is |det| of the intersection matrix.
+    loads: with M the intersection matrix and E_s the curve the branch
+    meets, an input of coefficient c at v moves it by -(M^-1)_(s,v) c.  One
+    solve against the unit column at s gives every multiplier; the form
+    holds when the no-input constant is 1 - 1/l, every multiplier times l
+    is a nonnegative integer, and the affine reconstruction matches the
+    actual coefficient.  l is |det| of the intersection matrix.
     """
     value = adjunction_coefficient(model, branch_index, budget)
     ell = graph_determinant_abs(model.graph)
     basis = model.basis
-    s = model.branches[branch_index]
-    if model.graph.order == 0:
+    g = model.graph
+    if g.order == 0:
         return AdjunctionForm(value, ell, value == basis.rational(0), (), (), True, True, True)
-
-    def coeff_with(branches: Tuple[Branch, ...], loads) -> SpanElement:
-        probe = SurfaceGermModel(model.graph, branches, loads, None, basis)
-        sol = solve_discrepancies(probe, budget)
-        return basis.rational(1) - sol[s.vertex]
-
-    base = coeff_with((s,), ())
-    constant_ok = base == basis.rational(1) - basis.rational(Fraction(1, ell))
-    one = basis.rational(1)
-    branch_mults: List[Tuple[int, Fraction]] = []
-    recon = base
-    for idx, br in enumerate(model.branches):
-        if idx == branch_index:
-            continue
-        probe = coeff_with((s, Branch(br.vertex, one)), ())
-        c = (probe - base).as_fraction()
-        branch_mults.append((idx, ell * c))
-        recon = recon + c * br.coeff
-    load_mults: List[Tuple[int, Fraction]] = []
-    for vid, mu in model.nef_loads:
-        probe = coeff_with((s,), ((vid, one),))
-        c = (probe - base).as_fraction()
-        load_mults.append((vid, ell * c))
-        recon = recon + c * mu
-    mults = [m for _, m in branch_mults] + [m for _, m in load_mults]
+    s = model.branches[branch_index].vertex
+    column = solve_exact(g.factor, [[int(vid == s)] for vid in g.ids()])
+    mult = {vid: -x for vid, (x,) in zip(g.ids(), column)}
+    # with the distinguished branch alone the right-hand side is (w_v + 2) - [v = s]
+    base = sum(-mult[vid] * (w + 2) for vid, w in g.vertices) + mult[s]
+    constant_ok = base == 1 - Fraction(1, ell)
+    others = [(idx, br) for idx, br in enumerate(model.branches) if idx != branch_index]
+    recon = basis.rational(base)
+    for vid, x in [(br.vertex, br.coeff) for _, br in others] + list(model.nef_loads):
+        recon = recon + mult[vid] * x
+    branch_mults = tuple((idx, ell * mult[br.vertex]) for idx, br in others)
+    load_mults = tuple((vid, ell * mult[vid]) for vid, _ in model.nef_loads)
+    mults = [m for _, m in branch_mults + load_mults]
     integral = all(m.denominator == 1 for m in mults)
     nonneg = all(m >= 0 for m in mults)
     return AdjunctionForm(
         value,
         ell,
         constant_ok,
-        tuple(branch_mults),
-        tuple(load_mults),
+        branch_mults,
+        load_mults,
         integral,
         nonneg,
         recon == value,

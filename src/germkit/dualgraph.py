@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .errors import HypothesesUnmet
-from .linalg import determinant
-from .linalg import is_negative_definite as _matrix_nd
+from .linalg import SymmetricFactor, determinant, factor_form
+from .linalg import is_negative_definite as _factor_nd
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,17 @@ class WeightedDualGraph:
                     seen.add(u)
                     stack.append(u)
         return len(seen) == len(ids)
+
+    @cached_property
+    def factor(self) -> SymmetricFactor:
+        """The intersection form's one elimination, positions in sorted id order.
+
+        Built on first use; not a dataclass field, so equality ignores it.
+        """
+        pos = {v: i for i, (v, _) in enumerate(self.vertices)}
+        return factor_form(
+            [w for _, w in self.vertices], [(pos[a], pos[b], 1) for a, b in self.edges]
+        )
 
     def ids(self) -> Tuple[int, ...]:
         return tuple(v for v, _ in self.vertices)
@@ -142,11 +154,12 @@ def intersection_matrix(g: WeightedDualGraph) -> List[List[int]]:
 
 
 def is_negative_definite(g: WeightedDualGraph) -> bool:
-    return _matrix_nd(intersection_matrix(g))
+    return _factor_nd(g.factor)
 
 
 def graph_determinant_abs(g: WeightedDualGraph) -> int:
-    return abs(determinant(intersection_matrix(g)))
+    """|det| of a negative definite intersection form, from its pivots."""
+    return abs(determinant(g.factor))
 
 
 def hj_weights(n: int, q: int) -> List[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Tuple
 
 from .errors import RefinementExhausted
@@ -49,20 +48,6 @@ class PointEnclosure(Enclosure):
         return True
 
 
-@lru_cache(maxsize=None)
-def _convergent(head: tuple, cycle: tuple, k: int) -> Tuple[int, int]:
-    # p/q for the k-th convergent of the continued fraction [a0; a1, a2, ...]
-    a = _cf_coefficient(head, cycle, k)
-    if k == 0:
-        return (a, 1)
-    if k == 1:
-        p0, q0 = _convergent(head, cycle, 0)
-        return (a * p0 + 1, a)
-    p1, q1 = _convergent(head, cycle, k - 1)
-    p2, q2 = _convergent(head, cycle, k - 2)
-    return (a * p1 + p2, a * q1 + q2)
-
-
 def _cf_coefficient(head: tuple, cycle: tuple, i: int) -> int:
     if i < len(head):
         return head[i]
@@ -98,12 +83,19 @@ class ContinuedFractionEnclosure(Enclosure):
         rest = list(self.head[1:]) + list(self.cycle)
         if any(a < 1 for a in rest):
             raise ValueError("continued fraction coefficients past the first must be >= 1")
+        # (p_k, q_k) for k = -2, -1, 0, ...; not a field, so equality ignores it
+        object.__setattr__(self, "_convergents", [(0, 1), (1, 0)])
 
     def interval(self, k: int) -> Interval:
         if k < 0:
             raise ValueError("level must be nonnegative")
-        pa, qa = _convergent(self.head, self.cycle, k)
-        pb, qb = _convergent(self.head, self.cycle, k + 1)
+        conv = self._convergents
+        while len(conv) < k + 4:
+            a = _cf_coefficient(self.head, self.cycle, len(conv) - 2)
+            (p2, q2), (p1, q1) = conv[-2:]
+            conv.append((a * p1 + p2, a * q1 + q2))
+        pa, qa = conv[k + 2]
+        pb, qb = conv[k + 3]
         ca = Fraction(pa, qa)
         cb = Fraction(pb, qb)
         return (ca, cb) if ca <= cb else (cb, ca)

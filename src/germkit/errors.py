@@ -23,7 +23,7 @@ class BasisMismatch(GermkitError):
 
 
 class NotNegativeDefinite(GermkitError):
-    """The intersection matrix fails Sylvester's alternating-minor test."""
+    """The intersection form has a pivot that is not negative."""
 
 
 class ModelError(GermkitError):
@@ -40,3 +40,7 @@ class ModelError(GermkitError):
 
 class HypothesesUnmet(GermkitError):
     """A verifier was called on input outside its stated hypotheses."""
+
+
+class InvariantViolated(GermkitError):
+    """An internal consistency check failed; this is a defect, not bad input."""

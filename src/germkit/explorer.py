@@ -28,7 +28,6 @@ from .coefflattice import (
     partition_of_one,
     render_exact,
     span_coordinates_over,
-    verify_partition,
 )
 from .complements import (
     ComplementDatum,
@@ -71,6 +70,10 @@ from .enclosures import (
 from .errors import GermkitError, ModelError
 
 MODEL_KEYS = {"basis", "enclosures", "graph", "branches", "nefloads", "epsilon"}
+
+
+def _is_int(obj) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
 def _fraction_literal(obj, path: str) -> Fraction:
@@ -181,14 +184,14 @@ def parse_model(doc: dict) -> SurfaceGermModel:
     for i, v in enumerate(gdoc.get("vertices", [])):
         if not isinstance(v, dict) or set(v) != {"id", "weight"}:
             raise ModelError("vertex must be {id, weight}", f"graph.vertices[{i}]")
-        if not isinstance(v["id"], int) or isinstance(v["id"], bool):
+        if not _is_int(v["id"]):
             raise ModelError("id must be an integer", f"graph.vertices[{i}].id")
-        if not isinstance(v["weight"], int) or isinstance(v["weight"], bool):
+        if not _is_int(v["weight"]):
             raise ModelError("weight must be an integer", f"graph.vertices[{i}].weight")
         vertices.append((v["id"], v["weight"]))
     edges = []
     for i, e in enumerate(gdoc.get("edges", [])):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise ModelError("edge must be a pair of vertex ids", f"graph.edges[{i}]")
         edges.append((e[0], e[1]))
     try:
@@ -200,7 +203,7 @@ def parse_model(doc: dict) -> SurfaceGermModel:
         if not isinstance(b, dict) or set(b) != {"vertex", "b"}:
             raise ModelError("branch must be {vertex, b}", f"branches[{i}]")
         v = b["vertex"]
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+        if v is not None and not _is_int(v):
             raise ModelError("vertex must be an id or null", f"branches[{i}].vertex")
         branches.append(Branch(v, parse_coefficient(b["b"], basis, f"branches[{i}].b")))
     loads = []
@@ -219,13 +222,26 @@ def parse_model(doc: dict) -> SurfaceGermModel:
     return SurfaceGermModel(graph, tuple(branches), tuple(loads), eps, basis)
 
 
-def load_model(path: str) -> SurfaceGermModel:
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ModelError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
+def load_doc(path: str):
+    """Read one JSON document; an object that repeats a key is refused."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ModelError(f"{path} is not valid JSON: {e}") from None
-    return parse_model(doc)
+
+
+def load_model(path: str) -> SurfaceGermModel:
+    return parse_model(load_doc(path))
 
 
 def _canonical_enclosure(enc: Enclosure):
@@ -612,7 +628,7 @@ def run_verification(
     if basis is not None:
         for d in (Fraction(1, 10), Fraction(1, 1000)):
             part = partition_of_one(basis, d, budget)
-            if not all(verify_partition(part, budget).values()):
+            if not all(part.checks.values()):
                 partition_ok = False
     sections["partition"] = {"ok": partition_ok}
 
@@ -646,7 +662,7 @@ def parse_complement_datum(doc: dict) -> ComplementDatum:
     unknown = set(doc) - {"n", "basis", "enclosures", "B", "Bplus", "m", "decomposition"}
     if unknown:
         raise ModelError(f"unknown keys {sorted(unknown)}")
-    if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
+    if "n" not in doc or not _is_int(doc["n"]):
         raise ModelError("n must be an integer", "n")
     basis = parse_basis(doc)
 

@@ -76,6 +76,41 @@ def test_invalid_json_exits_one(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+# the second "branches" would silently win, giving mld 1 instead of 3/4
+DUPLICATE_BRANCHES = (
+    '{"graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},'
+    ' "branches": [{"vertex": 0, "b": "1/2"}], "branches": []}'
+)
+BOOLEAN_EDGE = (
+    '{"graph": {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],'
+    ' "edges": [[true, false]]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (["mld", "{doc}"], DUPLICATE_BRANCHES, "duplicate key 'branches'"),
+        (["check-complement", "{doc}"], '{"n": 2, "B": ["1/2"], "B": []}', "duplicate key 'B'"),
+        (["mld", "{doc}"], BOOLEAN_EDGE, "edge must be a pair of vertex ids"),
+        (["gen-hj", "4", "2"], None, "coprime"),
+        (["mld", "{dir}"], None, "Is a directory"),
+        (["gen-hj", "7", "3", "--out", "{dir}"], None, "Is a directory"),
+    ],
+    ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
+         "read-directory", "write-directory"],
+)
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
+    doc = tmp_path / "doc.json"
+    if text is not None:
+        doc.write_text(text)
+    argv = [a.format(doc=doc, dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_unmet_hypotheses_exit_one(model_file, capsys):
     doc = {"graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []}}
     code, _, err = run(capsys, "computing-path", model_file(doc))

@@ -260,6 +260,7 @@ def test_partition_trivial_basis_is_identity():
     w, f = part.entries[0]
     assert w.as_fraction() == 1
     assert f.apply(TRIVIAL_BASIS.rational(Fraction(2, 7))).as_fraction() == Fraction(2, 7)
+    assert part.checks == verify_partition(part)
 
 
 def test_partition_two_irrationals(sq2_sq3):
@@ -273,6 +274,7 @@ def test_partition_two_irrationals(sq2_sq3):
         "combination_is_identity": True,
         "displacement_within_delta": True,
     }
+    assert part.checks == checks  # the construction hands its verification on
     # snapped values are rationals within delta of each symbol
     for _, f in part.entries:
         for i in (1, 2):

@@ -31,6 +31,13 @@ def test_sqrt2_convergents():
         assert lo * lo < 2 < hi * hi
 
 
+def test_deep_level_on_a_fresh_enclosure():
+    # convergents are built by iteration, so a deep first query cannot
+    # exhaust the stack; (sqrt(13) - 1)/2 = [1; 3, 3, ...] is a root of x^2 + x - 3
+    lo, hi = ContinuedFractionEnclosure((1,), (3,)).interval(3000)
+    assert lo * lo + lo < 3 < hi * hi + hi
+
+
 def test_cf_levels_nest_and_shrink():
     e = ContinuedFractionEnclosure((1,), (1, 2))  # sqrt(3)
     prev = e.interval(0)
