@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .coefflattice import DEFAULT_BUDGET, partition_of_one
+from .coefflattice import DEFAULT_BUDGET, partition_of_one, refinement_budget
 from .complements import epsilon_tag
 from .corpus import sqrt2_basis
 from .discrepancy import (
@@ -54,6 +54,13 @@ def _fraction_arg(text: str) -> Fraction:
         raise ModelError(f"bad rational literal {text!r}") from None
 
 
+def _delta_arg(text: str) -> Fraction:
+    delta = _fraction_arg(text)
+    if delta <= 0:
+        raise ModelError(f"delta must be positive, got {text}", "--delta")
+    return delta
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -67,7 +74,7 @@ def cmd_solve(args) -> int:
     a = solve_discrepancies(model)
     doc = {
         "digest": model_digest(model),
-        "a": {str(v): value_json(a[v], args.refine_budget) for v in sorted(a)},
+        "a": {str(v): value_json(a[v]) for v in sorted(a)},
     }
     _write(emit_json(doc), args.out)
     return 0
@@ -75,12 +82,11 @@ def cmd_solve(args) -> int:
 
 def cmd_mld(args) -> int:
     model = load_model(args.model)
-    budget = args.refine_budget
-    profile = mld_point(model, budget)
+    profile = mld_point(model)
     doc = {
         "digest": model_digest(model),
-        "a": {str(v): value_json(x, budget) for v, x in profile.a},
-        "mld": value_json(profile.mld, budget),
+        "a": {str(v): value_json(x) for v, x in profile.a},
+        "mld": value_json(profile.mld),
         "classification": profile.classification,
         "realizing": {
             "kind": profile.realizing[0],
@@ -90,15 +96,15 @@ def cmd_mld(args) -> int:
         },
     }
     if model.epsilon is not None:
-        doc["epsilon"] = value_json(model.epsilon, budget)
+        doc["epsilon"] = value_json(model.epsilon)
         doc["epsilon_ok"] = profile.epsilon_ok
     code = 0
     if args.oracle_depth >= 1:
-        got = mld_oracle(model, args.oracle_depth, budget)
+        got = mld_oracle(model, args.oracle_depth)
         agrees = mld_equal(got, profile.mld)
         doc["oracle"] = {
             "depth": args.oracle_depth,
-            "mld": value_json(got, budget),
+            "mld": value_json(got),
             "agrees": agrees,
         }
         if not agrees:
@@ -117,7 +123,6 @@ def cmd_scan(args) -> int:
         seed=args.seed,
         oracle_depth=args.oracle_depth,
         epsilon=args.epsilon,
-        budget=args.refine_budget,
         coeffs=tuple(args.coeff) if args.coeff else None,
         paths=tuple(args.paths),
     )
@@ -130,7 +135,7 @@ def cmd_scan(args) -> int:
 
 def cmd_perturb(args) -> int:
     models = [load_model(p) for p in args.models]
-    report = run_perturb_harness(models, _fraction_arg(args.delta), args.refine_budget)
+    report = run_perturb_harness(models, args.delta)
     _write(emit_json(report), args.out)
     return VIOLATIONS_EXIT if report["violations_total"] else 0
 
@@ -140,13 +145,12 @@ def cmd_partition(args) -> int:
         basis = load_model(args.model).basis
     else:
         basis = sqrt2_basis()
-    delta = _fraction_arg(args.delta)
-    part = partition_of_one(basis, delta, args.refine_budget)
+    part = partition_of_one(basis, args.delta)
     entries = []
     for weight, snap in part.entries:
         entries.append(
             {
-                "weight": value_json(weight, args.refine_budget),
+                "weight": value_json(weight),
                 "images": {
                     name: str(snap.apply(basis.unit(i)).as_fraction())
                     for i, name in enumerate(basis.symbols)
@@ -155,7 +159,7 @@ def cmd_partition(args) -> int:
         )
     doc = {
         "basis": list(basis.symbols),
-        "delta": str(delta),
+        "delta": str(args.delta),
         "entries": entries,
         "checks": part.checks,
     }
@@ -165,7 +169,7 @@ def cmd_partition(args) -> int:
 
 def cmd_check_complement(args) -> int:
     datum = parse_complement_datum(load_doc(args.data))
-    doc = complement_report(datum, args.refine_budget)
+    doc = complement_report(datum)
     _write(emit_json(doc), args.out)
     strong = doc["strong_auto"]
     if strong["hypothesis_ok"] and not strong["coeffs_ok"]:
@@ -211,8 +215,7 @@ def cmd_verify_lemmas(args) -> int:
         seed=args.seed,
         count=args.count,
         oracle_depth=max(1, args.oracle_depth),
-        budget=args.refine_budget,
-        delta=_fraction_arg(args.delta),
+        delta=args.delta,
     )
     _write(emit_json(report), args.out)
     return 0 if report["ok"] else VIOLATIONS_EXIT
@@ -220,13 +223,12 @@ def cmd_verify_lemmas(args) -> int:
 
 def cmd_resolve(args) -> int:
     model = load_model(args.model)
-    budget = args.refine_budget
-    step = resolution_model(model, budget)
+    step = resolution_model(model)
     doc = {
         "digest": model_digest(model),
         "kind": step.kind,
         "computing_vertex": step.computing_vertex,
-        "mld": value_json(step.profile.mld, budget),
+        "mld": value_json(step.profile.mld),
         "minus_one_unique": step.minus_one_unique,
         "vertices": [[v, w] for v, w in step.model.graph.vertices],
         "edges": [[a, b] for a, b in step.model.graph.edges],
@@ -237,7 +239,7 @@ def cmd_resolve(args) -> int:
 
 def cmd_computing_path(args) -> int:
     model = load_model(args.model)
-    report = find_computing_path(model, args.refine_budget)
+    report = find_computing_path(model)
     doc = {
         "digest": model_digest(model),
         "kind": report.kind,
@@ -253,28 +255,27 @@ def cmd_computing_path(args) -> int:
 
 def cmd_epsilon_tag(args) -> int:
     model = load_model(args.model)
-    budget = args.refine_budget
     eps = parse_coefficient(args.epsilon, model.basis, "epsilon")
-    classification, profile = epsilon_tag(model, eps, budget)
+    classification, profile = epsilon_tag(model, eps)
     doc = {
         "digest": model_digest(model),
-        "epsilon": value_json(eps, budget),
+        "epsilon": value_json(eps),
         "classification": classification,
-        "mld": value_json(profile.mld, budget),
+        "mld": value_json(profile.mld),
     }
     _write(emit_json(doc), args.out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input: exit 1 with one line."""
+
+    def error(self, message):
+        raise ModelError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for generated families")
-    common.add_argument(
-        "--oracle-depth",
-        type=int,
-        default=0,
-        help="cross-check depth for the blowup tower oracle (0 disables)",
-    )
     common.add_argument(
         "--refine-budget",
         type=int,
@@ -282,22 +283,32 @@ def build_parser() -> argparse.ArgumentParser:
         help="max enclosure refinement level before giving up a comparison",
     )
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed for generated families")
+    oracle = argparse.ArgumentParser(add_help=False)
+    oracle.add_argument(
+        "--oracle-depth",
+        type=int,
+        default=0,
+        help="cross-check depth for the blowup tower oracle (0 disables)",
     )
 
-    p = argparse.ArgumentParser(prog="germkit", description=__doc__)
+    p = _Parser(prog="germkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", parents=[common], help="log discrepancies of one model")
     sp.add_argument("model")
     sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("mld", parents=[common], help="minimal log discrepancy and profile")
+    sp = sub.add_parser(
+        "mld", parents=[common, oracle], help="minimal log discrepancy and profile"
+    )
     sp.add_argument("model")
     sp.set_defaults(func=cmd_mld)
 
-    sp = sub.add_parser("scan", parents=[common], help="sweep a family and aggregate")
+    sp = sub.add_parser(
+        "scan", parents=[common, seeded, oracle], help="sweep a family and aggregate"
+    )
     sp.add_argument(
         "--family", choices=("corpus", "hj", "an", "cyclic", "files"), default="corpus"
     )
@@ -308,16 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=1)
     sp.add_argument("--epsilon", help="tag every instance against this epsilon")
     sp.add_argument("--coeff", action="append", help="declared coefficient (repeatable)")
+    sp.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("perturb", parents=[common], help="rational snap harness")
     sp.add_argument("models", nargs="+")
-    sp.add_argument("--delta", default="1/1000")
+    sp.add_argument("--delta", type=_delta_arg, default="1/1000")
     sp.set_defaults(func=cmd_perturb)
 
     sp = sub.add_parser("partition", parents=[common], help="partition of one over a basis")
     sp.add_argument("model", nargs="?", help="model file providing the basis")
-    sp.add_argument("--delta", default="1/1000")
+    sp.add_argument("--delta", type=_delta_arg, default="1/1000")
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser(
@@ -335,10 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gen_hj)
 
     sp = sub.add_parser(
-        "verify-lemmas", parents=[common], help="run every construction-level check"
+        "verify-lemmas",
+        parents=[common, seeded, oracle],
+        help="run every construction-level check",
     )
     sp.add_argument("--count", type=int, default=200)
-    sp.add_argument("--delta", default="1/1000")
+    sp.add_argument("--delta", type=_delta_arg, default="1/1000")
     sp.set_defaults(func=cmd_verify_lemmas)
 
     sp = sub.add_parser("resolve", parents=[common], help="one mld-preserving model step")
@@ -360,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        with refinement_budget(args.refine_budget):
+            return args.func(args)
     except HypothesesUnmet as e:
         print(f"hypotheses unmet: {e}", file=sys.stderr)
         return 1

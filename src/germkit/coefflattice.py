@@ -6,14 +6,21 @@ scaling are coordinate arithmetic; order queries refine enclosures until the
 sign of a difference is certified, and fail loudly when the refinement
 budget runs out.  The basis symbols are declared Q-linearly independent;
 the engine relies on that declaration and never tries to prove it.
+
+The refinement budget is one value per run, held in a context variable:
+``refinement_budget(levels)`` sets it for a block (the command line wraps
+every subcommand in it), and only the loops that refine read it, through
+``current_budget()``, after their exact rational path has returned.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .enclosures import (
     ContinuedFractionEnclosure,
@@ -28,6 +35,23 @@ from .errors import BasisMismatch, FloorUndecidable, InvariantViolated, Refineme
 from .linalg import pivot_columns, row_space_coordinates, rref
 
 DEFAULT_BUDGET = 64
+
+_budget: ContextVar[int] = ContextVar("refinement_budget", default=DEFAULT_BUDGET)
+
+
+def current_budget() -> int:
+    """Refinement levels a certified decision may use in the current context."""
+    return _budget.get()
+
+
+@contextmanager
+def refinement_budget(levels: int) -> Iterator[None]:
+    """Run the enclosed block with ``levels`` as the refinement budget."""
+    token = _budget.set(levels)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 LESS = -1
 EQUAL = 0
@@ -202,7 +226,7 @@ def _coerce(basis: BasisDescriptor, v) -> SpanElement:
     return basis.rational(Fraction(v))
 
 
-def compare(x: SpanElement, y, budget: int | None = None) -> int:
+def compare(x: SpanElement, y) -> int:
     """Certified three-way comparison: LESS, EQUAL or GREATER.
 
     Rational differences are decided exactly.  Otherwise enclosures of the
@@ -211,13 +235,12 @@ def compare(x: SpanElement, y, budget: int | None = None) -> int:
     the declared independence a nonzero difference always has a sign, so
     exhaustion signals either a too-small budget or a hidden relation.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
     y = _coerce(x.basis, y)
     d = x - y
     if d.is_rational:
         c = d.coords[0]
         return EQUAL if c == 0 else (GREATER if c > 0 else LESS)
+    budget = current_budget()
     for k in range(budget):
         lo, hi = d.enclosure(k)
         if lo > 0:
@@ -229,53 +252,52 @@ def compare(x: SpanElement, y, budget: int | None = None) -> int:
     )
 
 
-def is_le(x: SpanElement, y, budget: int | None = None) -> bool:
-    return compare(x, y, budget) != GREATER
+def is_le(x: SpanElement, y) -> bool:
+    return compare(x, y) != GREATER
 
 
-def is_lt(x: SpanElement, y, budget: int | None = None) -> bool:
-    return compare(x, y, budget) == LESS
+def is_lt(x: SpanElement, y) -> bool:
+    return compare(x, y) == LESS
 
 
-def is_ge(x: SpanElement, y, budget: int | None = None) -> bool:
-    return compare(x, y, budget) != LESS
+def is_ge(x: SpanElement, y) -> bool:
+    return compare(x, y) != LESS
 
 
-def is_gt(x: SpanElement, y, budget: int | None = None) -> bool:
-    return compare(x, y, budget) == GREATER
+def is_gt(x: SpanElement, y) -> bool:
+    return compare(x, y) == GREATER
 
 
-def span_min(items: Iterable[SpanElement], budget: int | None = None) -> SpanElement:
+def span_min(items: Iterable[SpanElement]) -> SpanElement:
     it = iter(items)
     try:
         best = next(it)
     except StopIteration:
         raise ValueError("span_min of empty sequence") from None
     for x in it:
-        if compare(x, best, budget) == LESS:
+        if compare(x, best) == LESS:
             best = x
     return best
 
 
-def span_max(items: Iterable[SpanElement], budget: int | None = None) -> SpanElement:
+def span_max(items: Iterable[SpanElement]) -> SpanElement:
     it = iter(items)
     try:
         best = next(it)
     except StopIteration:
         raise ValueError("span_max of empty sequence") from None
     for x in it:
-        if compare(x, best, budget) == GREATER:
+        if compare(x, best) == GREATER:
             best = x
     return best
 
 
-def floor_span(x: SpanElement, budget: int | None = None) -> int:
+def floor_span(x: SpanElement) -> int:
     """Exact floor.  Rational inputs never consult enclosures."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
     if x.is_rational:
         c = x.coords[0]
         return c.numerator // c.denominator
+    budget = current_budget()
     for k in range(budget):
         lo, hi = x.enclosure(k)
         flo = lo.numerator // lo.denominator
@@ -302,7 +324,7 @@ def _round_decimal(fr: Fraction, places: int) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
-def decimal_str(x: SpanElement, places: int = 12, budget: int | None = None) -> str:
+def decimal_str(x: SpanElement, places: int = 12) -> str:
     """Correctly rounded fixed-point rendering (round half to even).
 
     Irrational values are refined until both enclosure endpoints round to
@@ -310,11 +332,9 @@ def decimal_str(x: SpanElement, places: int = 12, budget: int | None = None) -> 
     gets a deeper internal allowance than comparisons because agreement of
     rounded strings can need a few extra levels near a rounding boundary.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
     if x.is_rational:
         return _round_decimal(x.coords[0], places)
-    for k in range(4 * budget):
+    for k in range(4 * current_budget()):
         lo, hi = x.enclosure(k)
         slo = _round_decimal(lo, places)
         if slo == _round_decimal(hi, places):
@@ -418,15 +438,6 @@ def product_basis(basis: BasisDescriptor) -> BasisDescriptor:
     return BasisDescriptor(tuple(symbols), tuple(encs))
 
 
-def embed_into_product(x: SpanElement, pb: BasisDescriptor) -> SpanElement:
-    if pb == x.basis:
-        return x
-    if pb.symbols[: x.basis.dim] != x.basis.symbols:
-        raise BasisMismatch("target is not a product extension of the element's basis")
-    coords = list(x.coords) + [Fraction(0)] * (pb.dim - x.basis.dim)
-    return SpanElement(pb, tuple(coords))
-
-
 def span_product(factors: Sequence[SpanElement], pb: BasisDescriptor) -> SpanElement:
     """Product of span elements, each affine in one distinct irrational symbol.
 
@@ -516,7 +527,7 @@ class PartitionOfOne:
         return rows
 
 
-def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -> PartitionOfOne:
+def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     """Build the 2^n-entry rational snap family around the declared irrationals.
 
     For each irrational r_i the enclosure is refined to the first interval
@@ -529,8 +540,6 @@ def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -
     1, and the weighted combination equal to the identity matrix exactly;
     the flags are kept as ``checks`` on the result.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -539,14 +548,13 @@ def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -
     snaps: List[Tuple[Fraction, Fraction]] = []
     lowers: List[SpanElement] = []
     uppers: List[SpanElement] = []
+    budget = current_budget()
     for i in range(1, basis.dim):
         r = basis.unit(i)
         chosen = None
         for k in range(budget):
             lo, hi = basis.enclosures[i].interval(k)
-            if is_le(r - basis.rational(lo), delta, budget) and is_le(
-                basis.rational(hi) - r, delta, budget
-            ):
+            if is_le(r - basis.rational(lo), delta) and is_le(basis.rational(hi) - r, delta):
                 chosen = (lo, hi)
                 break
         if chosen is None:
@@ -558,7 +566,7 @@ def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -
         # (q2 - r)/w and (r - q1)/w, both strictly between 0 and 1
         u1 = (basis.rational(q2) - r) / w
         u2 = (r - basis.rational(q1)) / w
-        if compare(u1, 0, budget) != GREATER or compare(u2, 0, budget) != GREATER:
+        if compare(u1, 0) != GREATER or compare(u2, 0) != GREATER:
             raise RefinementExhausted(
                 f"interpolation factors for {basis.symbols[i]} not certified positive"
             )
@@ -578,14 +586,14 @@ def partition_of_one(basis: BasisDescriptor, delta, budget: int | None = None) -
         )
         entries.append((weight, QLinearMap(basis, basis, matrix)))
     part = PartitionOfOne(basis, pb, tuple(entries), delta)
-    checks = verify_partition(part, budget)
+    checks = verify_partition(part)
     bad = [k for k, ok in checks.items() if not ok]
     if bad:
         raise RefinementExhausted(f"partition verification failed: {', '.join(bad)}")
     return replace(part, checks=checks)
 
 
-def verify_partition(part: PartitionOfOne, budget: int | None = None) -> Dict[str, bool]:
+def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
     """Exact certification of every partition invariant.
 
     Returns a flag per invariant so callers can report which one broke;
@@ -596,7 +604,7 @@ def verify_partition(part: PartitionOfOne, budget: int | None = None) -> Dict[st
     checks["weights_sum_to_one"] = part.weight_total() == one
     pos = True
     for w, _ in part.entries:
-        if compare(w, 0, budget) != GREATER:
+        if compare(w, 0) != GREATER:
             pos = False
             break
     checks["weights_positive"] = pos
@@ -608,7 +616,7 @@ def verify_partition(part: PartitionOfOne, budget: int | None = None) -> Dict[st
         for i in range(1, part.basis.dim):
             image = f.apply(part.basis.unit(i))
             diff = image - part.basis.unit(i)
-            if not (is_le(diff, dl, budget) and is_ge(diff, -1 * dl, budget)):
+            if not (is_le(diff, dl) and is_ge(diff, -1 * dl)):
                 disp = False
     checks["displacement_within_delta"] = disp
     return checks

@@ -104,7 +104,7 @@ class CoefficientCheck:
         )
 
 
-def check_n_complement_coeffs(datum: ComplementDatum, budget: int | None = None) -> CoefficientCheck:
+def check_n_complement_coeffs(datum: ComplementDatum) -> CoefficientCheck:
     """Index-n coefficient test, one row per boundary index.
 
     Row i passes when n*bplus[i] is an integer at least
@@ -115,11 +115,11 @@ def check_n_complement_coeffs(datum: ComplementDatum, budget: int | None = None)
     """
     rows: List[CoefficientRow] = []
     for i, (b, bp) in enumerate(zip(datum.b, datum.bplus)):
-        whole = floor_span(b, budget)
+        whole = floor_span(b)
         frac = b - b.basis.rational(whole)
-        target = datum.n * whole + floor_span(frac * (datum.n + 1), budget)
+        target = datum.n * whole + floor_span(frac * (datum.n + 1))
         integral = _n_times_is_integer(bp, datum.n)
-        meets = compare(bp * datum.n, Fraction(target), budget) != LESS
+        meets = compare(bp * datum.n, Fraction(target)) != LESS
         rows.append(CoefficientRow(i, Fraction(target, datum.n), integral, meets))
     loads = tuple(_n_times_is_integer(mu, datum.n) for mu in datum.loads)
     return CoefficientCheck(tuple(rows), loads)
@@ -135,7 +135,7 @@ class StrongAutoReport:
         return (not self.hypothesis_ok) or bool(self.coeffs_ok)
 
 
-def check_strong_auto(datum: ComplementDatum, budget: int | None = None) -> StrongAutoReport:
+def check_strong_auto(datum: ComplementDatum) -> StrongAutoReport:
     """Monotone complements pass the coefficient test automatically.
 
     Hypothesis: every bplus[i] >= b[i], and n*bplus[i] and n*m[j] are all
@@ -148,12 +148,12 @@ def check_strong_auto(datum: ComplementDatum, budget: int | None = None) -> Stro
     )
     if hyp:
         for b, bp in zip(datum.b, datum.bplus):
-            if not is_ge(bp, b, budget):
+            if not is_ge(bp, b):
                 hyp = False
                 break
     if not hyp:
         return StrongAutoReport(False, None)
-    return StrongAutoReport(True, check_n_complement_coeffs(datum, budget).ok)
+    return StrongAutoReport(True, check_n_complement_coeffs(datum).ok)
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def _scaled(weight: SpanElement, value: SpanElement) -> SpanElement:
     )
 
 
-def check_decomposable(datum: ComplementDatum, budget: int | None = None) -> DecompositionReport:
+def check_decomposable(datum: ComplementDatum) -> DecompositionReport:
     """Verify a convex decomposition of the complement boundary.
 
     Weights must be positive and sum to 1 exactly, the weighted parts must
@@ -195,7 +195,7 @@ def check_decomposable(datum: ComplementDatum, budget: int | None = None) -> Dec
     if datum.decomposition is None:
         raise ModelError("datum has no decomposition", "decomposition")
     d = datum.decomposition
-    pos = all(is_gt(w, 0, budget) for w in d.weights)
+    pos = all(is_gt(w, 0) for w in d.weights)
     total = datum.basis.zero()
     for w in d.weights:
         total = total + w
@@ -216,12 +216,12 @@ def check_decomposable(datum: ComplementDatum, budget: int | None = None) -> Dec
             part.bplus,
             part.loads if part.loads is not None else datum.loads,
         )
-        checks.append(check_n_complement_coeffs(sub, budget))
+        checks.append(check_n_complement_coeffs(sub))
     return DecompositionReport(pos, sums, mixes, tuple(checks))
 
 
 def epsilon_tag(
-    model: SurfaceGermModel, epsilon: SpanElement, budget: int | None = None
+    model: SurfaceGermModel, epsilon: SpanElement
 ) -> Tuple[str, DiscrepancyProfile]:
     """Classification of a germ against an explicit positivity threshold.
 
@@ -229,5 +229,5 @@ def epsilon_tag(
     off the mld profile; returns the tag together with the full profile.
     """
     tagged = dataclasses.replace(model, epsilon=epsilon)
-    profile = mld_point(tagged, budget)
+    profile = mld_point(tagged)
     return profile.classification, profile

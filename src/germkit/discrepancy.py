@@ -17,11 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coefflattice import (
     BasisDescriptor,
-    DEFAULT_BUDGET,
     LESS,
     QLinearMap,
     SpanElement,
     compare,
+    current_budget,
     is_ge,
     is_gt,
     is_le,
@@ -199,7 +199,7 @@ def _candidates(
     return cands
 
 
-def mld_point(model: SurfaceGermModel, budget: int | None = None) -> DiscrepancyProfile:
+def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
     """Minimal log discrepancy over the fiber, with realizing locus and tags.
 
     The minimum runs over exceptional curves, their pairwise meeting points
@@ -215,27 +215,27 @@ def mld_point(model: SurfaceGermModel, budget: int | None = None) -> Discrepancy
     mld: MldValue
 
     for vid in model.graph.ids():
-        if is_lt(a[vid], 0, budget):
-            return _profile(model, a, NEG_INFINITY, ("vertex", vid), budget)
+        if is_lt(a[vid], 0):
+            return _profile(model, a, NEG_INFINITY, ("vertex", vid))
     for idx, br in enumerate(model.branches):
-        if is_gt(br.coeff, 1, budget):
-            return _profile(model, a, NEG_INFINITY, ("branch", idx), budget)
+        if is_gt(br.coeff, 1):
+            return _profile(model, a, NEG_INFINITY, ("branch", idx))
 
     if model.graph.order == 0:
         total = basis.zero()
         for br in model.branches:
             total = total + br.coeff
         value = basis.rational(2) - total
-        if is_lt(value, 0, budget):
-            return _profile(model, a, NEG_INFINITY, ("point", None), budget)
-        return _profile(model, a, value, ("point", None), budget)
+        if is_lt(value, 0):
+            return _profile(model, a, NEG_INFINITY, ("point", None))
+        return _profile(model, a, value, ("point", None))
 
     cands = _candidates(model, a)
     mld, realizing = cands[0]
     for value, locus in cands[1:]:
-        if compare(value, mld, budget) == LESS:
+        if compare(value, mld) == LESS:
             mld, realizing = value, locus
-    return _profile(model, a, mld, realizing, budget)
+    return _profile(model, a, mld, realizing)
 
 
 def _profile(
@@ -243,7 +243,6 @@ def _profile(
     a: Dict[int, SpanElement],
     mld: MldValue,
     realizing: Locus,
-    budget: int | None,
 ) -> DiscrepancyProfile:
     eps = model.epsilon
     if isinstance(mld, NegInfinity):
@@ -251,9 +250,9 @@ def _profile(
             tuple(a.items()), mld, realizing, "not-lc", False, False, eps,
             False if eps is not None else None,
         )
-    is_klt = is_gt(mld, 0, budget)
-    eps_ok = None if eps is None else is_ge(mld, eps, budget)
-    if eps is not None and eps_ok and is_gt(eps, 0, budget):
+    is_klt = is_gt(mld, 0)
+    eps_ok = None if eps is None else is_ge(mld, eps)
+    if eps is not None and eps_ok and is_gt(eps, 0):
         tag = "eps-lc"
     elif is_klt:
         tag = "klt"
@@ -262,7 +261,7 @@ def _profile(
     return DiscrepancyProfile(tuple(a.items()), mld, realizing, tag, True, is_klt, eps, eps_ok)
 
 
-def mld_oracle(model: SurfaceGermModel, depth: int, budget: int | None = None) -> MldValue:
+def mld_oracle(model: SurfaceGermModel, depth: int) -> MldValue:
     """Brute-force cross-check of mld_point by enumerating blow-up towers.
 
     Every point of the fiber worth blowing up is described by the multiset
@@ -302,10 +301,10 @@ def mld_oracle(model: SurfaceGermModel, depth: int, budget: int | None = None) -
         if d > 1:
             for x in point:
                 cand = minval((created, x), d - 1)
-                if compare(cand, best, budget) == LESS:
+                if compare(cand, best) == LESS:
                     best = cand
             cand = minval((created,), d - 1)
-            if compare(cand, best, budget) == LESS:
+            if compare(cand, best) == LESS:
                 best = cand
         memo[k] = best
         return best
@@ -324,22 +323,22 @@ def mld_oracle(model: SurfaceGermModel, depth: int, budget: int | None = None) -
 
     values: List[SpanElement] = [a[v] for v in model.graph.ids()]
     values.extend(minval(p, depth) for p in points)
-    best = span_min(values, budget)
-    if is_lt(best, 0, budget):
+    best = span_min(values)
+    if is_lt(best, 0):
         return NEG_INFINITY
     return best
 
 
-def smooth_point_mld(mult: SpanElement, budget: int | None = None) -> SpanElement:
+def smooth_point_mld(mult: SpanElement) -> SpanElement:
     """Mld of a smooth point against a boundary of the given multiplicity.
 
     Valid for multiplicity between 0 and 1, where one blow-up computes the
     minimum 2 - mult; beyond 1 the formula stops being the answer, so the
     call is refused.
     """
-    if is_lt(mult, 0, budget):
+    if is_lt(mult, 0):
         raise HypothesesUnmet("multiplicity must be >= 0")
-    if is_gt(mult, 1, budget):
+    if is_gt(mult, 1):
         raise HypothesesUnmet("formula holds only for multiplicity <= 1")
     return mult.basis.rational(2) - mult
 
@@ -352,9 +351,7 @@ class Violation:
 
 
 def check_convexity(
-    model: SurfaceGermModel,
-    budget: int | None = None,
-    profile: DiscrepancyProfile | None = None,
+    model: SurfaceGermModel, profile: DiscrepancyProfile | None = None
 ) -> Tuple[Violation, ...]:
     """Local convexity of log discrepancies along the dual graph.
 
@@ -368,12 +365,12 @@ def check_convexity(
     Requires a log canonical model with every a <= 1.
     """
     if profile is None:
-        profile = mld_point(model, budget)
+        profile = mld_point(model)
     if not profile.is_lc:
         raise HypothesesUnmet("convexity checks need a log canonical model")
     a = profile.a_map()
     for vid, av in a.items():
-        if is_gt(av, 1, budget):
+        if is_gt(av, 1):
             raise HypothesesUnmet(f"vertex {vid} has log discrepancy above 1")
     adj = model.graph.adjacency()
     out: List[Violation] = []
@@ -384,15 +381,15 @@ def check_convexity(
             for x in range(len(ns)):
                 for y in range(x + 1, len(ns)):
                     p, q = ns[x], ns[y]
-                    if is_gt(a[vid], (a[p] + a[q]) * half, budget):
+                    if is_gt(a[vid], (a[p] + a[q]) * half):
                         out.append(
                             Violation("midpoint", (p, vid, q), f"a({vid}) above neighbor mean")
                         )
         bound = Fraction(2, -w)
-        if is_gt(a[vid], bound, budget):
+        if is_gt(a[vid], bound):
             out.append(Violation("weight-bound", (vid,), f"a({vid}) above {bound}"))
     eps = model.epsilon
-    if eps is not None and is_gt(eps, 0, budget) and profile.epsilon_ok:
+    if eps is not None and is_gt(eps, 0) and profile.epsilon_ok:
         for vid in model.graph.ids():
             if model.graph.weight(vid) > -3:
                 continue
@@ -401,7 +398,7 @@ def check_convexity(
                 for y in range(x + 1, len(ns)):
                     p, q = ns[x], ns[y]
                     lhs = a[p] + a[q] - 2 * a[vid]
-                    if is_lt(lhs, eps, budget):
+                    if is_lt(lhs, eps):
                         out.append(
                             Violation("gap", (p, vid, q), "second difference below epsilon")
                         )
@@ -409,19 +406,17 @@ def check_convexity(
 
 
 def check_smooth_threshold(
-    model: SurfaceGermModel,
-    profile: DiscrepancyProfile | None = None,
-    budget: int | None = None,
+    model: SurfaceGermModel, profile: DiscrepancyProfile | None = None
 ) -> Tuple[Violation, ...]:
     """Nonempty graphs with every weight <= -2 must have mld at most 1."""
     if profile is None:
-        profile = mld_point(model, budget)
+        profile = mld_point(model)
     g = model.graph
     if g.order == 0 or any(w > -2 for _, w in g.vertices):
         return ()
     if isinstance(profile.mld, NegInfinity):
         return ()
-    if is_gt(profile.mld, 1, budget):
+    if is_gt(profile.mld, 1):
         return (Violation("smooth-threshold", (), "mld above 1 on an all-(-2-or-below) graph"),)
     return ()
 
@@ -429,7 +424,6 @@ def check_smooth_threshold(
 def check_empty_graph_value(
     model: SurfaceGermModel,
     profile: DiscrepancyProfile | None = None,
-    budget: int | None = None,
     oracle_depth: int = 4,
 ) -> Tuple[Violation, ...]:
     """Empty-graph models with multiplicity <= 1: mld must equal 2 - mult.
@@ -441,24 +435,22 @@ def check_empty_graph_value(
     total = model.basis.zero()
     for br in model.branches:
         total = total + br.coeff
-    if is_gt(total, 1, budget):
+    if is_gt(total, 1):
         return ()
     if profile is None:
-        profile = mld_point(model, budget)
+        profile = mld_point(model)
     expected = model.basis.rational(2) - total
     out: List[Violation] = []
     if isinstance(profile.mld, NegInfinity) or profile.mld != expected:
         out.append(Violation("smooth-center-value", (), "mld differs from 2 - mult"))
-    got = mld_oracle(model, oracle_depth, budget)
+    got = mld_oracle(model, oracle_depth)
     if isinstance(got, NegInfinity) or got != expected:
         out.append(Violation("smooth-center-oracle", (), "tower oracle differs from 2 - mult"))
     return tuple(out)
 
 
 def check_vertex_window(
-    model: SurfaceGermModel,
-    profile: DiscrepancyProfile | None = None,
-    budget: int | None = None,
+    model: SurfaceGermModel, profile: DiscrepancyProfile | None = None
 ) -> Tuple[Violation, ...]:
     """No vertex-realized mld in the forbidden window on all-(<= -2) graphs.
 
@@ -472,25 +464,25 @@ def check_vertex_window(
     if g.order == 0 or any(w > -2 for _, w in g.vertices):
         return ()
     if profile is None:
-        profile = mld_point(model, budget)
+        profile = mld_point(model)
     if not profile.is_lc or isinstance(profile.mld, NegInfinity):
         return ()
     mld = profile.mld
     if profile.realizing[0] != "vertex":
         return ()
-    if not (is_gt(mld, Fraction(2, 3), budget) and is_lt(mld, 1, budget)):
+    if not (is_gt(mld, Fraction(2, 3)) and is_lt(mld, 1)):
         return ()
     positives: List[SpanElement] = []
     for br in model.branches:
-        if is_gt(br.coeff, 0, budget):
+        if is_gt(br.coeff, 0):
             positives.append(br.coeff)
     for _, mu in model.nef_loads:
-        if is_gt(mu, 0, budget):
+        if is_gt(mu, 0):
             positives.append(mu)
     if positives:
-        d = span_min(positives, budget)
+        d = span_min(positives)
         floor = model.basis.rational(1) - d / 2
-        if not is_gt(mld, floor, budget):
+        if not is_gt(mld, floor):
             return ()
     return (
         Violation(
@@ -517,7 +509,7 @@ class ResolutionStep:
     minus_one_unique: Optional[bool]
 
 
-def resolution_model(model: SurfaceGermModel, budget: int | None = None) -> ResolutionStep:
+def resolution_model(model: SurfaceGermModel) -> ResolutionStep:
     """Arrange for the mld to be realized at a vertex, blowing up once if needed.
 
     Log canonical input only.  When the minimum sits at an edge or branch
@@ -527,7 +519,7 @@ def resolution_model(model: SurfaceGermModel, budget: int | None = None) -> Reso
     curve.  The new curve's log discrepancy equals the old minimum, which
     is re-derived from the new graph as an internal consistency check.
     """
-    profile = mld_point(model, budget)
+    profile = mld_point(model)
     if not profile.is_lc:
         raise HypothesesUnmet("model is not log canonical")
     kind, where = profile.realizing
@@ -562,7 +554,7 @@ def resolution_model(model: SurfaceGermModel, budget: int | None = None) -> Reso
     new_model = SurfaceGermModel(
         new_graph, tuple(branches), model.nef_loads, model.epsilon, model.basis
     )
-    new_profile = mld_point(new_model, budget)
+    new_profile = mld_point(new_model)
     new_a = new_profile.a_map()
     if new_a[new_id] != profile.mld:
         raise InvariantViolated("blow-up must be crepant at the new curve")
@@ -601,9 +593,7 @@ def _length_at_least_half_log(m: int, n: int) -> bool:
     return 3 ** (2 * m + 1) >= 2 * n + 1
 
 
-def _min_coeff_exceeds_16_over_nprime(
-    s: SpanElement, n: int, budget: int | None = None
-) -> bool:
+def _min_coeff_exceeds_16_over_nprime(s: SpanElement, n: int) -> bool:
     """Decide s > 16/(log_3(2n+1) - 1) without floating point.
 
     For rational s = p/q the inequality rearranges to (2n+1)^p > 3^(p+16q);
@@ -618,8 +608,7 @@ def _min_coeff_exceeds_16_over_nprime(
 
     if s.is_rational:
         return rational_test(s.coords[0])
-    limit = budget if budget is not None else DEFAULT_BUDGET
-    for k in range(limit):
+    for k in range(current_budget()):
         lo, hi = s.enclosure(k)
         if lo > 0 and rational_test(lo):
             return True
@@ -628,7 +617,7 @@ def _min_coeff_exceeds_16_over_nprime(
     raise RefinementExhausted("threshold comparison undecided")
 
 
-def find_computing_path(model: SurfaceGermModel, budget: int | None = None) -> ComputingPathReport:
+def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:
     """Extract a path of curves witnessing how the mld sits in the graph.
 
     Requires a log canonical model with 0 < mld < 1 whose minimum is
@@ -643,11 +632,11 @@ def find_computing_path(model: SurfaceGermModel, budget: int | None = None) -> C
     at the far end of the maximal computing run along the adjacent chain.
     Every promised inequality is certified exactly and reported.
     """
-    profile = mld_point(model, budget)
+    profile = mld_point(model)
     if not profile.is_lc or isinstance(profile.mld, NegInfinity):
         raise HypothesesUnmet("model must be log canonical")
     mld = profile.mld
-    if not (is_gt(mld, 0, budget) and is_lt(mld, 1, budget)):
+    if not (is_gt(mld, 0) and is_lt(mld, 1)):
         raise HypothesesUnmet("need 0 < mld < 1")
     if profile.realizing[0] != "vertex":
         raise HypothesesUnmet("mld not realized at a vertex; apply resolution_model first")
@@ -735,8 +724,8 @@ def find_computing_path(model: SurfaceGermModel, budget: int | None = None) -> C
     conditions["starts-computing"] = path_ids[0] in computing
     conditions["length"] = _length_at_least_half_log(m, n)
     gap = a[path_ids[1]] - a[path_ids[0]]
-    conditions["gap-nonnegative"] = is_ge(gap, 0, budget)
-    conditions["gap-at-most-1/m"] = is_le(gap, Fraction(1, m), budget)
+    conditions["gap-nonnegative"] = is_ge(gap, 0)
+    conditions["gap-at-most-1/m"] = is_le(gap, Fraction(1, m))
     gamma0, _ = split_at_edge(g, (path_ids[0], path_ids[1]))
     if kind == "noncomputing-neighbor":
         conditions["second-not-computing"] = path_ids[1] not in computing
@@ -754,27 +743,25 @@ def find_computing_path(model: SurfaceGermModel, budget: int | None = None) -> C
     }
     applicable = False
     eps = model.epsilon
-    if eps is not None and is_gt(eps, 0, budget) and profile.epsilon_ok:
+    if eps is not None and is_gt(eps, 0) and profile.epsilon_ok:
         positives: List[SpanElement] = [eps]
         for br in model.branches:
-            if is_gt(br.coeff, 0, budget):
+            if is_gt(br.coeff, 0):
                 positives.append(br.coeff)
         for _, mu in model.nef_loads:
-            if is_gt(mu, 0, budget):
+            if is_gt(mu, 0):
                 positives.append(mu)
-        floor = span_min(positives, budget)
-        if _min_coeff_exceeds_16_over_nprime(floor, n, budget):
+        floor = span_min(positives)
+        if _min_coeff_exceeds_16_over_nprime(floor, n):
             applicable = True
             moreover["half-path-weights-minus-2"] = all(
                 g.weight(path_ids[i]) == -2 for i in range(1, m // 2 + 1)
             )
             coeff_positives = positives[1:]
             if coeff_positives:
-                d = span_min(coeff_positives, budget)
-                if is_le(d, Fraction(2, 3), budget):
-                    moreover["side-size-bound"] = is_le(
-                        floor * (gamma0.order - 1), 16, budget
-                    )
+                d = span_min(coeff_positives)
+                if is_le(d, Fraction(2, 3)):
+                    moreover["side-size-bound"] = is_le(floor * (gamma0.order - 1), 16)
             if g.weight(path_ids[0]) == -1:
                 moreover["side-singleton-at-minus-1"] = gamma0.order == 1
 
@@ -783,9 +770,7 @@ def find_computing_path(model: SurfaceGermModel, budget: int | None = None) -> C
     )
 
 
-def adjunction_coefficient(
-    model: SurfaceGermModel, branch_index: int, budget: int | None = None
-) -> SpanElement:
+def adjunction_coefficient(model: SurfaceGermModel, branch_index: int) -> SpanElement:
     """Coefficient the germ induces on a reduced branch through it.
 
     The distinguished branch must carry coefficient exactly 1.  On the
@@ -798,7 +783,7 @@ def adjunction_coefficient(
         raise ModelError(f"no branch {branch_index}") from None
     if br.coeff != model.basis.rational(1):
         raise HypothesesUnmet("distinguished branch must have coefficient exactly 1")
-    profile = mld_point(model, budget)
+    profile = mld_point(model)
     if not profile.is_lc:
         raise HypothesesUnmet("model must be log canonical")
     if br.vertex is None:
@@ -830,9 +815,7 @@ class AdjunctionForm:
         )
 
 
-def adjunction_form(
-    model: SurfaceGermModel, branch_index: int, budget: int | None = None
-) -> AdjunctionForm:
+def adjunction_form(model: SurfaceGermModel, branch_index: int) -> AdjunctionForm:
     """Certify the arithmetic shape of the adjunction coefficient.
 
     The coefficient is affine in the other branch coefficients and the
@@ -843,7 +826,7 @@ def adjunction_form(
     is a nonnegative integer, and the affine reconstruction matches the
     actual coefficient.  l is |det| of the intersection matrix.
     """
-    value = adjunction_coefficient(model, branch_index, budget)
+    value = adjunction_coefficient(model, branch_index)
     ell = graph_determinant_abs(model.graph)
     basis = model.basis
     g = model.graph
@@ -876,14 +859,14 @@ def adjunction_form(
     )
 
 
-def generic_point_mld(model: SurfaceGermModel, locus: Locus, budget: int | None = None) -> SpanElement:
+def generic_point_mld(model: SurfaceGermModel, locus: Locus) -> SpanElement:
     """Mld at the generic point of a curve through the fiber.
 
     The value is one minus the curve's coefficient: for an exceptional
     vertex that is its log discrepancy, for a branch it is 1 - b.  Needs a
     log canonical model so the coefficient is honest.
     """
-    profile = mld_point(model, budget)
+    profile = mld_point(model)
     if not profile.is_lc:
         raise HypothesesUnmet("model must be log canonical")
     kind, where = locus
@@ -894,8 +877,6 @@ def generic_point_mld(model: SurfaceGermModel, locus: Locus, budget: int | None 
     raise ValueError(f"no curve at locus kind {kind!r}")
 
 
-def general_closed_point_mld(
-    model: SurfaceGermModel, locus: Locus, budget: int | None = None
-) -> SpanElement:
+def general_closed_point_mld(model: SurfaceGermModel, locus: Locus) -> SpanElement:
     """Mld at a general closed point of the curve: the generic value plus 1."""
-    return generic_point_mld(model, locus, budget) + model.basis.rational(1)
+    return generic_point_mld(model, locus) + model.basis.rational(1)

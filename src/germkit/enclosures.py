@@ -169,6 +169,3 @@ def positive_from_level(e: Enclosure, limit: int = 64) -> int:
             return k
     raise RefinementExhausted("no level with a positive lower endpoint")
 
-
-def width(iv: Interval) -> Fraction:
-    return iv[1] - iv[0]

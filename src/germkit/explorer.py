@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coefflattice import (
     BasisDescriptor,
-    DEFAULT_BUDGET,
     SpanElement,
     TRIVIAL_BASIS,
     compare,
+    current_budget,
     decimal_str,
     is_ge,
     is_gt,
@@ -283,10 +283,10 @@ def model_digest(model: SurfaceGermModel) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def value_json(x: MldValue, budget: int | None = None) -> dict:
+def value_json(x: MldValue) -> dict:
     if isinstance(x, NegInfinity):
         return {"exact": "-inf", "decimal": "-inf"}
-    return {"exact": render_exact(x), "decimal": decimal_str(x, 12, budget)}
+    return {"exact": render_exact(x), "decimal": decimal_str(x, 12)}
 
 
 def mld_equal(x: MldValue, y: MldValue) -> bool:
@@ -306,14 +306,14 @@ def _realizing_str(locus) -> str:
     return "point"
 
 
-def sort_values(values: Sequence[SpanElement], budget: int | None = None) -> List[SpanElement]:
+def sort_values(values: Sequence[SpanElement]) -> List[SpanElement]:
     out: List[SpanElement] = []
     for v in values:
         lo = 0
         hi = len(out)
         while lo < hi:
             mid = (lo + hi) // 2
-            if compare(v, out[mid], budget) < 0:
+            if compare(v, out[mid]) < 0:
                 hi = mid
             else:
                 lo = mid + 1
@@ -333,12 +333,13 @@ class ScanConfig:
     seed: int = 0
     oracle_depth: int = 0
     epsilon: Optional[str] = None
-    budget: int = DEFAULT_BUDGET
     coeffs: Optional[Tuple[str, ...]] = None
     paths: Tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
+        # reports keep naming the refinement budget the scan ran under
+        d["budget"] = current_budget()
         d["coeffs"] = list(self.coeffs) if self.coeffs is not None else None
         d["paths"] = list(self.paths)
         return d
@@ -375,8 +376,7 @@ def build_scan_models(config: ScanConfig) -> List[SurfaceGermModel]:
 
 
 def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
-    budget = config.budget
-    profile = mld_point(model, budget)
+    profile = mld_point(model)
     g = model.graph
     a = profile.a_map()
     checks: List[str] = []
@@ -387,25 +387,25 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
             violations.append(f"{v.check}@{v.where}: {v.detail}")
 
     all_deep = g.order > 0 and all(w <= -2 for _, w in g.vertices)
-    if profile.is_lc and all(not is_gt(av, 1, budget) for av in a.values()):
+    if profile.is_lc and all(not is_gt(av, 1) for av in a.values()):
         checks.append("convexity")
-        record(check_convexity(model, budget, profile))
+        record(check_convexity(model, profile))
     if all_deep:
         checks.append("smooth-threshold")
-        record(check_smooth_threshold(model, profile, budget))
+        record(check_smooth_threshold(model, profile))
         if profile.is_lc:
             checks.append("vertex-window")
-            record(check_vertex_window(model, profile, budget))
+            record(check_vertex_window(model, profile))
     if g.order == 0:
         total = model.basis.zero()
         for br in model.branches:
             total = total + br.coeff
-        if not is_gt(total, 1, budget):
+        if not is_gt(total, 1):
             checks.append("smooth-center")
-            record(check_empty_graph_value(model, profile, budget))
+            record(check_empty_graph_value(model, profile))
     if config.oracle_depth >= 1:
         checks.append("oracle")
-        got = mld_oracle(model, config.oracle_depth, budget)
+        got = mld_oracle(model, config.oracle_depth)
         if not mld_equal(got, profile.mld):
             violations.append("oracle: tower enumeration disagrees with the closed form")
     generators = (
@@ -421,13 +421,13 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
         for idx, br in enumerate(model.branches):
             if br.coeff == model.basis.rational(1):
                 checks.append("adjunction-form")
-                if not adjunction_form(model, idx, budget).ok:
+                if not adjunction_form(model, idx).ok:
                     violations.append(f"adjunction-form@branch:{idx}: decomposition failed")
                 break
     instance = {
         "digest": model_digest(model),
         "n_vertices": g.order,
-        "mld": value_json(profile.mld, budget),
+        "mld": value_json(profile.mld),
         "classification": profile.classification,
         "realizing": _realizing_str(profile.realizing),
         "checks": sorted(set(checks)),
@@ -473,17 +473,17 @@ def run_scan(config: ScanConfig) -> ScanReport:
             not_lc += 1
         elif all(profile.mld != v for v in finite):
             finite.append(profile.mld)
-    ordered = sort_values(finite, config.budget)
+    ordered = sort_values(finite)
     min_gap = None
     for x, y in zip(ordered, ordered[1:]):
         gap = y - x
-        if min_gap is None or compare(gap, min_gap, config.budget) < 0:
+        if min_gap is None or compare(gap, min_gap) < 0:
             min_gap = gap
     aggregate = {
         "count": len(instances),
         "not_lc": not_lc,
-        "values": [value_json(v, config.budget) for v in ordered],
-        "min_gap": None if min_gap is None else value_json(min_gap, config.budget),
+        "values": [value_json(v) for v in ordered],
+        "min_gap": None if min_gap is None else value_json(min_gap),
         "violations_total": violations_total,
     }
     return ScanReport(config.to_dict(), instances, aggregate)
@@ -495,9 +495,7 @@ PERTURB_DISCLAIMER = (
 )
 
 
-def run_perturb_harness(
-    models: Sequence[SurfaceGermModel], delta, budget: int | None = None
-) -> dict:
+def run_perturb_harness(models: Sequence[SurfaceGermModel], delta) -> dict:
     """Snap every lc model's coefficients to nearby rationals and re-solve.
 
     For each entry of the partition family the perturbed model must stay
@@ -511,26 +509,26 @@ def run_perturb_harness(
         digest = model_digest(m)
         if digest in entries:
             continue
-        profile = mld_point(m, budget)
+        profile = mld_point(m)
         if not profile.is_lc:
             entries[digest] = {"digest": digest, "status": "skipped-not-lc"}
             continue
-        part = partition_of_one(m.basis, delta, budget)
+        part = partition_of_one(m.basis, delta)
         eps_active = (
             m.epsilon is not None
-            and is_gt(m.epsilon, 0, budget)
+            and is_gt(m.epsilon, 0)
             and bool(profile.epsilon_ok)
         )
         lc_ok = True
         eps_ok: Optional[bool] = True if eps_active else None
         for _, f in part.entries:
             m2 = apply_to_coefficients(m, f)
-            p2 = mld_point(m2, budget)
+            p2 = mld_point(m2)
             if not p2.is_lc:
                 lc_ok = False
             if eps_active:
                 target = f.apply(m.epsilon)
-                if isinstance(p2.mld, NegInfinity) or not is_ge(p2.mld, target, budget):
+                if isinstance(p2.mld, NegInfinity) or not is_ge(p2.mld, target):
                     eps_ok = False
         if not lc_ok:
             violations += 1
@@ -558,7 +556,6 @@ def run_verification(
     seed: int = 0,
     count: int = 200,
     oracle_depth: int = 3,
-    budget: int | None = None,
     delta="1/1000",
 ) -> dict:
     """Construction-level verification across the generated corpus.
@@ -573,9 +570,9 @@ def run_verification(
 
     mismatches = []
     for m in models:
-        profile = mld_point(m, budget)
+        profile = mld_point(m)
         for d in range(1, oracle_depth + 1):
-            if not mld_equal(mld_oracle(m, d, budget), profile.mld):
+            if not mld_equal(mld_oracle(m, d), profile.mld):
                 mismatches.append({"digest": model_digest(m), "depth": d})
     sections["oracle"] = {
         "models": len(models),
@@ -586,19 +583,18 @@ def run_verification(
     bad_an = [
         m.graph.order
         for m in family_an(50)
-        if mld_point(m, budget).mld != m.basis.rational(1)
+        if mld_point(m).mld != m.basis.rational(1)
     ]
     bad_cyclic = [
         -m.graph.weight(0)
         for m in family_cyclic_one_one(50)
-        if mld_point(m, budget).mld != m.basis.rational(Fraction(2, -m.graph.weight(0)))
+        if mld_point(m).mld != m.basis.rational(Fraction(2, -m.graph.weight(0)))
     ]
     sections["families"] = {"an_failures": bad_an, "cyclic_failures": bad_cyclic}
 
     suite_violations = []
     for m in models:
-        cfg = ScanConfig(budget=budget if budget is not None else DEFAULT_BUDGET)
-        inst, _ = _scan_instance(m, cfg)
+        inst, _ = _scan_instance(m, ScanConfig())
         for v in inst["violations"]:
             suite_violations.append({"digest": inst["digest"], "violation": v})
     sections["suites"] = {"violations": suite_violations}
@@ -612,11 +608,11 @@ def run_verification(
             if math.gcd(n, q) != 1:
                 continue
             m = hj_with_reduced_branch(n, q)
-            if not mld_point(m, budget).is_lc:
+            if not mld_point(m).is_lc:
                 adjunction_failures.append({"n": n, "q": q, "violation": "not lc"})
                 continue
             adjunction_checked += 1
-            if not adjunction_form(m, 0, budget).ok:
+            if not adjunction_form(m, 0).ok:
                 adjunction_failures.append({"n": n, "q": q, "violation": "form"})
     sections["adjunction"] = {
         "checked": adjunction_checked,
@@ -627,12 +623,12 @@ def run_verification(
     partition_ok = True
     if basis is not None:
         for d in (Fraction(1, 10), Fraction(1, 1000)):
-            part = partition_of_one(basis, d, budget)
+            part = partition_of_one(basis, d)
             if not all(part.checks.values()):
                 partition_ok = False
     sections["partition"] = {"ok": partition_ok}
 
-    perturb = run_perturb_harness(models, Fraction(delta), budget)
+    perturb = run_perturb_harness(models, Fraction(delta))
     sections["perturb"] = {
         "violations": perturb["violations_total"],
         "entries": len(perturb["entries"]),
@@ -702,10 +698,10 @@ def parse_complement_datum(doc: dict) -> ComplementDatum:
     return ComplementDatum(doc["n"], basis, seq("B"), seq("Bplus"), seq("m"), decomposition)
 
 
-def complement_report(datum: ComplementDatum, budget: int | None = None) -> dict:
+def complement_report(datum: ComplementDatum) -> dict:
     """All complement-side checks on one datum, as a JSON-ready dict."""
-    coeffs = check_n_complement_coeffs(datum, budget)
-    strong = check_strong_auto(datum, budget)
+    coeffs = check_n_complement_coeffs(datum)
+    strong = check_strong_auto(datum)
     doc: dict = {
         "n": datum.n,
         "coefficients": {
@@ -728,7 +724,7 @@ def complement_report(datum: ComplementDatum, budget: int | None = None) -> dict
         },
     }
     if datum.decomposition is not None:
-        rep = check_decomposable(datum, budget)
+        rep = check_decomposable(datum)
         doc["decomposition"] = {
             "ok": rep.ok,
             "weights_positive": rep.weights_positive,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from germkit.cli import main
+from germkit.coefflattice import DEFAULT_BUDGET, current_budget
 
 
 @pytest.fixture
@@ -96,9 +97,15 @@ BOOLEAN_EDGE = (
         (["gen-hj", "4", "2"], None, "coprime"),
         (["mld", "{dir}"], None, "Is a directory"),
         (["gen-hj", "7", "3", "--out", "{dir}"], None, "Is a directory"),
+        (["mld"], None, "required: model"),
+        (["solve", "{doc}", "--seed", "3"], None, "unrecognized arguments: --seed 3"),
+        (["partition", "--delta", "0"], None, "delta must be positive"),
+        (["perturb", "{doc}", "--delta", "0"], None, "delta must be positive"),
+        (["verify-lemmas", "--count", "5", "--delta", "0"], None, "delta must be positive"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
-         "read-directory", "write-directory"],
+         "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
+         "partition-zero-delta", "perturb-zero-delta", "verify-zero-delta"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"
@@ -109,6 +116,35 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and message in err
+
+
+def _sqrt2_convergent(k):
+    # p_k/q_k of sqrt2 = [1; 2, 2, ...]; even k lie below sqrt2
+    (p, q), (p1, q1) = (1, 1), (3, 2)
+    for _ in range(k):
+        (p, q), (p1, q1) = (p1, q1), (2 * p1 + p, 2 * q1 + q)
+    return f"{p}/{q}"
+
+
+# one (-2)-curve with a branch of coefficient sqrt2 - p_70/q_70, a positive
+# number below 10^-50: certifying its sign needs 71 refinement levels
+DEEP_BRANCH = {
+    "basis": ["1", "sqrt2"],
+    "enclosures": {"sqrt2": {"cf": {"head": [1], "cycle": [2]}}},
+    "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
+    "branches": [{"vertex": 0, "b": ["-" + _sqrt2_convergent(70), "1"]}],
+}
+
+
+def test_refine_budget_reaches_model_validation(model_file, capsys):
+    path = model_file(DEEP_BRANCH)
+    code, _, err = run(capsys, "mld", path)
+    assert code == 1
+    assert "undecided after 64 refinement levels" in err
+    code, out, _ = run(capsys, "mld", path, "--refine-budget", "300")
+    assert code == 0
+    assert json.loads(out)["classification"] == "klt"
+    assert current_budget() == DEFAULT_BUDGET == 64
 
 
 def test_unmet_hypotheses_exit_one(model_file, capsys):

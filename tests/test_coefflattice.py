@@ -19,6 +19,7 @@ from germkit import (
     is_lt,
     partition_of_one,
     product_basis,
+    refinement_budget,
     render_exact,
     shrink_delta,
     span_max,
@@ -26,7 +27,7 @@ from germkit import (
     span_product,
     verify_partition,
 )
-from germkit.coefflattice import embed_into_product, span_coordinates_over
+from germkit.coefflattice import span_coordinates_over
 from germkit.enclosures import ContinuedFractionEnclosure, PointEnclosure
 from germkit.errors import BasisMismatch, FloorUndecidable, RefinementExhausted
 
@@ -116,8 +117,8 @@ def test_compare_exhausts_on_hidden_relation():
             ContinuedFractionEnclosure((1,), (2,)),
         ),
     )
-    with pytest.raises(RefinementExhausted):
-        compare(twin.unit(1), twin.unit(2), budget=12)
+    with refinement_budget(12), pytest.raises(RefinementExhausted):
+        compare(twin.unit(1), twin.unit(2))
 
 
 def test_ordering_helpers(sq2):
@@ -152,14 +153,14 @@ def test_floor_of_finite_source_runs_dry():
             ),
         ),
     )
-    with pytest.raises(RefinementExhausted):
-        floor_span(basis.unit(1), budget=8)
+    with refinement_budget(8), pytest.raises(RefinementExhausted):
+        floor_span(basis.unit(1))
 
 
 def test_floor_undecidable_on_tiny_budget(sq2):
     # level 0 of 3*sqrt2 is (3, 9/2), which straddles 4
-    with pytest.raises(FloorUndecidable):
-        floor_span(sq2.unit(1) * 3, budget=1)
+    with refinement_budget(1), pytest.raises(FloorUndecidable):
+        floor_span(sq2.unit(1) * 3)
 
 
 def test_decimal_str(sq2):
@@ -222,8 +223,6 @@ def test_span_product_expands_exactly(sq2_sq3):
     two_plus_r3 = sq2_sq3.element((2, 0, 1))
     got = span_product([one_plus_r2, two_plus_r3], pb)
     assert got.coords == (Fraction(2), Fraction(2), Fraction(1), Fraction(1))
-    emb = embed_into_product(sq2_sq3.rational(5), pb)
-    assert emb.coords[0] == 5 and all(c == 0 for c in emb.coords[1:])
 
 
 def test_span_product_rejects_square(sq2_sq3):

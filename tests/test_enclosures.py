@@ -8,7 +8,6 @@ from germkit.enclosures import (
     PointEnclosure,
     ProductEnclosure,
     positive_from_level,
-    width,
 )
 from germkit.errors import RefinementExhausted
 
@@ -44,7 +43,7 @@ def test_cf_levels_nest_and_shrink():
     for k in range(1, 10):
         cur = e.interval(k)
         assert prev[0] <= cur[0] and cur[1] <= prev[1]
-        assert width(cur) < width(prev)
+        assert cur[1] - cur[0] < prev[1] - prev[0]
         prev = cur
 
 

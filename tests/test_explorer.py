@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from germkit import ModelError, NEG_INFINITY
+from germkit import ModelError, NEG_INFINITY, refinement_budget
 from germkit.corpus import corpus
 from germkit.explorer import (
     ScanConfig,
@@ -102,6 +102,12 @@ def test_cyclic_scan_values_and_gap():
         "1",
     ]
     assert rep.aggregate["min_gap"]["exact"] == "1/15"
+
+
+def test_scan_config_records_the_budget_in_force():
+    assert run_scan(ScanConfig(family="an", n_max=2)).config["budget"] == 64
+    with refinement_budget(30):
+        assert run_scan(ScanConfig(family="an", n_max=2)).config["budget"] == 30
 
 
 def test_hj_scan_skips_non_coprime():
