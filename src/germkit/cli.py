@@ -61,6 +61,16 @@ def _delta_arg(text: str) -> Fraction:
     return delta
 
 
+def _budget_arg(text: str) -> int:
+    try:
+        levels = int(text)
+    except ValueError:
+        raise ModelError(f"bad refinement budget {text!r}", "--refine-budget") from None
+    if levels <= 0:
+        raise ModelError(f"refinement budget must be positive, got {text}", "--refine-budget")
+    return levels
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -100,7 +110,7 @@ def cmd_mld(args) -> int:
         doc["epsilon_ok"] = profile.epsilon_ok
     code = 0
     if args.oracle_depth >= 1:
-        got = mld_oracle(model, args.oracle_depth)
+        got = mld_oracle(model, args.oracle_depth, profile)
         agrees = mld_equal(got, profile.mld)
         doc["oracle"] = {
             "depth": args.oracle_depth,
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--refine-budget",
-        type=int,
+        type=_budget_arg,
         default=DEFAULT_BUDGET,
         help="max enclosure refinement level before giving up a comparison",
     )

@@ -11,6 +11,14 @@ The refinement budget is one value per run, held in a context variable:
 ``refinement_budget(levels)`` sets it for a block (the command line wraps
 every subcommand in it), and only the loops that refine read it, through
 ``current_budget()``, after their exact rational path has returned.
+
+Certified signs, floors and decimals refine on a galloping schedule
+(A. Ziv, ACM TOMS 17, 1991): ``_refine`` visits the levels 0, 1, 2, 4,
+8, ... and ends on the last level the budget allows, so a decision that
+settles at level k costs O(log k) enclosures instead of k + 1.  Enclosure
+levels are nested, so once a level decides every deeper level decides the
+same way; the schedule therefore returns exactly what a walk through every
+level returns, and it runs out exactly when that walk runs out.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .enclosures import (
     ContinuedFractionEnclosure,
@@ -35,6 +43,8 @@ from .errors import BasisMismatch, FloorUndecidable, InvariantViolated, Refineme
 from .linalg import pivot_columns, row_space_coordinates, rref
 
 DEFAULT_BUDGET = 64
+
+T = TypeVar("T")
 
 _budget: ContextVar[int] = ContextVar("refinement_budget", default=DEFAULT_BUDGET)
 
@@ -226,14 +236,56 @@ def _coerce(basis: BasisDescriptor, v) -> SpanElement:
     return basis.rational(Fraction(v))
 
 
+def _refine(
+    x: SpanElement, decide: Callable[[Fraction, Fraction], Optional[T]], limit: int
+) -> Optional[T]:
+    """First decision of ``decide(lo, hi)`` on the enclosures of x, or None.
+
+    Visits the levels 0, 1, 2, 4, 8, ... below limit - 1 and then limit - 1
+    itself.  ``decide`` must be monotone under nesting: a decision at one
+    level is the decision at every deeper level.  Then the first level that
+    decides gives the answer a level-by-level walk gives, and limit - 1, the
+    last level that walk visits, decides whenever any level does.  A finite
+    source can end inside a skipped stretch; the stretch is then walked one
+    level at a time, so the decision or the RefinementExhausted comes from
+    the same level, with the same message, as in the level-by-level walk.
+    """
+    prev, k = -1, 0
+    while k < limit:
+        try:
+            lo, hi = x.enclosure(k)
+        except RefinementExhausted:
+            for j in range(prev + 1, k):
+                got = decide(*x.enclosure(j))
+                if got is not None:
+                    return got
+            raise
+        got = decide(lo, hi)
+        if got is not None or k == limit - 1:
+            return got
+        prev, k = k, min(max(1, 2 * k), limit - 1)
+    return None
+
+
+def _sign(lo: Fraction, hi: Fraction) -> Optional[int]:
+    if lo > 0:
+        return GREATER
+    if hi < 0:
+        return LESS
+    return None
+
+
 def compare(x: SpanElement, y) -> int:
     """Certified three-way comparison: LESS, EQUAL or GREATER.
 
     Rational differences are decided exactly.  Otherwise enclosures of the
-    difference are refined until its sign is certified; if the budget runs
-    out first, RefinementExhausted is raised rather than guessing.  Under
-    the declared independence a nonzero difference always has a sign, so
-    exhaustion signals either a too-small budget or a hidden relation.
+    difference are refined on the galloping schedule of ``_refine`` until
+    its sign is certified; if level budget - 1 leaves it open,
+    RefinementExhausted is raised rather than guessing.  A positive lower
+    (negative upper) endpoint stays so at every deeper, nested level, which
+    is why skipping levels changes no answer.  Under the declared
+    independence a nonzero difference always has a sign, so exhaustion
+    signals either a too-small budget or a hidden relation.
     """
     y = _coerce(x.basis, y)
     d = x - y
@@ -241,15 +293,12 @@ def compare(x: SpanElement, y) -> int:
         c = d.coords[0]
         return EQUAL if c == 0 else (GREATER if c > 0 else LESS)
     budget = current_budget()
-    for k in range(budget):
-        lo, hi = d.enclosure(k)
-        if lo > 0:
-            return GREATER
-        if hi < 0:
-            return LESS
-    raise RefinementExhausted(
-        f"sign of {render_exact(d)} undecided after {budget} refinement levels"
-    )
+    got = _refine(d, _sign, budget)
+    if got is None:
+        raise RefinementExhausted(
+            f"sign of {render_exact(d)} undecided after {budget} refinement levels"
+        )
+    return got
 
 
 def is_le(x: SpanElement, y) -> bool:
@@ -292,25 +341,37 @@ def span_max(items: Iterable[SpanElement]) -> SpanElement:
     return best
 
 
+def _floor_of(lo: Fraction, hi: Fraction) -> Optional[int]:
+    flo = lo.numerator // lo.denominator
+    fhi = hi.numerator // hi.denominator
+    if flo == fhi:
+        return flo
+    # the value itself is irrational, so an integer upper endpoint is
+    # never attained and does not block the answer
+    if fhi == flo + 1 and hi == fhi:
+        return flo
+    return None
+
+
 def floor_span(x: SpanElement) -> int:
-    """Exact floor.  Rational inputs never consult enclosures."""
+    """Exact floor.  Rational inputs never consult enclosures.
+
+    Irrational inputs are refined on the galloping schedule of ``_refine``
+    until both endpoints share a floor, or the upper endpoint is the next
+    integer (never attained by an irrational value).  A nested interval
+    inside one that decides has the same floor and decides the same way, so
+    skipping levels changes no answer.
+    """
     if x.is_rational:
         c = x.coords[0]
         return c.numerator // c.denominator
     budget = current_budget()
-    for k in range(budget):
-        lo, hi = x.enclosure(k)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return flo
-        # the value itself is irrational, so an integer upper endpoint is
-        # never attained and does not block the answer
-        if fhi == flo + 1 and hi == fhi:
-            return flo
-    raise FloorUndecidable(
-        f"floor of {render_exact(x)} undecided after {budget} refinement levels"
-    )
+    got = _refine(x, _floor_of, budget)
+    if got is None:
+        raise FloorUndecidable(
+            f"floor of {render_exact(x)} undecided after {budget} refinement levels"
+        )
+    return got
 
 
 def _round_decimal(fr: Fraction, places: int) -> str:
@@ -327,21 +388,27 @@ def _round_decimal(fr: Fraction, places: int) -> str:
 def decimal_str(x: SpanElement, places: int = 12) -> str:
     """Correctly rounded fixed-point rendering (round half to even).
 
-    Irrational values are refined until both enclosure endpoints round to
-    the same string, which pins the digits of the value itself.  Rendering
-    gets a deeper internal allowance than comparisons because agreement of
+    Irrational values are refined on the galloping schedule of ``_refine``
+    until both enclosure endpoints round to the same string, which pins the
+    digits of the value itself.  Rounding is monotone, so every point of a
+    nested interval inside one that decides rounds to that string as well,
+    and skipping levels changes no answer.  Rendering gets a deeper internal
+    allowance (4 x the budget) than comparisons because agreement of
     rounded strings can need a few extra levels near a rounding boundary.
     """
     if x.is_rational:
         return _round_decimal(x.coords[0], places)
-    for k in range(4 * current_budget()):
-        lo, hi = x.enclosure(k)
+
+    def agreed(lo: Fraction, hi: Fraction) -> Optional[str]:
         slo = _round_decimal(lo, places)
-        if slo == _round_decimal(hi, places):
-            return slo
-    raise RefinementExhausted(
-        f"{places}-place rendering of {render_exact(x)} undecided"
-    )
+        return slo if slo == _round_decimal(hi, places) else None
+
+    got = _refine(x, agreed, 4 * current_budget())
+    if got is None:
+        raise RefinementExhausted(
+            f"{places}-place rendering of {render_exact(x)} undecided"
+        )
+    return got
 
 
 @dataclass(frozen=True)
@@ -539,6 +606,10 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     before returning: weights positive and summing to one, every map fixing
     1, and the weighted combination equal to the identity matrix exactly;
     the flags are kept as ``checks`` on the result.
+
+    The level search walks one level at a time rather than on the galloping
+    schedule: it needs the *first* level within delta, because the snap
+    values are that level's endpoints, and a deeper level would change them.
     """
     delta = Fraction(delta)
     if delta <= 0:

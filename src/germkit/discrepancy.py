@@ -261,7 +261,9 @@ def _profile(
     return DiscrepancyProfile(tuple(a.items()), mld, realizing, tag, True, is_klt, eps, eps_ok)
 
 
-def mld_oracle(model: SurfaceGermModel, depth: int) -> MldValue:
+def mld_oracle(
+    model: SurfaceGermModel, depth: int, profile: DiscrepancyProfile | None = None
+) -> MldValue:
     """Brute-force cross-check of mld_point by enumerating blow-up towers.
 
     Every point of the fiber worth blowing up is described by the multiset
@@ -276,10 +278,13 @@ def mld_oracle(model: SurfaceGermModel, depth: int) -> MldValue:
     most 1 (so, on the whole generated corpus).  With a coefficient above 1
     the closed form reports NEG_INFINITY while a shallow enumeration may not
     yet have produced a negative value.
+
+    ``profile``, when given, is ``mld_point(model)``; its log discrepancies
+    are used instead of solving the linear system again.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    a = solve_discrepancies(model)
+    a = solve_discrepancies(model) if profile is None else profile.a_map()
     one = model.basis.rational(1)
     two = model.basis.rational(2)
 
@@ -443,7 +448,7 @@ def check_empty_graph_value(
     out: List[Violation] = []
     if isinstance(profile.mld, NegInfinity) or profile.mld != expected:
         out.append(Violation("smooth-center-value", (), "mld differs from 2 - mult"))
-    got = mld_oracle(model, oracle_depth)
+    got = mld_oracle(model, oracle_depth, profile)
     if isinstance(got, NegInfinity) or got != expected:
         out.append(Violation("smooth-center-oracle", (), "tower oracle differs from 2 - mult"))
     return tuple(out)
@@ -597,7 +602,11 @@ def _min_coeff_exceeds_16_over_nprime(s: SpanElement, n: int) -> bool:
     """Decide s > 16/(log_3(2n+1) - 1) without floating point.
 
     For rational s = p/q the inequality rearranges to (2n+1)^p > 3^(p+16q);
-    irrational s is bracketed by its enclosure until one side decides.
+    irrational s is bracketed by its enclosure until one side decides.  The
+    levels are walked one at a time, not on the galloping schedule of
+    ``coefflattice._refine``: the test raises 2n+1 to an endpoint's
+    numerator, which grows with the level, so a jump past the deciding
+    level costs more than the levels it skips.
     """
 
     def rational_test(fr: Fraction) -> bool:

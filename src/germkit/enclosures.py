@@ -23,7 +23,10 @@ class Enclosure:
 
     Levels must be nested (interval(k+1) inside interval(k)) and strictly
     shrinking in width, except for exact points which are degenerate at
-    every level.
+    every level.  Correctness rests on the nesting: certified decisions
+    skip levels (coefflattice visits 0, 1, 2, 4, 8, ...), and a level that
+    decides is only known to agree with every level before it because each
+    of those contains it.
     """
 
     def interval(self, k: int) -> Interval:
@@ -83,10 +86,15 @@ class ContinuedFractionEnclosure(Enclosure):
         rest = list(self.head[1:]) + list(self.cycle)
         if any(a < 1 for a in rest):
             raise ValueError("continued fraction coefficients past the first must be >= 1")
-        # (p_k, q_k) for k = -2, -1, 0, ...; not a field, so equality ignores it
+        # (p_k, q_k) for k = -2, -1, 0, ..., and the levels built so far;
+        # not fields, so equality, hashing and repr ignore them
         object.__setattr__(self, "_convergents", [(0, 1), (1, 0)])
+        object.__setattr__(self, "_levels", {})
 
     def interval(self, k: int) -> Interval:
+        hit = self._levels.get(k)
+        if hit is not None:
+            return hit
         if k < 0:
             raise ValueError("level must be nonnegative")
         conv = self._convergents
@@ -98,7 +106,9 @@ class ContinuedFractionEnclosure(Enclosure):
         pb, qb = conv[k + 3]
         ca = Fraction(pa, qa)
         cb = Fraction(pb, qb)
-        return (ca, cb) if ca <= cb else (cb, ca)
+        level = (ca, cb) if ca <= cb else (cb, ca)
+        self._levels[k] = level
+        return level
 
 
 @dataclass(frozen=True)
@@ -150,12 +160,21 @@ class ProductEnclosure(Enclosure):
     right: Enclosure
     start: int = 0
 
+    def __post_init__(self):
+        # levels built so far; not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_levels", {})
+
     def interval(self, k: int) -> Interval:
+        hit = self._levels.get(k)
+        if hit is not None:
+            return hit
         la, ha = self.left.interval(k + self.start)
         lb, hb = self.right.interval(k + self.start)
         if la <= 0 or lb <= 0:
             raise ValueError("product enclosure requires positive factors")
-        return (la * lb, ha * hb)
+        level = (la * lb, ha * hb)
+        self._levels[k] = level
+        return level
 
 
 def positive_from_level(e: Enclosure, limit: int = 64) -> int:

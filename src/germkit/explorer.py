@@ -405,7 +405,7 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
             record(check_empty_graph_value(model, profile))
     if config.oracle_depth >= 1:
         checks.append("oracle")
-        got = mld_oracle(model, config.oracle_depth)
+        got = mld_oracle(model, config.oracle_depth, profile)
         if not mld_equal(got, profile.mld):
             violations.append("oracle: tower enumeration disagrees with the closed form")
     generators = (
@@ -572,7 +572,7 @@ def run_verification(
     for m in models:
         profile = mld_point(m)
         for d in range(1, oracle_depth + 1):
-            if not mld_equal(mld_oracle(m, d), profile.mld):
+            if not mld_equal(mld_oracle(m, d, profile), profile.mld):
                 mismatches.append({"digest": model_digest(m), "depth": d})
     sections["oracle"] = {
         "models": len(models),

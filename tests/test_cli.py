@@ -102,10 +102,13 @@ BOOLEAN_EDGE = (
         (["partition", "--delta", "0"], None, "delta must be positive"),
         (["perturb", "{doc}", "--delta", "0"], None, "delta must be positive"),
         (["verify-lemmas", "--count", "5", "--delta", "0"], None, "delta must be positive"),
+        (["partition", "--refine-budget", "0"], None, "refinement budget must be positive"),
+        (["mld", "{doc}", "--refine-budget", "-3"], None, "refinement budget must be positive"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
-         "partition-zero-delta", "perturb-zero-delta", "verify-zero-delta"],
+         "partition-zero-delta", "perturb-zero-delta", "verify-zero-delta",
+         "zero-refine-budget", "negative-refine-budget"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"

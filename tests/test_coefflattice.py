@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from germkit import (
     BasisDescriptor,
     QLinearMap,
+    SpanElement,
     TRIVIAL_BASIS,
     compare,
     decimal_str,
@@ -27,9 +28,13 @@ from germkit import (
     span_product,
     verify_partition,
 )
-from germkit.coefflattice import span_coordinates_over
-from germkit.enclosures import ContinuedFractionEnclosure, PointEnclosure
-from germkit.errors import BasisMismatch, FloorUndecidable, RefinementExhausted
+from germkit.coefflattice import current_budget, span_coordinates_over
+from germkit.enclosures import (
+    ContinuedFractionEnclosure,
+    NestedIntervalsEnclosure,
+    PointEnclosure,
+)
+from germkit.errors import BasisMismatch, FloorUndecidable, GermkitError, RefinementExhausted
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
@@ -141,8 +146,6 @@ def test_floor_span(sq2):
 
 
 def test_floor_of_finite_source_runs_dry():
-    from germkit import NestedIntervalsEnclosure
-
     basis = BasisDescriptor(
         ("1", "r"),
         (
@@ -306,3 +309,157 @@ def test_span_coordinates_over(sq2):
     coords = span_coordinates_over(gens, x)
     assert coords is not None
     assert span_coordinates_over([sq2.rational(Fraction(1, 3))], r2) is None
+
+
+# ---------------------------------------------------------------------------
+# the galloping refinement schedule against a walk through every level
+
+ONE = PointEnclosure(Fraction(1))
+SQRT2 = ContinuedFractionEnclosure((1,), (2,))
+SQRT3 = ContinuedFractionEnclosure((1,), (1, 2))
+ONE_SYMBOL = BasisDescriptor(("1", "sqrt2"), (ONE, SQRT2))
+TWO_SYMBOLS = BasisDescriptor(("1", "sqrt2", "sqrt3"), (ONE, SQRT2, SQRT3))
+# two names for one real, so no difference of them ever gets a sign
+TWIN = BasisDescriptor(("1", "a", "b"), (ONE, SQRT2, ContinuedFractionEnclosure((1,), (2,))))
+
+
+def _nested(*intervals):
+    return BasisDescriptor(("1", "r"), (ONE, NestedIntervalsEnclosure(tuple(intervals))))
+
+
+# six levels around 2 that straddle it until level 5, inside the stretch
+# 5..7 that the schedule skips on its way from level 4 to level 8
+SETTLES_AT_5 = _nested(
+    *[(2 - Fraction(1, 2 ** k), 2 + Fraction(1, 2 ** k)) for k in range(5)],
+    (2 + Fraction(1, 64), 2 + Fraction(1, 32)),
+)
+NEVER_SETTLES = _nested(*[(2 - Fraction(1, 2 ** k), 2 + Fraction(1, 2 ** k)) for k in range(6)])
+
+
+def walk_compare(x, y):
+    d = x - (y if isinstance(y, SpanElement) else x.basis.rational(y))
+    if d.is_rational:
+        c = d.coords[0]
+        return (c > 0) - (c < 0)
+    budget = current_budget()
+    for k in range(budget):
+        lo, hi = d.enclosure(k)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    raise RefinementExhausted(
+        f"sign of {render_exact(d)} undecided after {budget} refinement levels"
+    )
+
+
+def walk_floor(x):
+    if x.is_rational:
+        c = x.coords[0]
+        return c.numerator // c.denominator
+    budget = current_budget()
+    for k in range(budget):
+        lo, hi = x.enclosure(k)
+        flo = lo.numerator // lo.denominator
+        fhi = hi.numerator // hi.denominator
+        if flo == fhi or (fhi == flo + 1 and hi == fhi):
+            return flo
+    raise FloorUndecidable(
+        f"floor of {render_exact(x)} undecided after {budget} refinement levels"
+    )
+
+
+def walk_decimal(x, places):
+    if x.is_rational:
+        return decimal_str(x, places)
+    for k in range(4 * current_budget()):
+        lo, hi = x.enclosure(k)
+        slo = decimal_str(x.basis.rational(lo), places)
+        if slo == decimal_str(x.basis.rational(hi), places):
+            return slo
+    raise RefinementExhausted(f"{places}-place rendering of {render_exact(x)} undecided")
+
+
+def outcome(f, *args):
+    try:
+        return ("value", f(*args))
+    except GermkitError as e:
+        return (type(e), str(e))
+
+
+def assert_schedule_matches_walk(x, y, places):
+    for budget in (1, 5, 64):
+        with refinement_budget(budget):
+            assert outcome(compare, x, y) == outcome(walk_compare, x, y)
+            assert outcome(floor_span, x) == outcome(walk_floor, x)
+            assert outcome(decimal_str, x, places) == outcome(walk_decimal, x, places)
+
+
+spans = st.one_of(
+    st.tuples(fractions, fractions).map(ONE_SYMBOL.element),
+    st.tuples(fractions, fractions, fractions).map(TWO_SYMBOLS.element),
+)
+
+
+@given(spans, fractions, st.integers(min_value=0, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_schedule_matches_walk_on_random_spans(x, q, places):
+    third = x.basis.element((q,) + (Fraction(1, 3),) * (x.basis.dim - 1))
+    assert_schedule_matches_walk(x, x.basis.rational(q), places)
+    assert_schedule_matches_walk(x, third, places)
+
+
+def test_schedule_matches_walk_on_finite_sources():
+    for basis in (SETTLES_AT_5, NEVER_SETTLES):
+        for places in (1, 3):
+            assert_schedule_matches_walk(basis.unit(1), 2, places)
+    with refinement_budget(64):
+        assert floor_span(SETTLES_AT_5.unit(1)) == 2
+        assert compare(SETTLES_AT_5.unit(1), 2) == 1
+        with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
+            floor_span(NEVER_SETTLES.unit(1))
+
+
+def test_schedule_matches_walk_on_hidden_relation():
+    a, b = TWIN.unit(1), TWIN.unit(2)
+    assert_schedule_matches_walk(a, b, 12)
+    assert_schedule_matches_walk(a - b, 0, 12)
+
+
+class SpyEnclosure(ContinuedFractionEnclosure):
+    """Records every level it is asked for."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "asked", [])
+
+    def interval(self, k):
+        self.asked.append(k)
+        return super().interval(k)
+
+
+def test_decimal_str_visits_few_levels():
+    spy = SpyEnclosure((1,), (2,))
+    basis = BasisDescriptor(("1", "sqrt2"), (ONE, spy))
+    spy.asked.clear()
+    assert decimal_str(basis.unit(1)) == "1.414213562373"
+    # a walk through every level asks for the 17 levels 0..16
+    assert len(set(spy.asked)) <= 8
+
+
+def test_refined_compare_asks_each_level_once():
+    schedule = {0, 1, 2, 4, 8, 16, 32, 63}
+    spy = SpyEnclosure((1,), (2,))
+    twin = SpyEnclosure((1,), (2,))
+    basis = BasisDescriptor(("1", "sqrt2", "twin"), (ONE, spy, twin))
+    r = basis.unit(1)
+    for bound in (Fraction(7, 5), Fraction(141421356, 10 ** 8), Fraction(141421357, 10 ** 8)):
+        spy.asked.clear()
+        compare(r, bound)
+        assert len(spy.asked) == len(set(spy.asked))
+        assert set(spy.asked) <= schedule
+    spy.asked.clear()
+    with pytest.raises(RefinementExhausted):
+        compare(r, basis.unit(2))
+    # running out visits the whole schedule once and ends on budget - 1
+    assert spy.asked == sorted(schedule)

@@ -209,6 +209,23 @@ def test_oracle_matches_closed_form_on_small_models():
                 assert got.as_fraction() == want.as_fraction()
 
 
+def test_oracle_reuses_the_given_profile(monkeypatch):
+    from germkit import discrepancy
+    from germkit.corpus import corpus
+
+    models = [germ(chain(-2), [rbranch(0, "5/4")]), germ(EMPTY, [Branch(None, frac("1/2"))])]
+    models += corpus(0, 12)
+    want = [[mld_oracle(m, d) for d in (1, 2, 3)] for m in models]
+    profiles = [mld_point(m) for m in models]
+
+    def no_solve(model):
+        raise AssertionError("solve_discrepancies called although a profile was given")
+
+    monkeypatch.setattr(discrepancy, "solve_discrepancies", no_solve)
+    got = [[mld_oracle(m, d, p) for d in (1, 2, 3)] for m, p in zip(models, profiles)]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # resolution step
 

@@ -95,6 +95,20 @@ def test_product_enclosure_brackets_the_product():
         assert lo * lo < 6 < hi * hi
 
 
+def test_cached_levels_leave_equality_alone():
+    used = ContinuedFractionEnclosure((1,), (2,))
+    used_prod = ProductEnclosure(used, ContinuedFractionEnclosure((1,), (1, 2)))
+    for k in (0, 1, 2, 4, 8, 16, 32, 63):
+        used.interval(k)
+        used_prod.interval(k)
+    assert used.interval(40) is used.interval(40)
+    assert used_prod.interval(40) is used_prod.interval(40)
+    fresh = ContinuedFractionEnclosure((1,), (2,))
+    fresh_prod = ProductEnclosure(fresh, ContinuedFractionEnclosure((1,), (1, 2)))
+    for a, b in ((used, fresh), (used_prod, fresh_prod)):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
 def test_product_enclosure_rejects_nonpositive_factor():
     neg = NestedIntervalsEnclosure(((Fraction(-2), Fraction(2)), (Fraction(-1), Fraction(1, 2))))
     pos = ContinuedFractionEnclosure((1,), (2,))

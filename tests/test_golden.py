@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from germkit import mld_point
 from germkit.cli import main
+from germkit.explorer import load_model, model_digest, value_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,3 +33,15 @@ def test_report_matches_golden(argv, expected, capsys):
     args = [str(GOLDEN / a[1:-1]) if a.startswith("{") else a for a in argv]
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+def test_mld_leaves_the_model_digest_alone():
+    # refinement caches levels on the enclosures; they are not model data
+    path = str(GOLDEN / "cycle.json")
+    model = load_model(path)
+    before = model_digest(model)
+    profile = mld_point(model)
+    for _, x in profile.a:
+        value_json(x)
+    value_json(profile.mld)
+    assert model_digest(model) == before == model_digest(load_model(path))
