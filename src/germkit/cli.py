@@ -16,8 +16,10 @@ from .complements import epsilon_tag
 from .corpus import sqrt2_basis
 from .discrepancy import (
     Branch,
+    MAX_ORACLE_DEPTH,
     NegInfinity,
     SurfaceGermModel,
+    check_oracle_depth,
     find_computing_path,
     mld_oracle,
     mld_point,
@@ -69,6 +71,15 @@ def _budget_arg(text: str) -> int:
     if levels <= 0:
         raise ModelError(f"refinement budget must be positive, got {text}", "--refine-budget")
     return levels
+
+
+def _oracle_depth_arg(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        raise ModelError(f"bad oracle depth {text!r}", "--oracle-depth") from None
+    check_oracle_depth(depth)
+    return depth
 
 
 def _write(text: str, out: str | None) -> None:
@@ -298,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = argparse.ArgumentParser(add_help=False)
     oracle.add_argument(
         "--oracle-depth",
-        type=int,
+        type=_oracle_depth_arg,
         default=0,
-        help="cross-check depth for the blowup tower oracle (0 disables)",
+        help="cross-check depth for the blowup tower oracle "
+        f"(0 disables, at most {MAX_ORACLE_DEPTH})",
     )
 
     p = _Parser(prog="germkit", description=__doc__)

@@ -7,6 +7,13 @@ sign of a difference is certified, and fail loudly when the refinement
 budget runs out.  The basis symbols are declared Q-linearly independent;
 the engine relies on that declaration and never tries to prove it.
 
+A vector is stored as integer numerators over one common positive
+denominator, kept in lowest terms (the gcd of the denominator and all
+numerators is 1), after FLINT's fmpq_poly.  An addition is then integer
+arithmetic plus one gcd, where one Fraction per coordinate would normalize
+each coordinate on its own; the lowest-terms form is unique, so equality
+and hashing stay by value.
+
 The refinement budget is one value per run, held in a context variable:
 ``refinement_budget(levels)`` sets it for a block (the command line wraps
 every subcommand in it), and only the loops that refine read it, through
@@ -24,6 +31,8 @@ level returns, and it runs out exactly when that walk runs out.
 from __future__ import annotations
 
 import itertools
+from math import gcd, lcm
+from operator import add as _add, sub as _sub
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -113,20 +122,23 @@ class BasisDescriptor:
             raise KeyError(f"unknown basis symbol {name!r}") from None
 
     def rational(self, q) -> "SpanElement":
-        coords = [Fraction(0)] * self.dim
-        coords[0] = Fraction(q)
-        return SpanElement(self, tuple(coords))
+        if isinstance(q, int):
+            num, den = q, 1
+        else:
+            q = q if isinstance(q, Fraction) else Fraction(q)
+            num, den = q.numerator, q.denominator
+        return _span(self, (num,) + (0,) * (self.dim - 1), den)
 
     def unit(self, i: int) -> "SpanElement":
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return SpanElement(self, tuple(coords))
+        nums = [0] * self.dim
+        nums[i] = 1
+        return _span(self, tuple(nums), 1)
 
     def element(self, coords: Sequence) -> "SpanElement":
-        cs = tuple(Fraction(c) for c in coords)
-        if len(cs) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(cs)}")
-        return SpanElement(self, cs)
+        coords = tuple(coords)
+        if len(coords) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
+        return SpanElement(self, coords)
 
     def zero(self) -> "SpanElement":
         return self.rational(0)
@@ -135,77 +147,169 @@ class BasisDescriptor:
 TRIVIAL_BASIS = BasisDescriptor(("1",), (PointEnclosure(Fraction(1)),))
 
 
-@dataclass(frozen=True)
 class SpanElement:
-    """A rational coordinate vector over a BasisDescriptor."""
+    """A rational coordinate vector over a BasisDescriptor.
 
-    basis: BasisDescriptor
-    coords: Tuple[Fraction, ...]
+    Stored as integer numerators ``nums`` over one positive integer ``den``,
+    in lowest terms: gcd(den, *nums) == 1, so zero is (0, ..., 0) over 1.
+    Every value has exactly one such form, which is why equality and
+    hashing compare the stored integers.  ``SpanElement(basis, coords)``
+    accepts rational coordinates and ``coords`` gives them back as
+    Fractions, built on each read.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != self.basis.dim:
+    __slots__ = ("basis", "nums", "den")
+
+    def __init__(self, basis: BasisDescriptor, coords: Sequence):
+        fs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
+        if len(fs) != basis.dim:
             raise ValueError("coordinate count does not match basis")
+        # every coordinate is in lowest terms, so over the lcm of their
+        # denominators the vector is too
+        den = lcm(*(f.denominator for f in fs))
+        _set_basis(self, basis)
+        _set_nums(self, tuple(f.numerator * (den // f.denominator) for f in fs))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpanElement is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SpanElement is immutable; cannot delete {name}")
+
+    def __reduce__(self):
+        return (_span, (self.basis, self.nums, self.den))
+
+    @property
+    def coords(self) -> Tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpanElement):
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.nums == other.nums
+            and (self.basis is other.basis or self.basis == other.basis)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
 
     def _check(self, other: "SpanElement"):
         if self.basis != other.basis:
             raise BasisMismatch("operands declared over different bases")
 
     def __add__(self, other: "SpanElement") -> "SpanElement":
-        self._check(other)
-        return SpanElement(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if other.basis is not self.basis:
+            self._check(other)
+        a, b = self.den, other.den
+        if a == b:
+            nums = tuple(map(_add, self.nums, other.nums))
+        else:
+            nums = tuple(x * b + y * a for x, y in zip(self.nums, other.nums))
+            a *= b
+        return _reduced(self.basis, nums, a)
 
     def __sub__(self, other: "SpanElement") -> "SpanElement":
-        self._check(other)
-        return SpanElement(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        if other.basis is not self.basis:
+            self._check(other)
+        a, b = self.den, other.den
+        if a == b:
+            nums = tuple(map(_sub, self.nums, other.nums))
+        else:
+            nums = tuple(x * b - y * a for x, y in zip(self.nums, other.nums))
+            a *= b
+        return _reduced(self.basis, nums, a)
 
     def __neg__(self) -> "SpanElement":
-        return SpanElement(self.basis, tuple(-a for a in self.coords))
+        return _span(self.basis, tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, scalar) -> "SpanElement":
-        if not isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, int):
+            return _reduced(self.basis, tuple(n * scalar for n in self.nums), self.den)
+        if not isinstance(scalar, Fraction):
             return NotImplemented
-        s = Fraction(scalar)
-        return SpanElement(self.basis, tuple(a * s for a in self.coords))
+        p = scalar.numerator
+        return _reduced(self.basis, tuple(n * p for n in self.nums), self.den * scalar.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SpanElement":
-        s = Fraction(scalar)
-        return SpanElement(self.basis, tuple(a / s for a in self.coords))
+        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        p, q = s.numerator, s.denominator
+        if p == 0:
+            raise ZeroDivisionError(f"{self} / 0")
+        if p < 0:
+            p, q = -p, -q
+        return _reduced(self.basis, tuple(n * q for n in self.nums), self.den * p)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} has irrational coordinates")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def enclosure(self, level: int) -> Interval:
         """Exact interval bound at the given refinement level.
 
-        Symbols with zero coefficient are never queried, so unused finite
-        sources cannot exhaust a computation that does not involve them.
+        Each endpoint is summed as an integer numerator over a running
+        integer denominator, and the two Fractions are built once at the
+        end.  Symbols with zero coefficient are never queried, so unused
+        finite sources cannot exhaust a computation that does not involve
+        them.
         """
-        lo = hi = self.coords[0]
-        for c, enc in zip(self.coords[1:], self.basis.enclosures[1:]):
-            if c == 0:
+        nums = self.nums
+        lo = hi = nums[0]
+        lo_d = hi_d = 1
+        for c, enc in zip(nums[1:], self.basis.enclosures[1:]):
+            if not c:
                 continue
             a, b = enc.interval(level)
-            if c > 0:
-                lo += c * a
-                hi += c * b
-            else:
-                lo += c * b
-                hi += c * a
-        return (lo, hi)
+            if c < 0:
+                a, b = b, a
+            q = a.denominator
+            lo = lo * q + c * a.numerator * lo_d
+            lo_d *= q
+            q = b.denominator
+            hi = hi * q + c * b.numerator * hi_d
+            hi_d *= q
+        return (Fraction(lo, lo_d * self.den), Fraction(hi, hi_d * self.den))
 
     def __str__(self) -> str:
         return render_exact(self)
 
     def __repr__(self) -> str:
         return f"<SpanElement {render_exact(self)}>"
+
+
+# the slot descriptors write past the immutability guard in __setattr__
+_set_basis = SpanElement.__dict__["basis"].__set__
+_set_nums = SpanElement.__dict__["nums"].__set__
+_set_den = SpanElement.__dict__["den"].__set__
+_new = object.__new__
+
+
+def _span(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> SpanElement:
+    """Element with the given numerators and denominator, already in lowest terms."""
+    x = _new(SpanElement)
+    _set_basis(x, basis)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
+
+
+def _reduced(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> SpanElement:
+    """Element nums/den brought to lowest terms; den must be positive."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple(n // g for n in nums)
+        den //= g
+    return _span(basis, nums, den)
 
 
 def render_exact(x: SpanElement) -> str:
@@ -290,7 +394,7 @@ def compare(x: SpanElement, y) -> int:
     y = _coerce(x.basis, y)
     d = x - y
     if d.is_rational:
-        c = d.coords[0]
+        c = d.nums[0]
         return EQUAL if c == 0 else (GREATER if c > 0 else LESS)
     budget = current_budget()
     got = _refine(d, _sign, budget)
@@ -363,8 +467,7 @@ def floor_span(x: SpanElement) -> int:
     skipping levels changes no answer.
     """
     if x.is_rational:
-        c = x.coords[0]
-        return c.numerator // c.denominator
+        return x.nums[0] // x.den
     budget = current_budget()
     got = _refine(x, _floor_of, budget)
     if got is None:
@@ -397,7 +500,7 @@ def decimal_str(x: SpanElement, places: int = 12) -> str:
     rounded strings can need a few extra levels near a rounding boundary.
     """
     if x.is_rational:
-        return _round_decimal(x.coords[0], places)
+        return _round_decimal(Fraction(x.nums[0], x.den), places)
 
     def agreed(lo: Fraction, hi: Fraction) -> Optional[str]:
         slo = _round_decimal(lo, places)

@@ -55,6 +55,7 @@ from .discrepancy import (
     apply_to_coefficients,
     check_convexity,
     check_empty_graph_value,
+    check_oracle_depth,
     check_smooth_threshold,
     check_vertex_window,
     mld_oracle,
@@ -118,9 +119,15 @@ def _parse_enclosure(obj, path: str) -> Enclosure:
         else:
             raise ModelError("cf must be a list or {head, cycle}", path)
         try:
-            return ContinuedFractionEnclosure(tuple(head), tuple(cycle))
+            enc = ContinuedFractionEnclosure(tuple(head), tuple(cycle))
         except (ValueError, TypeError) as e:
             raise ModelError(str(e), path) from None
+        if not enc.cycle:
+            raise ModelError(
+                "a finite continued fraction is rational, not a basis symbol; give a cycle",
+                path,
+            )
+        return enc
     if "intervals" in obj:
         raw = obj["intervals"]
         if not isinstance(raw, list):
@@ -458,6 +465,7 @@ def run_scan(config: ScanConfig) -> ScanReport:
     and the total violation count; not-log-canonical instances are counted
     but contribute no value.
     """
+    check_oracle_depth(config.oracle_depth)
     models = build_scan_models(config)
     by_digest: Dict[str, Tuple[dict, DiscrepancyProfile]] = {}
     for m in models:
@@ -565,6 +573,7 @@ def run_verification(
     applicable inequality suite, the adjunction decomposition on reduced
     branch chains, the partition identities and the perturbation harness.
     """
+    check_oracle_depth(oracle_depth)
     models = corpus(seed, count)
     sections: Dict[str, dict] = {}
 

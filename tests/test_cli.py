@@ -82,6 +82,12 @@ DUPLICATE_BRANCHES = (
     '{"graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},'
     ' "branches": [{"vertex": 0, "b": "1/2"}], "branches": []}'
 )
+# [1; 2, 2] = 7/5 is rational, so it cannot be a basis symbol
+FINITE_CF = (
+    '{"basis": ["1", "r"], "enclosures": {"r": {"cf": [1, 2, 2]}},'
+    ' "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []}}'
+)
+FINITE_CF_EMPTY_CYCLE = FINITE_CF.replace("[1, 2, 2]", '{"head": [1, 2, 2], "cycle": []}')
 BOOLEAN_EDGE = (
     '{"graph": {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],'
     ' "edges": [[true, false]]}}'
@@ -104,11 +110,18 @@ BOOLEAN_EDGE = (
         (["verify-lemmas", "--count", "5", "--delta", "0"], None, "delta must be positive"),
         (["partition", "--refine-budget", "0"], None, "refinement budget must be positive"),
         (["mld", "{doc}", "--refine-budget", "-3"], None, "refinement budget must be positive"),
+        (["mld", "{doc}"], FINITE_CF, "enclosures.r: a finite continued fraction is rational"),
+        (["mld", "{doc}"], FINITE_CF_EMPTY_CYCLE, "enclosures.r: a finite continued fraction"),
+        (["mld", "{doc}", "--oracle-depth", "15"], None, "oracle depth 15 exceeds the cap of 14"),
+        (["scan", "--oracle-depth", "15"], None, "oracle depth 15 exceeds the cap of 14"),
+        (["verify-lemmas", "--oracle-depth", "40"], None, "oracle depth 40 exceeds the cap"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
          "partition-zero-delta", "perturb-zero-delta", "verify-zero-delta",
-         "zero-refine-budget", "negative-refine-budget"],
+         "zero-refine-budget", "negative-refine-budget", "finite-cf-symbol",
+         "finite-cf-empty-cycle", "mld-oracle-over-cap", "scan-oracle-over-cap",
+         "verify-oracle-over-cap"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"
@@ -244,6 +257,16 @@ def test_epsilon_tag(model_file, capsys):
     parsed = json.loads(out)
     assert parsed["classification"] == "eps-lc"
     assert parsed["mld"]["exact"] == "1/2"
+
+
+def test_seed_4_runs_find_no_violation(capsys):
+    # corpus seed 4 holds an lc germ whose reduced branch meets a curve with
+    # log discrepancy 0; its adjunction coefficient is 1, not 1 - 1/det
+    code, _, err = run(capsys, "scan", "--family", "corpus", "--count", "200", "--seed", "4")
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "verify-lemmas", "--count", "200", "--seed", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["violations_total"] == 0
 
 
 def test_verify_lemmas_small(capsys):

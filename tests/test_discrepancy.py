@@ -1,5 +1,7 @@
 """Discrepancy solver, mld classification, and the surface-lemma checkers."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,9 @@ from germkit import (
     mld_oracle,
     mld_point,
 )
-from germkit.corpus import family_an, family_cyclic_one_one, sqrt2_basis
+from germkit.corpus import family_an, family_cyclic_one_one, random_nd_tree, sqrt2_basis
 from germkit.discrepancy import (
+    MAX_ORACLE_DEPTH,
     adjunction_form,
     check_convexity,
     check_empty_graph_value,
@@ -226,6 +229,26 @@ def test_oracle_reuses_the_given_profile(monkeypatch):
     assert got == want
 
 
+def test_oracle_depth_over_the_cap_is_refused_at_once(monkeypatch):
+    from germkit import discrepancy, explorer
+
+    def no_work(*args):
+        raise AssertionError("work started for a refused depth")
+
+    discrepancy.check_oracle_depth(MAX_ORACLE_DEPTH)  # the cap itself is allowed
+    m = germ(chain(-3, -2))
+    monkeypatch.setattr(discrepancy, "solve_discrepancies", no_work)
+    monkeypatch.setattr(explorer, "corpus", no_work)
+    monkeypatch.setattr(explorer, "build_scan_models", no_work)
+    over = MAX_ORACLE_DEPTH + 1
+    with pytest.raises(HypothesesUnmet, match=f"oracle depth {over} exceeds the cap of 14"):
+        mld_oracle(m, over)
+    with pytest.raises(HypothesesUnmet, match="exceeds the cap"):
+        explorer.run_verification(count=5, oracle_depth=over)
+    with pytest.raises(HypothesesUnmet, match="exceeds the cap"):
+        explorer.run_scan(explorer.ScanConfig(count=5, oracle_depth=over))
+
+
 # ---------------------------------------------------------------------------
 # resolution step
 
@@ -343,6 +366,65 @@ def test_adjunction_hypotheses():
         adjunction_form(germ(chain(-2), [rbranch(0, "1/2")]), 0)
     with pytest.raises(HypothesesUnmet, match="log canonical"):
         adjunction_form(germ(chain(-2), [rbranch(0, 1), rbranch(0, "5/4")]), 0)
+
+
+def test_adjunction_plt_with_a_load():
+    # 2/3 + 1 * (3/4)/3 on a (-3)-curve: the load enters like a branch
+    f = adjunction_form(germ(chain(-3), [rbranch(0, 1)], loads=[(0, frac("3/4"))]), 0)
+    assert f.kind == "plt"
+    assert f.coefficient.as_fraction() == Fraction(11, 12)
+    assert f.load_multipliers == ((0, Fraction(1)),)
+    assert f.ok
+
+
+def test_adjunction_lc_not_plt_on_a_chain_middle():
+    # C through the middle of (-2, -6, -2) is lc but not plt: a(E_s) = 0
+    f = adjunction_form(germ(chain(-2, -6, -2), [rbranch(1, 1)]), 0)
+    assert f.kind == "lc"
+    assert f.coefficient.as_fraction() == 1
+    assert f.det == 20
+    assert f.constant_ok and f.ok
+    # a zero load keeps it lc; any positive input would make it not lc
+    f = adjunction_form(germ(chain(-2, -6, -2), [rbranch(1, 1)], loads=[(0, frac(0))]), 0)
+    assert f.kind == "lc" and f.load_multipliers == ((0, Fraction(2)),) and f.ok
+    with pytest.raises(HypothesesUnmet, match="log canonical"):
+        adjunction_form(germ(chain(-2, -6, -2), [rbranch(1, 1)], loads=[(0, frac("1/9"))]), 0)
+    with pytest.raises(HypothesesUnmet, match="log canonical"):
+        adjunction_form(germ(chain(-2, -6, -2), [rbranch(1, 1), rbranch(2, "1/9")]), 0)
+
+
+# a fork: centre 3 (-5) with (-2)-leaves 0 and 2 and a (-3)-arm 1
+FORK = WeightedDualGraph(((0, -2), (1, -3), (2, -2), (3, -5)), ((0, 3), (1, 3), (2, 3)))
+
+
+def test_adjunction_lc_not_plt_on_a_fork():
+    f = adjunction_form(germ(FORK, [rbranch(1, 1)]), 0)
+    assert f.kind == "lc"
+    assert f.coefficient.as_fraction() == 1
+    assert f.det == 44
+    assert f.ok
+    # on the centre, C would be a fourth branch there and the pair is not lc
+    with pytest.raises(HypothesesUnmet, match="log canonical"):
+        adjunction_form(germ(FORK, [rbranch(3, 1)]), 0)
+
+
+def test_adjunction_kind_follows_the_chain_end_rule():
+    # (X, C) is plt exactly when the graph is a chain and C meets an end of it
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(300):
+        g = random_nd_tree(rng, rng.randint(1, 7))
+        degree = Counter(v for edge in g.edges for v in edge)
+        is_chain = all(degree[v] <= 2 for v in g.ids())
+        for v in g.ids():
+            m = germ(g, [rbranch(v, 1)])
+            if not mld_point(m).is_lc:
+                continue
+            f = adjunction_form(m, 0)
+            want = "plt" if is_chain and degree[v] <= 1 else "lc"
+            assert (f.kind, f.ok) == (want, True), (g, v)
+            seen[f.kind] += 1
+    assert seen["plt"] > 100 and seen["lc"] > 5
 
 
 # ---------------------------------------------------------------------------

@@ -45,3 +45,16 @@ def test_mld_leaves_the_model_digest_alone():
         value_json(x)
     value_json(profile.mld)
     assert model_digest(model) == before == model_digest(load_model(path))
+
+
+# digests of the golden models as the reports above print them
+GOLDEN_DIGESTS = {
+    "chain.json": "69a8d9209600f51c",
+    "tree.json": "e0f58431cc6e7b64",
+    "cycle.json": "b457a5458228d48d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_model_digest_is_pinned(name):
+    assert model_digest(load_model(str(GOLDEN / name))) == GOLDEN_DIGESTS[name]
