@@ -82,6 +82,16 @@ def _oracle_depth_arg(text: str) -> int:
     return depth
 
 
+def _verify_depth_arg(text: str) -> int:
+    depth = _oracle_depth_arg(text)
+    if depth < 1:
+        raise ModelError(
+            f"verify-lemmas checks the oracle at depths 1 to N; N must be at least 1, got {text}",
+            "--oracle-depth",
+        )
+    return depth
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -235,7 +245,7 @@ def cmd_verify_lemmas(args) -> int:
     report = run_verification(
         seed=args.seed,
         count=args.count,
-        oracle_depth=max(1, args.oracle_depth),
+        oracle_depth=args.oracle_depth,
         delta=args.delta,
     )
     _write(emit_json(report), args.out)
@@ -370,8 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "verify-lemmas",
-        parents=[common, seeded, oracle],
+        parents=[common, seeded],
         help="run every construction-level check",
+    )
+    sp.add_argument(
+        "--oracle-depth",
+        type=_verify_depth_arg,
+        default=3,
+        help="cross-check the blowup tower oracle at depths 1 to this "
+        f"(at least 1, at most {MAX_ORACLE_DEPTH})",
     )
     sp.add_argument("--count", type=int, default=200)
     sp.add_argument("--delta", type=_delta_arg, default="1/1000")

@@ -1,11 +1,29 @@
 """Exact arithmetic in a finite rational span of declared reals.
 
-A value here is a rational vector over a declared basis (1, r_1, ..., r_n)
-where each r_i comes with an interval enclosure.  Addition and rational
-scaling are coordinate arithmetic; order queries refine enclosures until the
-sign of a difference is certified, and fail loudly when the refinement
-budget runs out.  The basis symbols are declared Q-linearly independent;
-the engine relies on that declaration and never tries to prove it.
+A value here is a rational vector over a basis (1, r_1, ..., r_n) where each
+r_i comes with an interval enclosure.  Addition and rational scaling are
+coordinate arithmetic.  Order queries, floors and decimals take one of two
+paths.
+
+*Certified bases.*  When every symbol is known in closed form as a sum of
+rational multiples of square roots (periodic continued fractions and their
+products), at most four distinct radicands occur, no product of a nonempty
+set of them is a perfect square, each symbol has its own leading radical
+monomial and each form lies in its enclosure's level 0, the basis is
+certified Q-linearly independent: the square roots of the squarefree
+products of such radicands are independent over Q (A. S. Besicovitch,
+J. London Math. Soc. 15, 1940).  The certificate is built from integers,
+on the first irrational sign a basis needs.  Over a certified basis the
+sign of a difference is decided by recursive squaring of integer
+polynomials in the square roots, and a floor or decimal of a value
+(P + Q*sqrt(D))/R by ``math.isqrt``; neither reads the refinement budget.
+
+*Declared bases.*  Otherwise (an ``intervals`` symbol, two names for one
+real, a product basis whose radicands multiply to a square, more than four
+radicands), and for floors and decimals of values that involve two or more
+square roots, the basis is only declared independent and enclosures are
+refined until the answer is certified, failing loudly when the refinement
+budget runs out.
 
 A vector is stored as integer numerators over one common positive
 denominator, kept in lowest terms (the gcd of the denominator and all
@@ -17,27 +35,29 @@ and hashing stay by value.
 The refinement budget is one value per run, held in a context variable:
 ``refinement_budget(levels)`` sets it for a block (the command line wraps
 every subcommand in it), and only the loops that refine read it, through
-``current_budget()``, after their exact rational path has returned.
+``current_budget()``, after their exact path has returned.
 
-Certified signs, floors and decimals refine on a galloping schedule
-(A. Ziv, ACM TOMS 17, 1991): ``_refine`` visits the levels 0, 1, 2, 4,
-8, ... and ends on the last level the budget allows, so a decision that
-settles at level k costs O(log k) enclosures instead of k + 1.  Enclosure
-levels are nested, so once a level decides every deeper level decides the
-same way; the schedule therefore returns exactly what a walk through every
-level returns, and it runs out exactly when that walk runs out.
+Refined signs, floors and decimals follow a galloping schedule (A. Ziv,
+ACM TOMS 17, 1991): ``_refine`` visits the levels 0, 1, 2, 4, 8, ... and
+ends on the last level the budget allows, so a decision that settles at
+level k costs O(log k) enclosures instead of k + 1.  Enclosure levels are
+nested, so once a level decides every deeper level decides the same way;
+the schedule therefore returns exactly what a walk through every level
+returns, and it runs out exactly when that walk runs out.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add as _add, sub as _sub
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+)
 
 from .enclosures import (
     ContinuedFractionEnclosure,
@@ -48,7 +68,9 @@ from .enclosures import (
     ProductEnclosure,
     positive_from_level,
 )
-from .errors import BasisMismatch, FloorUndecidable, InvariantViolated, RefinementExhausted
+from .errors import (
+    BasisMismatch, FloorUndecidable, HypothesesUnmet, InvariantViolated, RefinementExhausted,
+)
 from .linalg import pivot_columns, row_space_coordinates, rref
 
 DEFAULT_BUDGET = 64
@@ -79,12 +101,14 @@ GREATER = 1
 
 @dataclass(frozen=True)
 class BasisDescriptor:
-    """Declared basis (1, r_1, ..., r_n) with one enclosure per symbol.
+    """Basis (1, r_1, ..., r_n) with one enclosure per symbol.
 
     Symbol 0 is always the literal "1" with the exact point enclosure; the
-    rest are positive reals, declared linearly independent over Q together
-    with 1.  Equality is by value, so parsing the same document twice gives
-    interchangeable descriptors.
+    rest are positive reals, linearly independent over Q together with 1:
+    certified when ``certified`` holds, declared otherwise.  Equality is by
+    value, so parsing the same document twice gives interchangeable
+    descriptors; the certificate, built on first use, is kept outside the
+    fields and takes no part in equality, hashing or repr.
     """
 
     symbols: Tuple[str, ...]
@@ -97,7 +121,7 @@ class BasisDescriptor:
             raise ValueError("one enclosure per symbol")
         if self.symbols[0] != "1":
             raise ValueError("first basis symbol must be 1")
-        if not (self.enclosures[0].exact and self.enclosures[0].interval(0) == (Fraction(1), Fraction(1))):
+        if not (self.enclosures[0].exact and self.enclosures[0].interval(0) == (1, 1)):
             raise ValueError("symbol 1 must carry the exact point enclosure at 1")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("basis symbols must be distinct")
@@ -108,12 +132,18 @@ class BasisDescriptor:
                 raise ValueError(f"symbol {name} declared irrational but enclosure is exact")
             lo0, hi0 = enc.interval(0)
             lo1, hi1 = enc.interval(1)
-            if not (lo0 <= lo1 and hi1 <= hi0 and hi1 - lo1 < hi0 - lo0):
+            # nested, so narrower exactly when an endpoint moved
+            if not (lo0 <= lo1 and hi1 <= hi0 and (lo0 < lo1 or hi1 < hi0)):
                 raise ValueError(f"enclosure for {name} is not nested and shrinking")
 
     @property
     def dim(self) -> int:
         return len(self.symbols)
+
+    @property
+    def certified(self) -> bool:
+        """Whether the closed forms of the symbols prove them independent."""
+        return _certificate(self) is not None
 
     def index(self, name: str) -> int:
         try:
@@ -334,10 +364,187 @@ def render_exact(x: SpanElement) -> str:
     return " ".join(parts)
 
 
+# Most distinct radicands a certificate admits.  A sign over k square roots
+# squares polynomials of up to 2^(k-1) terms at each of k levels, about 4^k
+# integer products; past four the refinement path is the cheaper one.
+_MAX_EXACT_RADICALS = 4
+
+
+class _Certificate(NamedTuple):
+    """Closed forms of a certified basis as integer polynomials in square roots.
+
+    Bit i of a monomial index m stands for sqrt(radicands[i]), and roots[m]
+    is the product of the radicands in m, so sqrt(roots[a]) * sqrt(roots[b])
+    = roots[a & b] * sqrt(roots[a ^ b]).  forms[j][m] is the coefficient of
+    monomial m in the closed form of symbol j, over the positive common
+    denominator den.
+    """
+
+    roots: Tuple[int, ...]
+    forms: Tuple[Tuple[int, ...], ...]
+    den: int
+
+    def poly(self, x: SpanElement) -> List[int]:
+        """Monomial coefficients of x * den * x.den."""
+        out = [0] * len(self.roots)
+        for n, form in zip(x.nums, self.forms):
+            if n:
+                for m, c in enumerate(form):
+                    if c:
+                        out[m] += n * c
+        return out
+
+
+def _certify(basis: BasisDescriptor) -> Optional[_Certificate]:
+    """The certificate of a basis, or None when the basis is only declared.
+
+    Every symbol needs a closed form, at most _MAX_EXACT_RADICALS distinct
+    radicands may occur, and no product of a nonempty set of them may be a
+    perfect square (``isqrt``, no factoring).  The square roots of the
+    products of such radicands are then independent over Q (Besicovitch),
+    so forms whose leading monomials differ are independent too; the
+    leading monomials are compared, which for continued fractions says
+    each has its own radicand.  Last, each form must lie in its enclosure's
+    level 0, one exact check that the form belongs to the enclosure.
+    """
+    forms = [enc.closed_form for enc in basis.enclosures]
+    if None in forms:
+        return None
+    # bit i of a monomial index is the i-th radicand met
+    bit: Dict[int, int] = {}
+    masked = []
+    for f in forms:
+        terms = []
+        for key, c in f.terms:
+            m = 0
+            for d in key:
+                b = bit.get(d)
+                if b is None:
+                    b = bit[d] = 1 << len(bit)
+                m |= b
+            terms.append((m, c))
+        masked.append(terms)
+    leading = [max(m for m, _ in terms) for terms in masked]
+    if len(bit) > _MAX_EXACT_RADICALS or len(set(leading)) != len(leading):
+        return None
+    roots = [1]
+    for d in bit:
+        roots += [r * d for r in roots]
+    if any(isqrt(r) ** 2 == r for r in roots[1:]):
+        return None
+    den = lcm(*(f.den for f in forms))
+    vectors: List[List[int]] = []
+    for f, terms in zip(forms, masked):
+        v = [0] * len(roots)
+        scale = den // f.den
+        for m, c in terms:
+            v[m] = c * scale
+        vectors.append(v)
+    for v, enc in zip(vectors[1:], basis.enclosures[1:]):
+        if not _inside(v, den, enc.interval(0), roots):
+            return None
+    return _Certificate(tuple(roots), tuple(map(tuple, vectors)), den)
+
+
+def _inside(v: List[int], den: int, interval: Interval, roots: Sequence[int]) -> bool:
+    """Whether lo <= v/den <= hi for the closed form v over den."""
+    lo, hi = interval
+    above = [c * lo.denominator for c in v]
+    above[0] -= lo.numerator * den
+    below = [-c * hi.denominator for c in v]
+    below[0] += hi.numerator * den
+    return _poly_sign(above, roots) >= 0 and _poly_sign(below, roots) >= 0
+
+
+def _certificate(basis: BasisDescriptor) -> Optional[_Certificate]:
+    """The basis's certificate, built on first use and kept on the instance."""
+    cache = basis.__dict__
+    if "_cert" not in cache:
+        object.__setattr__(basis, "_cert", _certify(basis))
+    return cache["_cert"]
+
+
+def _square(p: Sequence[int], roots: Sequence[int]) -> List[int]:
+    """The square of the sum of p[m] * sqrt(roots[m]), in the same form."""
+    out = [0] * len(p)
+    for a, pa in enumerate(p):
+        if pa:
+            out[0] += pa * pa * roots[a]
+            for b in range(a + 1, len(p)):
+                if p[b]:
+                    out[a ^ b] += 2 * pa * p[b] * roots[a & b]
+    return out
+
+
+def _root_sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for d > 0."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    t = a * a - b * b * d
+    return sa * ((t > 0) - (t < 0))
+
+
+def _poly_sign(p: Sequence[int], roots: Sequence[int]) -> int:
+    """Exact sign of the sum of p[m] * sqrt(roots[m]), by recursive squaring.
+
+    With one irrational monomial this is the sign of a + b*sqrt(d).  Else
+    split off the highest square root: p = P + Q*sqrt(D), with P and Q over
+    the lower ones.  When P and Q do not have opposite signs, p has the sign
+    of the nonzero one; otherwise it has the sign of P exactly when
+    P^2 > D*Q^2.
+    """
+    irrational = [m for m in range(1, len(p)) if p[m]]
+    if not irrational:
+        return (p[0] > 0) - (p[0] < 0)
+    if len(irrational) == 1:
+        m = irrational[0]
+        return _root_sign(p[0], p[m], roots[m])
+    half = 1 << (irrational[-1].bit_length() - 1)
+    lo, hi = p[:half], p[half:2 * half]
+    sp, sq = _poly_sign(lo, roots), _poly_sign(hi, roots)
+    if sp == sq or not sq:
+        return sp
+    if not sp:
+        return sq
+    d = roots[half]
+    diff = [a - d * b for a, b in zip(_square(lo, roots), _square(hi, roots))]
+    return sp * _poly_sign(diff, roots)
+
+
+def _one_root(x: SpanElement) -> Optional[Tuple[int, int, int, int]]:
+    """(P, Q, D, R) with x = (P + Q*sqrt(D))/R, R > 0, over a certified basis.
+
+    None when the basis is declared or x involves more than one square root.
+    D is a product of certified radicands, so it is never a perfect square.
+    """
+    cert = _certificate(x.basis)
+    if cert is None:
+        return None
+    p = cert.poly(x)
+    irrational = [m for m in range(1, len(p)) if p[m]]
+    if not irrational:
+        raise InvariantViolated(
+            f"{render_exact(x)} has irrational coordinates but a rational closed form"
+        )
+    if len(irrational) > 1:
+        return None
+    m = irrational[0]
+    return p[0], p[m], cert.roots[m], cert.den * x.den
+
+
+def _floor_root(p: int, q: int, d: int) -> int:
+    """floor(p + q*sqrt(d)) for q != 0 and d > 0 not a perfect square."""
+    s = isqrt(q * q * d)
+    return p + s if q > 0 else p - s - 1
+
+
 def _coerce(basis: BasisDescriptor, v) -> SpanElement:
     if isinstance(v, SpanElement):
         return v
-    return basis.rational(Fraction(v))
+    return basis.rational(v)
 
 
 def _refine(
@@ -382,20 +589,31 @@ def _sign(lo: Fraction, hi: Fraction) -> Optional[int]:
 def compare(x: SpanElement, y) -> int:
     """Certified three-way comparison: LESS, EQUAL or GREATER.
 
-    Rational differences are decided exactly.  Otherwise enclosures of the
-    difference are refined on the galloping schedule of ``_refine`` until
-    its sign is certified; if level budget - 1 leaves it open,
-    RefinementExhausted is raised rather than guessing.  A positive lower
-    (negative upper) endpoint stays so at every deeper, nested level, which
-    is why skipping levels changes no answer.  Under the declared
-    independence a nonzero difference always has a sign, so exhaustion
-    signals either a too-small budget or a hidden relation.
+    Rational differences are decided exactly.  Over a certified basis any
+    other difference is too, by recursive squaring of its closed form, with
+    no budget; a zero there would contradict the certificate and raises
+    InvariantViolated.  Over a declared basis enclosures of the difference
+    are refined on the galloping schedule of ``_refine`` until its sign is
+    certified; if level budget - 1 leaves it open, RefinementExhausted is
+    raised rather than guessing.  A positive lower (negative upper)
+    endpoint stays so at every deeper, nested level, which is why skipping
+    levels changes no answer.  Under the declared independence a nonzero
+    difference always has a sign, so exhaustion signals either a too-small
+    budget or a hidden relation.
     """
     y = _coerce(x.basis, y)
     d = x - y
     if d.is_rational:
         c = d.nums[0]
         return EQUAL if c == 0 else (GREATER if c > 0 else LESS)
+    cert = _certificate(d.basis)
+    if cert is not None:
+        got = _poly_sign(cert.poly(d), cert.roots)
+        if not got:
+            raise InvariantViolated(
+                f"{render_exact(d)} is nonzero over a certified basis but its closed form is 0"
+            )
+        return got
     budget = current_budget()
     got = _refine(d, _sign, budget)
     if got is None:
@@ -460,7 +678,10 @@ def _floor_of(lo: Fraction, hi: Fraction) -> Optional[int]:
 def floor_span(x: SpanElement) -> int:
     """Exact floor.  Rational inputs never consult enclosures.
 
-    Irrational inputs are refined on the galloping schedule of ``_refine``
+    Over a certified basis a value with one square root, (P + Q*sqrt(D))/R,
+    has the floor of floor(P + Q*sqrt(D))/R, read from ``isqrt`` with no
+    budget.  Other irrational inputs (a declared basis, or two or more
+    square roots) are refined on the galloping schedule of ``_refine``
     until both endpoints share a floor, or the upper endpoint is the next
     integer (never attained by an irrational value).  A nested interval
     inside one that decides has the same floor and decides the same way, so
@@ -468,6 +689,10 @@ def floor_span(x: SpanElement) -> int:
     """
     if x.is_rational:
         return x.nums[0] // x.den
+    root = _one_root(x)
+    if root is not None:
+        p, q, d, r = root
+        return _floor_root(p, q, d) // r
     budget = current_budget()
     got = _refine(x, _floor_of, budget)
     if got is None:
@@ -477,30 +702,46 @@ def floor_span(x: SpanElement) -> int:
     return got
 
 
+def _fixed_point(scaled: int, places: int) -> str:
+    """The integer scaled / 10^places written with exactly ``places`` decimals."""
+    whole, frac = divmod(abs(scaled), 10 ** places)
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+
+
 def _round_decimal(fr: Fraction, places: int) -> str:
-    neg = fr < 0
-    p, q = abs(fr).numerator, abs(fr).denominator
+    p, q = abs(fr.numerator), fr.denominator
     scaled, rem = divmod(p * 10 ** places, q)
     if 2 * rem > q or (2 * rem == q and scaled % 2 == 1):
         scaled += 1
-    sign = "-" if neg and scaled else ""
-    whole, frac = divmod(scaled, 10 ** places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return _fixed_point(-scaled if fr < 0 else scaled, places)
 
 
 def decimal_str(x: SpanElement, places: int = 12) -> str:
     """Correctly rounded fixed-point rendering (round half to even).
 
-    Irrational values are refined on the galloping schedule of ``_refine``
-    until both enclosure endpoints round to the same string, which pins the
-    digits of the value itself.  Rounding is monotone, so every point of a
-    nested interval inside one that decides rounds to that string as well,
-    and skipping levels changes no answer.  Rendering gets a deeper internal
-    allowance (4 x the budget) than comparisons because agreement of
-    rounded strings can need a few extra levels near a rounding boundary.
+    With ``places`` 0 it is an integer with no decimal point; a negative
+    ``places`` is refused with ValueError.  Over a certified basis a value
+    with one square root is rounded exactly with no budget: an irrational
+    value is never a tie, so its rounding is floor(2 * 10^places * x + 1)
+    // 2, a floor taken as in ``floor_span``.  Other irrational values are
+    refined on the galloping schedule of ``_refine`` until both enclosure
+    endpoints round to the same string, which pins the digits of the value
+    itself.  Rounding is monotone, so every point of a nested interval
+    inside one that decides rounds to that string as well, and skipping
+    levels changes no answer.  Rendering gets a deeper internal allowance
+    (4 x the budget) than comparisons because agreement of rounded strings
+    can need a few extra levels near a rounding boundary.
     """
+    if places < 0:
+        raise ValueError(f"decimal places must be nonnegative, got {places}")
     if x.is_rational:
         return _round_decimal(Fraction(x.nums[0], x.den), places)
+    root = _one_root(x)
+    if root is not None:
+        p, q, d, r = root
+        scale = 2 * 10 ** places
+        return _fixed_point((_floor_root(scale * p, scale * q, d) // r + 1) // 2, places)
 
     def agreed(lo: Fraction, hi: Fraction) -> Optional[str]:
         slo = _round_decimal(lo, places)
@@ -697,6 +938,14 @@ class PartitionOfOne:
         return rows
 
 
+# Most irrational symbols a partition of one takes.  Its 2^n entries each
+# carry a weight over the 2^n product symbols, so the work grows about 6x
+# per symbol: 7 symbols (128 entries) take about 1.5 s and 24 MB (Python
+# 3.11, 2 cores), and at 8 the weight signs no longer settle within the
+# default budget.
+MAX_PARTITION_SYMBOLS = 7
+
+
 def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     """Build the 2^n-entry rational snap family around the declared irrationals.
 
@@ -713,11 +962,18 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     The level search walks one level at a time rather than on the galloping
     schedule: it needs the *first* level within delta, because the snap
     values are that level's endpoints, and a deeper level would change them.
+    A basis of more than MAX_PARTITION_SYMBOLS irrationals is refused with
+    HypothesesUnmet before any work starts.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = basis.dim - 1
+    if n > MAX_PARTITION_SYMBOLS:
+        raise HypothesesUnmet(
+            f"partition of one over {n} irrational symbols exceeds the cap of "
+            f"{MAX_PARTITION_SYMBOLS}"
+        )
     pb = product_basis(basis)
     snaps: List[Tuple[Fraction, Fraction]] = []
     lowers: List[SpanElement] = []

@@ -1,21 +1,56 @@
 """Nested rational interval sources for basis reals.
 
-Every irrational the engine touches is known only through an enclosure: a
-source of nested, strictly shrinking closed rational intervals.  Arithmetic
-and comparisons refine these intervals; nothing in the engine ever invents
+Every irrational the engine touches comes with an enclosure: a source of
+nested, strictly shrinking closed rational intervals.  Comparisons over a
+declared basis refine these intervals; nothing in the engine ever invents
 digits beyond what a source can certify, so a finite source that runs dry
 raises RefinementExhausted instead of guessing.
+
+Some sources also know their value in closed form: a periodic continued
+fraction is a quadratic irrational (u + v*sqrt(D))/w (Lagrange), and a
+product of such sources is a sum of rational multiples of square roots.
+``closed_form`` gives that form, exactly and in integers; coefflattice
+decides signs from it when every symbol of a basis has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from math import gcd
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import RefinementExhausted
 
 Interval = Tuple[Fraction, Fraction]
+Radicands = Tuple[int, ...]
+
+
+class ClosedForm(NamedTuple):
+    """The real number sum(c * sqrt(product of radicands)) / den, in integers.
+
+    ``terms`` pairs each radical monomial, written as the sorted tuple of
+    the radicands under its square root (() for the rational part), with a
+    nonzero integer coefficient, in increasing order of monomial; ``den`` is
+    positive and shares no factor with every coefficient.  ``times``
+    expands a product with sqrt(D) * sqrt(D) = D.
+    """
+
+    terms: Tuple[Tuple[Radicands, int], ...]
+    den: int
+
+    def times(self, other: "ClosedForm") -> "ClosedForm":
+        acc: Dict[Radicands, int] = {}
+        for k1, c1 in self.terms:
+            for k2, c2 in other.terms:
+                c = c1 * c2
+                for d in set(k1).intersection(k2):
+                    c *= d
+                key = tuple(sorted(set(k1).symmetric_difference(k2)))
+                acc[key] = acc.get(key, 0) + c
+        den = self.den * other.den
+        g = gcd(den, *acc.values())
+        return ClosedForm(tuple(sorted((k, c // g) for k, c in acc.items() if c)), den // g)
 
 
 class Enclosure:
@@ -36,6 +71,11 @@ class Enclosure:
     def exact(self) -> bool:
         return False
 
+    @property
+    def closed_form(self) -> Optional[ClosedForm]:
+        """The enclosed value in closed form, or None when it is not known."""
+        return None
+
 
 @dataclass(frozen=True)
 class PointEnclosure(Enclosure):
@@ -50,6 +90,11 @@ class PointEnclosure(Enclosure):
     def exact(self) -> bool:
         return True
 
+    @property
+    def closed_form(self) -> ClosedForm:
+        num = self.value.numerator
+        return ClosedForm((((), num),) if num else (), self.value.denominator)
+
 
 def _cf_coefficient(head: tuple, cycle: tuple, i: int) -> int:
     if i < len(head):
@@ -61,6 +106,36 @@ def _cf_coefficient(head: tuple, cycle: tuple, i: int) -> int:
     return cycle[(i - len(head)) % len(cycle)]
 
 
+def _moebius(coeffs: Tuple[int, ...]) -> Tuple[int, int, int, int]:
+    """(p, p', q, q') with [a_1; ..., a_k, y] = (p*y + p')/(q*y + q')."""
+    p, p1, q, q1 = 1, 0, 0, 1
+    for a in coeffs:
+        p, p1, q, q1 = a * p + p1, p, a * q + q1, q
+    return p, p1, q, q1
+
+
+def _periodic_closed_form(head: Tuple[int, ...], cycle: Tuple[int, ...]) -> ClosedForm:
+    """[head; cycle, cycle, ...] as (u + v*sqrt(D))/w, in integers only.
+
+    The tail y = [cycle; y] is a fixed point of the cycle's Moebius map, so
+    q*y^2 + (q' - p)*y - p' = 0; p' and q are positive, so the roots have
+    opposite signs and y = (s + sqrt(D))/t with s = p - q', D = s^2 + 4*q*p'
+    and t = 2*q.  The head maps y to (alpha + beta*sqrt(D))/(gamma +
+    delta*sqrt(D)), and multiplying by the conjugate of the denominator
+    leaves a rational one.
+    """
+    p, p1, q, q1 = _moebius(cycle)
+    s, disc, t = p - q1, (p - q1) ** 2 + 4 * q * p1, 2 * q
+    hp, hp1, hq, hq1 = _moebius(head)
+    alpha, beta = hp * s + hp1 * t, hp
+    gamma, delta = hq * s + hq1 * t, hq
+    u, v = alpha * gamma - beta * delta * disc, beta * gamma - alpha * delta
+    w = gamma * gamma - delta * delta * disc
+    g = gcd(u, v, w) if w > 0 else -gcd(u, v, w)
+    u, v, w = u // g, v // g, w // g
+    return ClosedForm(((((), u),) if u else ()) + (((disc,), v),), w)
+
+
 @dataclass(frozen=True)
 class ContinuedFractionEnclosure(Enclosure):
     """Enclosure from continued fraction coefficients.
@@ -69,7 +144,8 @@ class ContinuedFractionEnclosure(Enclosure):
     repeats forever after it (so sqrt(2) is head=(1,), cycle=(2,)).  Level k
     is the interval spanned by convergents k and k+1; consecutive convergents
     straddle the value, so the levels nest and the widths 1/(q_k q_{k+1})
-    strictly decrease.
+    strictly decrease.  A periodic one has a closed form (u + v*sqrt(D))/w,
+    built on first use and kept like the convergents.
     """
 
     head: Tuple[int, ...]
@@ -86,10 +162,21 @@ class ContinuedFractionEnclosure(Enclosure):
         rest = list(self.head[1:]) + list(self.cycle)
         if any(a < 1 for a in rest):
             raise ValueError("continued fraction coefficients past the first must be >= 1")
-        # (p_k, q_k) for k = -2, -1, 0, ..., and the levels built so far;
-        # not fields, so equality, hashing and repr ignore them
+        # (p_k, q_k) for k = -2, -1, 0, ..., the levels built so far and the
+        # closed form once built; not fields, so equality, hashing and repr
+        # ignore them
         object.__setattr__(self, "_convergents", [(0, 1), (1, 0)])
         object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_form", None)
+
+    @property
+    def closed_form(self) -> Optional[ClosedForm]:
+        """(u + v*sqrt(D))/w when the fraction has a cycle; None when it is finite."""
+        form = self._form
+        if form is None and self.cycle:
+            form = _periodic_closed_form(self.head, self.cycle)
+            object.__setattr__(self, "_form", form)
+        return form
 
     def interval(self, k: int) -> Interval:
         hit = self._levels.get(k)
@@ -153,7 +240,8 @@ class ProductEnclosure(Enclosure):
 
     ``start`` offsets both factors so that every queried level has positive
     lower endpoints; with that, endpoint products give nested strictly
-    shrinking intervals around the product.
+    shrinking intervals around the product.  Its closed form is the product
+    of its factors' forms, when both have one.
     """
 
     left: Enclosure
@@ -161,8 +249,19 @@ class ProductEnclosure(Enclosure):
     start: int = 0
 
     def __post_init__(self):
-        # levels built so far; not a field, so equality, hashing and repr ignore it
+        # levels built so far and the closed form once built; not fields, so
+        # equality, hashing and repr ignore them
         object.__setattr__(self, "_levels", {})
+        object.__setattr__(self, "_form", None)
+
+    @property
+    def closed_form(self) -> Optional[ClosedForm]:
+        if self._form is None:
+            left, right = self.left.closed_form, self.right.closed_form
+            if left is None or right is None:
+                return None
+            object.__setattr__(self, "_form", left.times(right))
+        return self._form
 
     def interval(self, k: int) -> Interval:
         hit = self._levels.get(k)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface via main(argv)."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -88,6 +89,13 @@ FINITE_CF = (
     ' "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []}}'
 )
 FINITE_CF_EMPTY_CYCLE = FINITE_CF.replace("[1, 2, 2]", '{"head": [1, 2, 2], "cycle": []}')
+# eight irrational symbols [k; 2k, 2k, ...] = sqrt(k^2 + 1), one more than
+# a partition of one takes
+EIGHT_SYMBOLS = json.dumps({
+    "basis": ["1"] + [f"r{k}" for k in range(1, 9)],
+    "enclosures": {f"r{k}": {"cf": {"head": [k], "cycle": [2 * k]}} for k in range(1, 9)},
+    "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
+})
 BOOLEAN_EDGE = (
     '{"graph": {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],'
     ' "edges": [[true, false]]}}'
@@ -115,13 +123,15 @@ BOOLEAN_EDGE = (
         (["mld", "{doc}", "--oracle-depth", "15"], None, "oracle depth 15 exceeds the cap of 14"),
         (["scan", "--oracle-depth", "15"], None, "oracle depth 15 exceeds the cap of 14"),
         (["verify-lemmas", "--oracle-depth", "40"], None, "oracle depth 40 exceeds the cap"),
+        (["verify-lemmas", "--oracle-depth", "0"], None, "N must be at least 1, got 0"),
+        (["partition", "{doc}"], EIGHT_SYMBOLS, "8 irrational symbols exceeds the cap of 7"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
          "partition-zero-delta", "perturb-zero-delta", "verify-zero-delta",
          "zero-refine-budget", "negative-refine-budget", "finite-cf-symbol",
          "finite-cf-empty-cycle", "mld-oracle-over-cap", "scan-oracle-over-cap",
-         "verify-oracle-over-cap"],
+         "verify-oracle-over-cap", "verify-oracle-depth-zero", "partition-over-cap"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"
@@ -142,18 +152,30 @@ def _sqrt2_convergent(k):
     return f"{p}/{q}"
 
 
-# one (-2)-curve with a branch of coefficient sqrt2 - p_70/q_70, a positive
-# number below 10^-50: certifying its sign needs 71 refinement levels
-DEEP_BRANCH = {
-    "basis": ["1", "sqrt2"],
-    "enclosures": {"sqrt2": {"cf": {"head": [1], "cycle": [2]}}},
-    "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
-    "branches": [{"vertex": 0, "b": ["-" + _sqrt2_convergent(70), "1"]}],
+def _deep_branch(enclosure):
+    # one (-2)-curve with a branch of coefficient sqrt2 - p_70/q_70, a
+    # positive number below 10^-50
+    return {
+        "basis": ["1", "sqrt2"],
+        "enclosures": {"sqrt2": enclosure},
+        "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
+        "branches": [{"vertex": 0, "b": ["-" + _sqrt2_convergent(70), "1"]}],
+    }
+
+
+# sqrt2 declared by its first 100 continued fraction levels [p_k/q_k,
+# p_(k+1)/q_(k+1)]: certifying the branch's sign refines to level 71
+SQRT2_INTERVALS = {
+    "intervals": [
+        sorted((_sqrt2_convergent(k), _sqrt2_convergent(k + 1)), key=Fraction)
+        for k in range(100)
+    ]
 }
+SQRT2_CF = {"cf": {"head": [1], "cycle": [2]}}
 
 
 def test_refine_budget_reaches_model_validation(model_file, capsys):
-    path = model_file(DEEP_BRANCH)
+    path = model_file(_deep_branch(SQRT2_INTERVALS))
     code, _, err = run(capsys, "mld", path)
     assert code == 1
     assert "undecided after 64 refinement levels" in err
@@ -161,6 +183,19 @@ def test_refine_budget_reaches_model_validation(model_file, capsys):
     assert code == 0
     assert json.loads(out)["classification"] == "klt"
     assert current_budget() == DEFAULT_BUDGET == 64
+
+
+def test_cf_symbols_need_no_refinement_budget(model_file, capsys):
+    # the same model over the continued fraction of sqrt2, a certified
+    # basis: its sign is exact, at the default budget and at one level
+    path = model_file(_deep_branch(SQRT2_CF))
+    reports = []
+    for budget in ("64", "1"):
+        code, out, err = run(capsys, "mld", path, "--refine-budget", budget)
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["classification"] == "klt"
 
 
 def test_unmet_hypotheses_exit_one(model_file, capsys):
@@ -277,3 +312,9 @@ def test_verify_lemmas_small(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["violations_total"] == 0
+
+
+def test_verify_lemmas_checks_depths_1_to_3_by_default(capsys):
+    code, out, _ = run(capsys, "verify-lemmas", "--count", "3")
+    assert code == 0
+    assert json.loads(out)["sections"]["oracle"]["depths"] == [1, 2, 3]

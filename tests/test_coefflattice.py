@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from germkit import (
     BasisDescriptor,
+    MAX_PARTITION_SYMBOLS,
     QLinearMap,
     SpanElement,
     TRIVIAL_BASIS,
@@ -28,13 +29,22 @@ from germkit import (
     span_product,
     verify_partition,
 )
+from germkit import coefflattice
 from germkit.coefflattice import current_budget, span_coordinates_over
 from germkit.enclosures import (
     ContinuedFractionEnclosure,
     NestedIntervalsEnclosure,
     PointEnclosure,
 )
-from germkit.errors import BasisMismatch, FloorUndecidable, GermkitError, RefinementExhausted
+from germkit.errors import (
+    BasisMismatch,
+    FloorUndecidable,
+    GermkitError,
+    HypothesesUnmet,
+    InvariantViolated,
+    RefinementExhausted,
+)
+from util import declared
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
@@ -161,9 +171,18 @@ def test_floor_of_finite_source_runs_dry():
 
 
 def test_floor_undecidable_on_tiny_budget(sq2):
-    # level 0 of 3*sqrt2 is (3, 9/2), which straddles 4
+    # level 0 of 3*sqrt2 is (3, 9/2), which straddles 4; sqrt2 is declared
+    # by its levels here, so the floor must refine
     with refinement_budget(1), pytest.raises(FloorUndecidable):
-        floor_span(sq2.unit(1) * 3)
+        floor_span(declared(sq2).unit(1) * 3)
+
+
+def test_floor_over_a_certified_basis_needs_no_budget(sq2):
+    # the continued fraction of sqrt2 has a closed form, so one level will do
+    with refinement_budget(1):
+        assert floor_span(sq2.unit(1) * 3) == 4
+        assert floor_span(sq2.unit(1) * -3) == -5
+        assert floor_span(sq2.element((Fraction(1, 7), Fraction(-5, 3)))) == -3
 
 
 def test_decimal_str(sq2):
@@ -172,6 +191,20 @@ def test_decimal_str(sq2):
     assert decimal_str(sq2.rational(Fraction(1, 3)), places=6) == "0.333333"
     assert decimal_str(sq2.rational(Fraction(-1, 3)), places=6) == "-0.333333"
     assert decimal_str(sq2.rational(0), places=3) == "0.000"
+    # no places: an integer with no decimal point, certified or declared
+    for basis in (sq2, declared(sq2)):
+        assert decimal_str(basis.unit(1), 0) == "1"
+        assert decimal_str(-basis.unit(1), 0) == "-1"
+        assert decimal_str(basis.unit(1) * 2, 0) == "3"
+        assert decimal_str(basis.unit(1) / 4, 0) == "0"
+        assert decimal_str(-basis.unit(1) / 4, 0) == "0"
+        assert decimal_str(-basis.unit(1) / 4, 1) == "-0.4"
+    assert decimal_str(sq2.rational(Fraction(5, 2)), 0) == "2"
+    assert decimal_str(sq2.rational(Fraction(7, 2)), 0) == "4"
+    assert decimal_str(sq2.rational(Fraction(-5, 2)), 0) == "-2"
+    for x in (sq2.unit(1), sq2.rational(Fraction(5, 2))):
+        with pytest.raises(ValueError, match="decimal places must be nonnegative, got -1"):
+            decimal_str(x, -1)
 
 
 @given(fractions, fractions)
@@ -317,8 +350,9 @@ def test_span_coordinates_over(sq2):
 ONE = PointEnclosure(Fraction(1))
 SQRT2 = ContinuedFractionEnclosure((1,), (2,))
 SQRT3 = ContinuedFractionEnclosure((1,), (1, 2))
-ONE_SYMBOL = BasisDescriptor(("1", "sqrt2"), (ONE, SQRT2))
-TWO_SYMBOLS = BasisDescriptor(("1", "sqrt2", "sqrt3"), (ONE, SQRT2, SQRT3))
+# declared by their levels, so every irrational decision refines
+ONE_SYMBOL = declared(BasisDescriptor(("1", "sqrt2"), (ONE, SQRT2)))
+TWO_SYMBOLS = declared(BasisDescriptor(("1", "sqrt2", "sqrt3"), (ONE, SQRT2, SQRT3)))
 # two names for one real, so no difference of them ever gets a sign
 TWIN = BasisDescriptor(("1", "a", "b"), (ONE, SQRT2, ContinuedFractionEnclosure((1,), (2,))))
 
@@ -438,8 +472,16 @@ class SpyEnclosure(ContinuedFractionEnclosure):
         return super().interval(k)
 
 
+class DeclaredSpy(SpyEnclosure):
+    """A spy that withholds its closed form, so decisions over it refine."""
+
+    @property
+    def closed_form(self):
+        return None
+
+
 def test_decimal_str_visits_few_levels():
-    spy = SpyEnclosure((1,), (2,))
+    spy = DeclaredSpy((1,), (2,))
     basis = BasisDescriptor(("1", "sqrt2"), (ONE, spy))
     spy.asked.clear()
     assert decimal_str(basis.unit(1)) == "1.414213562373"
@@ -463,3 +505,123 @@ def test_refined_compare_asks_each_level_once():
         compare(r, basis.unit(2))
     # running out visits the whole schedule once and ends on budget - 1
     assert spy.asked == sorted(schedule)
+
+
+# ---------------------------------------------------------------------------
+# the exact path over certified bases
+
+SQRT5 = ContinuedFractionEnclosure((2,), (4,))
+SQRT6 = ContinuedFractionEnclosure((2,), (2, 4))
+SQRT7 = ContinuedFractionEnclosure((2,), (1, 1, 1, 4))
+SQRT11 = ContinuedFractionEnclosure((3,), (3, 6))
+# continued fractions as acceptance criterion 6 draws them
+DRAWN = (
+    ContinuedFractionEnclosure((1, 3), (2, 5, 1)),
+    ContinuedFractionEnclosure((4,), (1, 6)),
+    ContinuedFractionEnclosure((2, 2), (3,)),
+)
+
+
+def _basis(*encs):
+    names = ("1",) + tuple(f"r{i}" for i in range(1, len(encs) + 1))
+    return BasisDescriptor(names, (ONE,) + encs)
+
+
+# one continued fraction (sqrt2, then a drawn one), then two and three with
+# their products
+CERTIFIED = (
+    _basis(SQRT2),
+    _basis(DRAWN[0]),
+    product_basis(_basis(SQRT2, DRAWN[1])),
+    product_basis(_basis(SQRT3, DRAWN[2], SQRT5)),
+)
+# each certified basis beside a copy that is declared by the same levels
+PAIRS = tuple((b, declared(b)) for b in CERTIFIED)
+coordinate = st.one_of(st.just(Fraction(0)), fractions)
+
+
+def test_certified_bases():
+    assert all(b.certified for b in CERTIFIED)
+    assert not any(d.certified for _, d in PAIRS)
+    assert _basis(SQRT2, SQRT3, SQRT5, SQRT7).certified
+
+
+def test_uncertified_bases():
+    # two names for one real
+    assert not TWIN.certified
+    # sqrt2 * sqrt3 * sqrt6 = 6, so sqrt6 is not independent of the others'
+    # product, and product_basis(s236) holds both s2*s3 and s6
+    s236 = _basis(SQRT2, SQRT3, SQRT6)
+    pb = product_basis(s236)
+    assert not s236.certified and not pb.certified
+    assert pb.symbols[3:5] == ("r3", "r1*r2")
+    with refinement_budget(12), pytest.raises(RefinementExhausted):
+        compare(pb.unit(3), pb.unit(4))
+    # intervals symbols are declared, alone or beside a continued fraction
+    assert not ONE_SYMBOL.certified and not SETTLES_AT_5.certified
+    mixed = BasisDescriptor(("1", "a", "b"), (ONE, SQRT2, ONE_SYMBOL.enclosures[1]))
+    assert not mixed.certified
+    # more than four radicands
+    assert not _basis(SQRT2, SQRT3, SQRT5, SQRT7, SQRT11).certified
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_exact_path_matches_refinement(data):
+    # an index, not the pair: hypothesis would label the draw by repr
+    exact, refined = PAIRS[data.draw(st.integers(0, len(PAIRS) - 1))]
+    cx = data.draw(st.tuples(*[coordinate] * exact.dim))
+    cy = data.draw(st.tuples(*[coordinate] * exact.dim))
+    q = data.draw(fractions)
+    x, y = exact.element(cx), exact.element(cy)
+    xr, yr = refined.element(cx), refined.element(cy)
+    for f, args, refined_args in (
+        (compare, (x, q), (xr, q)),
+        (compare, (x, y), (xr, yr)),
+        (floor_span, (x,), (xr,)),
+        (floor_span, (x - y,), (xr - yr,)),
+        (decimal_str, (x, 12), (xr, 12)),
+    ):
+        want = outcome(f, *refined_args)
+        if want[0] == "value":  # wherever refinement decides
+            assert outcome(f, *args) == want
+
+
+def test_certified_decisions_ask_no_levels():
+    spy = SpyEnclosure((1,), (2,))
+    basis = BasisDescriptor(("1", "sqrt2"), (ONE, spy))
+    assert basis.certified  # the certificate checks level 0 once
+    spy.asked.clear()
+    r = basis.unit(1)
+    with refinement_budget(1):
+        assert compare(r, Fraction(141421356, 10 ** 8)) == 1
+        assert compare(r, Fraction(141421357, 10 ** 8)) == -1
+        assert floor_span(r * 3) == 4
+        assert decimal_str(r) == "1.414213562373"
+        assert decimal_str(r * 10 ** 6, 0) == "1414214"
+    assert spy.asked == []
+
+
+def test_zero_closed_form_of_a_nonzero_vector_is_a_defect(monkeypatch):
+    # a certificate giving two symbols one form, which _certify never builds
+    basis = _basis(SQRT2, SQRT5)
+    bad = coefflattice._Certificate((1, 8), ((2, 0), (0, 1), (0, 1)), 2)
+    monkeypatch.setattr(coefflattice, "_certify", lambda b: bad)
+    d = basis.unit(1) - basis.unit(2)
+    with pytest.raises(InvariantViolated, match="certified basis"):
+        compare(d, 0)
+    with pytest.raises(InvariantViolated, match="rational closed form"):
+        floor_span(d)
+
+
+def test_partition_over_the_cap_is_refused_at_once(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the partition started")
+
+    monkeypatch.setattr(coefflattice, "product_basis", fail)
+    # [k; 2k, 2k, ...] = sqrt(k^2 + 1)
+    n = MAX_PARTITION_SYMBOLS + 1
+    basis = _basis(*(ContinuedFractionEnclosure((k,), (2 * k,)) for k in range(1, n + 1)))
+    message = f"partition of one over {n} irrational symbols exceeds the cap of {MAX_PARTITION_SYMBOLS}"
+    with pytest.raises(HypothesesUnmet, match=message):
+        partition_of_one(basis, Fraction(1, 10))

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from germkit.enclosures import (
+    ClosedForm,
     ContinuedFractionEnclosure,
     NestedIntervalsEnclosure,
     PointEnclosure,
@@ -123,3 +125,71 @@ def test_positive_from_level():
     assert positive_from_level(e) == 2
     sqrt2 = ContinuedFractionEnclosure((1,), (2,))
     assert positive_from_level(sqrt2) == 0
+
+
+def _sign(a, b, d):
+    """Sign of a + b*sqrt(d), d > 0, from integer comparisons alone."""
+    if (a >= 0 and b >= 0) or (a <= 0 and b <= 0):
+        return (a > 0 or b > 0) - (a < 0 or b < 0)
+    # opposite signs: a wins exactly when a^2 > b^2 * d
+    return (1 if a > 0 else -1) * ((a * a > b * b * d) - (a * a < b * b * d))
+
+
+def _inside(form, lo, hi):
+    """lo <= form <= hi for a form (u + v*sqrt(D))/w, decided exactly."""
+    terms = dict(form.terms)
+    u = terms.pop((), 0)
+    ((key, v),) = terms.items()
+    (d,) = key
+    w = form.den
+    return (
+        _sign(u * lo.denominator - lo.numerator * w, v * lo.denominator, d) >= 0
+        and _sign(hi.numerator * w - u * hi.denominator, -v * hi.denominator, d) >= 0
+    )
+
+
+def test_closed_forms():
+    assert ContinuedFractionEnclosure((1,), (2,)).closed_form == ClosedForm((((8,), 1),), 2)
+    # [2; 1, 2, 1, 2, ...] = 1 + sqrt3, and sqrt12/2 = sqrt3
+    assert ContinuedFractionEnclosure((), (2, 1)).closed_form == ClosedForm(
+        (((), 2), ((12,), 1)), 2
+    )
+    # sqrt8 * sqrt12 / 4 = sqrt6
+    product = ProductEnclosure(
+        ContinuedFractionEnclosure((1,), (2,)), ContinuedFractionEnclosure((1,), (1, 2))
+    )
+    assert product.closed_form == ClosedForm((((8, 12), 1),), 4)
+    # sqrt2 * sqrt2 = 2: a shared radicand multiplies out
+    square = ProductEnclosure(
+        ContinuedFractionEnclosure((1,), (2,)), ContinuedFractionEnclosure((1,), (2,))
+    )
+    assert square.closed_form == ClosedForm((((), 2),), 1)
+    assert PointEnclosure(Fraction(3, 4)).closed_form == ClosedForm((((), 3),), 4)
+    assert ContinuedFractionEnclosure((1, 2, 2)).closed_form is None
+    assert NestedIntervalsEnclosure(((Fraction(1), Fraction(2)),)).closed_form is None
+    partial = ProductEnclosure(
+        ContinuedFractionEnclosure((1,), (2,)),
+        NestedIntervalsEnclosure(((Fraction(1), Fraction(2)), (Fraction(1), Fraction(3, 2)))),
+    )
+    assert partial.closed_form is None
+
+
+def test_pool_closed_forms_lie_in_levels_0_to_20():
+    # periodic continued fractions drawn as in acceptance criterion 6
+    rng = random.Random(6)
+    for _ in range(200):
+        head = tuple(rng.randrange(1, 7) for _ in range(rng.randrange(1, 3)))
+        cycle = tuple(rng.randrange(1, 7) for _ in range(rng.randrange(1, 4)))
+        e = ContinuedFractionEnclosure(head, cycle)
+        form = e.closed_form
+        assert form.den > 0
+        for k in range(21):
+            assert _inside(form, *e.interval(k)), (head, cycle, k)
+
+
+def test_closed_form_leaves_equality_alone():
+    e = ContinuedFractionEnclosure((1,), (2,))
+    before = (hash(e), repr(e))
+    assert e.closed_form is e.closed_form  # built once, then kept
+    assert e == ContinuedFractionEnclosure((1,), (2,))
+    assert (hash(e), repr(e)) == before

@@ -35,6 +35,18 @@ def test_report_matches_golden(argv, expected, capsys):
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 
 
+MLD_CASES = [c for c in CASES if c[0][0] == "mld"]
+
+
+@pytest.mark.parametrize("argv,expected", MLD_CASES, ids=[c[1] for c in MLD_CASES])
+def test_mld_over_sqrt2_needs_one_refinement_level(argv, expected, capsys):
+    # sqrt2 is a certified continued fraction, so signs and decimals are
+    # exact; the cycle model's report was refused at --refine-budget 3
+    args = [str(GOLDEN / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert main(args + ["--refine-budget", "1"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
 def test_mld_leaves_the_model_digest_alone():
     # refinement caches levels on the enclosures; they are not model data
     path = str(GOLDEN / "cycle.json")

@@ -31,3 +31,34 @@ def test_no_budget_parameters():
         and any(a.arg == "budget" for a in ast.walk(node.args) if isinstance(a, ast.arg))
     ]
     assert found == []
+
+
+def _float_use(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant) and node.right.value == 0.5
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and any(a.name == "sqrt" for a in node.names)
+    if isinstance(node, ast.Call):
+        f = node.func
+        if isinstance(f, ast.Name):
+            return f.id == "float"
+        return (
+            isinstance(f, ast.Attribute)
+            and f.attr == "sqrt"
+            and isinstance(f.value, ast.Name)
+            and f.value.id == "math"
+        )
+    return False
+
+
+def test_no_floats_under_src():
+    # square roots are taken with math.isqrt and decided exactly; corpus.py
+    # alone compares rng.random() with float thresholds, to pick shapes
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, node in _nodes()
+        if path.name != "corpus.py" and _float_use(node)
+    ]
+    assert found == []

@@ -4,7 +4,10 @@ The library stores integer numerators over one common denominator.  The
 reference below is the plain representation: a tuple of Fractions, with
 enclosures summed in Fractions and certified decisions made by walking every
 refinement level.  Every operation must give the same value, the same
-interval and the same decision, or fail the same way.
+interval and the same decision, or fail the same way.  The bases declare
+their symbols by the continued fraction levels of sqrt2 and sqrt3, so the
+library refines as the reference does; over the continued fractions
+themselves it decides exactly, which the last test compares.
 """
 
 import copy
@@ -30,13 +33,16 @@ from germkit import (
 from germkit.coefflattice import current_budget
 from germkit.enclosures import ContinuedFractionEnclosure, PointEnclosure
 from germkit.errors import FloorUndecidable, GermkitError, RefinementExhausted
+from util import declared
 
 ONE = PointEnclosure(Fraction(1))
-ONE_SYMBOL = BasisDescriptor(("1", "sqrt2"), (ONE, ContinuedFractionEnclosure((1,), (2,))))
-TWO_SYMBOLS = BasisDescriptor(
+CF_ONE_SYMBOL = BasisDescriptor(("1", "sqrt2"), (ONE, ContinuedFractionEnclosure((1,), (2,))))
+CF_TWO_SYMBOLS = BasisDescriptor(
     ("1", "sqrt2", "sqrt3"),
     (ONE, ContinuedFractionEnclosure((1,), (2,)), ContinuedFractionEnclosure((1,), (1, 2))),
 )
+ONE_SYMBOL = declared(CF_ONE_SYMBOL)
+TWO_SYMBOLS = declared(CF_TWO_SYMBOLS)
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,8 @@ def ref_floor(x: Ref):
 def ref_round(fr: Fraction, places: int) -> str:
     n = round(fr * 10 ** places)  # Fraction rounds half to even
     whole, frac = divmod(abs(n), 10 ** places)
-    return f"{'-' if n < 0 else ''}{whole}.{frac:0{places}d}"
+    sign = "-" if n < 0 else ""
+    return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
 
 
 def ref_decimal(x: Ref, places: int):
@@ -138,12 +145,15 @@ def assert_lowest_terms(x: SpanElement):
 
 coordinate = st.fractions(min_value=-40, max_value=40, max_denominator=60)
 scalar = st.one_of(st.integers(min_value=-30, max_value=30), coordinate)
-# a basis with one or two CF symbols and two coordinate vectors over it
-operands = st.sampled_from([ONE_SYMBOL, TWO_SYMBOLS]).flatmap(
-    lambda basis: st.tuples(
-        st.just(basis),
-        st.tuples(*[coordinate] * basis.dim),
-        st.tuples(*[coordinate] * basis.dim),
+BASES = (ONE_SYMBOL, TWO_SYMBOLS)
+CF_BASES = (CF_ONE_SYMBOL, CF_TWO_SYMBOLS)
+# the index of a basis with one or two symbols and two coordinate vectors
+# over it; an index, not the basis, as hypothesis would label it by repr
+operands = st.sampled_from(range(len(BASES))).flatmap(
+    lambda i: st.tuples(
+        st.just(i),
+        st.tuples(*[coordinate] * BASES[i].dim),
+        st.tuples(*[coordinate] * BASES[i].dim),
     )
 )
 
@@ -151,7 +161,8 @@ operands = st.sampled_from([ONE_SYMBOL, TWO_SYMBOLS]).flatmap(
 @given(operands, scalar, st.integers(min_value=0, max_value=12))
 @settings(max_examples=150, deadline=None)
 def test_span_matches_fraction_reference(ops, s, places):
-    basis, cx, cy = ops
+    i, cx, cy = ops
+    basis = BASES[i]
     x, y = SpanElement(basis, cx), basis.element(cy)
     rx, ry = Ref(basis, cx), Ref(basis, cy)
     assert_lowest_terms(x)
@@ -225,3 +236,26 @@ def test_zero_has_one_form():
     assert (x.nums, x.den) == ((6, -27, 20), 36)
     assert ((-x).nums, (-x).den) == ((-6, 27, -20), 36)
     assert ((x / Fraction(-1, 2)).nums, (x / Fraction(-1, 2)).den) == ((-6, 27, -20), 18)
+
+
+@given(operands, scalar)
+@settings(max_examples=60, deadline=None)
+def test_continued_fraction_decisions_match_reference(ops, s):
+    # the same spans over the continued fractions, a certified basis: the
+    # library decides exactly at every budget, and agrees with the
+    # reference wherever the reference decides
+    i, cx, cy = ops
+    cf = CF_BASES[i]
+    x, y = cf.element(cx), cf.element(cy)
+    rx, ry = Ref(cf, cx), Ref(cf, cy)
+    for budget in (1, 64):
+        with refinement_budget(budget):
+            for got, want in (
+                (outcome(compare, x, y), outcome(ref_compare, rx, ry)),
+                (outcome(compare, x, Fraction(s)), outcome(ref_compare, rx, ref_rational(cf, s))),
+                (outcome(floor_span, x), outcome(ref_floor, rx)),
+                (outcome(decimal_str, x, 12), outcome(ref_decimal, rx, 12)),
+            ):
+                if want[0] == "value":
+                    assert got == want
+            assert outcome(compare, x, y)[0] == "value"

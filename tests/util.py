@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from germkit import Branch, SurfaceGermModel, TRIVIAL_BASIS, WeightedDualGraph
+from germkit import BasisDescriptor, Branch, SurfaceGermModel, TRIVIAL_BASIS, WeightedDualGraph
+from germkit.enclosures import NestedIntervalsEnclosure
 
 
 def chain(*weights):
@@ -19,6 +20,20 @@ def germ(graph, branches=(), loads=(), eps=None, basis=TRIVIAL_BASIS):
 
 def rbranch(vertex, value, basis=TRIVIAL_BASIS):
     return Branch(vertex, basis.rational(Fraction(value)))
+
+
+def declared(basis, levels=256):
+    """The same basis with each irrational given by its first ``levels`` levels.
+
+    An ``intervals`` enclosure has no closed form, so the copy is only
+    declared independent and every irrational decision over it refines;
+    256 levels cover a decimal at the default budget (4 x 64 levels).
+    """
+    encs = basis.enclosures[:1] + tuple(
+        NestedIntervalsEnclosure(tuple(e.interval(k) for k in range(levels)))
+        for e in basis.enclosures[1:]
+    )
+    return BasisDescriptor(basis.symbols, encs)
 
 
 EMPTY = WeightedDualGraph((), ())
