@@ -306,14 +306,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report here instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument(
         "--refine-budget",
         type=_budget_arg,
         default=DEFAULT_BUDGET,
         help="max enclosure refinement level before giving up a comparison",
     )
-    common.add_argument("--out", help="write the report here instead of stdout")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="RNG seed for generated families")
     oracle = argparse.ArgumentParser(add_help=False)
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("data")
     sp.set_defaults(func=cmd_check_complement)
 
-    sp = sub.add_parser("gen-hj", parents=[common], help="emit a quotient chain model")
+    sp = sub.add_parser("gen-hj", parents=[out], help="emit a quotient chain model")
     sp.add_argument("n", type=int)
     sp.add_argument("q", type=int)
     sp.add_argument("--branch", action="append", default=[], metavar="ID:B")
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with refinement_budget(args.refine_budget):
+        with refinement_budget(getattr(args, "refine_budget", DEFAULT_BUDGET)):
             return args.func(args)
     except HypothesesUnmet as e:
         print(f"hypotheses unmet: {e}", file=sys.stderr)

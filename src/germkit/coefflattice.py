@@ -2,8 +2,9 @@
 
 A value here is a rational vector over a basis (1, r_1, ..., r_n) where each
 r_i comes with an interval enclosure.  Addition and rational scaling are
-coordinate arithmetic.  Order queries, floors and decimals take one of two
-paths.
+coordinate arithmetic.  Order queries, floors and decimals follow one rule:
+rational values are decided in integers, values over a certified basis from
+their closed forms, and values over a declared basis by refinement.
 
 *Certified bases.*  When every symbol is known in closed form as a sum of
 rational multiples of square roots (periodic continued fractions and their
@@ -14,14 +15,13 @@ certified Q-linearly independent: the square roots of the squarefree
 products of such radicands are independent over Q (A. S. Besicovitch,
 J. London Math. Soc. 15, 1940).  The certificate is built from integers,
 on the first irrational sign a basis needs.  Over a certified basis the
-sign of a difference is decided by recursive squaring of integer
-polynomials in the square roots, and a floor or decimal of a value
-(P + Q*sqrt(D))/R by ``math.isqrt``; neither reads the refinement budget.
+sign of a value is decided by recursive squaring of integer polynomials in
+the square roots, and its floor by ``math.isqrt`` on each square root term
+plus a few such signs; neither reads the refinement budget.
 
 *Declared bases.*  Otherwise (an ``intervals`` symbol, two names for one
 real, a product basis whose radicands multiply to a square, more than four
-radicands), and for floors and decimals of values that involve two or more
-square roots, the basis is only declared independent and enclosures are
+radicands) the basis is only declared independent, and enclosures are
 refined until the answer is certified, failing loudly when the refinement
 budget runs out.
 
@@ -30,20 +30,18 @@ denominator, kept in lowest terms (the gcd of the denominator and all
 numerators is 1), after FLINT's fmpq_poly.  An addition is then integer
 arithmetic plus one gcd, where one Fraction per coordinate would normalize
 each coordinate on its own; the lowest-terms form is unique, so equality
-and hashing stay by value.
+and hashing stay by value.  Rational inputs are ints, Fractions or strings;
+a float is refused with TypeError, since its binary value is rarely the
+number that was written.
 
 The refinement budget is one value per run, held in a context variable:
 ``refinement_budget(levels)`` sets it for a block (the command line wraps
 every subcommand in it), and only the loops that refine read it, through
-``current_budget()``, after their exact path has returned.
-
-Refined signs, floors and decimals follow a galloping schedule (A. Ziv,
-ACM TOMS 17, 1991): ``_refine`` visits the levels 0, 1, 2, 4, 8, ... and
-ends on the last level the budget allows, so a decision that settles at
-level k costs O(log k) enclosures instead of k + 1.  Enclosure levels are
-nested, so once a level decides every deeper level decides the same way;
-the schedule therefore returns exactly what a walk through every level
-returns, and it runs out exactly when that walk runs out.
+``current_budget()``, after their exact path has returned.  ``_refine`` is
+the one walk over enclosure levels: it asks the levels 0, 1, 2, ... in turn
+and stops at the first that decides.  Signs, floors and decimals over
+declared bases, the level search of a partition of one and the threshold
+test of ``discrepancy.find_computing_path`` all go through it.
 """
 
 from __future__ import annotations
@@ -97,6 +95,15 @@ def refinement_budget(levels: int) -> Iterator[None]:
 LESS = -1
 EQUAL = 0
 GREATER = 1
+
+
+def _fraction(q) -> Fraction:
+    """q as an exact Fraction; a float is refused, not read as its binary value."""
+    if isinstance(q, Fraction):
+        return q
+    if isinstance(q, float):
+        raise TypeError(f"{q!r} is a float; give an int, a Fraction or a string")
+    return Fraction(q)
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ class BasisDescriptor:
         if isinstance(q, int):
             num, den = q, 1
         else:
-            q = q if isinstance(q, Fraction) else Fraction(q)
+            q = _fraction(q)
             num, den = q.numerator, q.denominator
         return _span(self, (num,) + (0,) * (self.dim - 1), den)
 
@@ -184,14 +191,15 @@ class SpanElement:
     in lowest terms: gcd(den, *nums) == 1, so zero is (0, ..., 0) over 1.
     Every value has exactly one such form, which is why equality and
     hashing compare the stored integers.  ``SpanElement(basis, coords)``
-    accepts rational coordinates and ``coords`` gives them back as
-    Fractions, built on each read.  Instances are immutable.
+    accepts rational coordinates (a float is refused with TypeError) and
+    ``coords`` gives them back as Fractions, built on each read.  Instances
+    are immutable.
     """
 
     __slots__ = ("basis", "nums", "den")
 
     def __init__(self, basis: BasisDescriptor, coords: Sequence):
-        fs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
+        fs = [c if isinstance(c, Fraction) else _fraction(c) for c in coords]
         if len(fs) != basis.dim:
             raise ValueError("coordinate count does not match basis")
         # every coordinate is in lowest terms, so over the lcm of their
@@ -267,7 +275,7 @@ class SpanElement:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SpanElement":
-        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
+        s = scalar if isinstance(scalar, Fraction) else _fraction(scalar)
         p, q = s.numerator, s.denominator
         if p == 0:
             raise ZeroDivisionError(f"{self} / 0")
@@ -514,31 +522,39 @@ def _poly_sign(p: Sequence[int], roots: Sequence[int]) -> int:
     return sp * _poly_sign(diff, roots)
 
 
-def _one_root(x: SpanElement) -> Optional[Tuple[int, int, int, int]]:
-    """(P, Q, D, R) with x = (P + Q*sqrt(D))/R, R > 0, over a certified basis.
+def _exact_floor(x: SpanElement, scale: int = 1) -> Optional[int]:
+    """floor(scale * x) for irrational x over a certified basis, else None.
 
-    None when the basis is declared or x involves more than one square root.
-    D is a product of certified radicands, so it is never a perfect square.
+    Write scale * x * R = sum of p[m] * sqrt(roots[m]) with R > 0.  Each
+    of the k irrational terms lies strictly between its ``isqrt`` floor and
+    that plus one, since roots[m] is never a perfect square, so the sum lies
+    strictly between an integer s and s + k.  The floor of the sum over R is
+    then one of a few integers, and a bisection on exact signs picks it.
     """
     cert = _certificate(x.basis)
     if cert is None:
         return None
-    p = cert.poly(x)
-    irrational = [m for m in range(1, len(p)) if p[m]]
-    if not irrational:
+    p = [scale * c for c in cert.poly(x)]
+    roots, r = cert.roots, cert.den * x.den
+    s, k = p[0], 0
+    for c, d in zip(p[1:], roots[1:]):
+        if c:
+            t = isqrt(c * c * d)
+            s += t if c > 0 else -t - 1
+            k += 1
+    if not k:
         raise InvariantViolated(
             f"{render_exact(x)} has irrational coordinates but a rational closed form"
         )
-    if len(irrational) > 1:
-        return None
-    m = irrational[0]
-    return p[0], p[m], cert.roots[m], cert.den * x.den
-
-
-def _floor_root(p: int, q: int, d: int) -> int:
-    """floor(p + q*sqrt(d)) for q != 0 and d > 0 not a perfect square."""
-    s = isqrt(q * q * d)
-    return p + s if q > 0 else p - s - 1
+    # lo * r < scale * x * r < hi * r
+    lo, hi = s // r, (s + k - 1) // r + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _poly_sign([p[0] - mid * r] + p[1:], roots) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _coerce(basis: BasisDescriptor, v) -> SpanElement:
@@ -552,29 +568,14 @@ def _refine(
 ) -> Optional[T]:
     """First decision of ``decide(lo, hi)`` on the enclosures of x, or None.
 
-    Visits the levels 0, 1, 2, 4, 8, ... below limit - 1 and then limit - 1
-    itself.  ``decide`` must be monotone under nesting: a decision at one
-    level is the decision at every deeper level.  Then the first level that
-    decides gives the answer a level-by-level walk gives, and limit - 1, the
-    last level that walk visits, decides whenever any level does.  A finite
-    source can end inside a skipped stretch; the stretch is then walked one
-    level at a time, so the decision or the RefinementExhausted comes from
-    the same level, with the same message, as in the level-by-level walk.
+    Asks the levels 0, 1, ..., limit - 1 in turn, each once, and stops at
+    the first level where ``decide`` returns something other than None.
+    This is the only walk over enclosure levels in the library.
     """
-    prev, k = -1, 0
-    while k < limit:
-        try:
-            lo, hi = x.enclosure(k)
-        except RefinementExhausted:
-            for j in range(prev + 1, k):
-                got = decide(*x.enclosure(j))
-                if got is not None:
-                    return got
-            raise
-        got = decide(lo, hi)
-        if got is not None or k == limit - 1:
+    for k in range(limit):
+        got = decide(*x.enclosure(k))
+        if got is not None:
             return got
-        prev, k = k, min(max(1, 2 * k), limit - 1)
     return None
 
 
@@ -593,13 +594,11 @@ def compare(x: SpanElement, y) -> int:
     other difference is too, by recursive squaring of its closed form, with
     no budget; a zero there would contradict the certificate and raises
     InvariantViolated.  Over a declared basis enclosures of the difference
-    are refined on the galloping schedule of ``_refine`` until its sign is
-    certified; if level budget - 1 leaves it open, RefinementExhausted is
-    raised rather than guessing.  A positive lower (negative upper)
-    endpoint stays so at every deeper, nested level, which is why skipping
-    levels changes no answer.  Under the declared independence a nonzero
-    difference always has a sign, so exhaustion signals either a too-small
-    budget or a hidden relation.
+    are refined level by level until its sign is certified; if level
+    budget - 1 leaves it open, RefinementExhausted is raised rather than
+    guessing.  Under the declared independence a nonzero difference always
+    has a sign, so exhaustion signals either a too-small budget or a hidden
+    relation.
     """
     y = _coerce(x.basis, y)
     d = x - y
@@ -678,21 +677,16 @@ def _floor_of(lo: Fraction, hi: Fraction) -> Optional[int]:
 def floor_span(x: SpanElement) -> int:
     """Exact floor.  Rational inputs never consult enclosures.
 
-    Over a certified basis a value with one square root, (P + Q*sqrt(D))/R,
-    has the floor of floor(P + Q*sqrt(D))/R, read from ``isqrt`` with no
-    budget.  Other irrational inputs (a declared basis, or two or more
-    square roots) are refined on the galloping schedule of ``_refine``
-    until both endpoints share a floor, or the upper endpoint is the next
-    integer (never attained by an irrational value).  A nested interval
-    inside one that decides has the same floor and decides the same way, so
-    skipping levels changes no answer.
+    Over a certified basis the floor comes from the closed form, by
+    ``_exact_floor``, with no budget.  Over a declared basis enclosures are
+    refined level by level until both endpoints share a floor, or the upper
+    endpoint is the next integer (never attained by an irrational value).
     """
     if x.is_rational:
         return x.nums[0] // x.den
-    root = _one_root(x)
-    if root is not None:
-        p, q, d, r = root
-        return _floor_root(p, q, d) // r
+    got = _exact_floor(x)
+    if got is not None:
+        return got
     budget = current_budget()
     got = _refine(x, _floor_of, budget)
     if got is None:
@@ -721,15 +715,12 @@ def decimal_str(x: SpanElement, places: int = 12) -> str:
     """Correctly rounded fixed-point rendering (round half to even).
 
     With ``places`` 0 it is an integer with no decimal point; a negative
-    ``places`` is refused with ValueError.  Over a certified basis a value
-    with one square root is rounded exactly with no budget: an irrational
-    value is never a tie, so its rounding is floor(2 * 10^places * x + 1)
-    // 2, a floor taken as in ``floor_span``.  Other irrational values are
-    refined on the galloping schedule of ``_refine`` until both enclosure
-    endpoints round to the same string, which pins the digits of the value
-    itself.  Rounding is monotone, so every point of a nested interval
-    inside one that decides rounds to that string as well, and skipping
-    levels changes no answer.  Rendering gets a deeper internal allowance
+    ``places`` is refused with ValueError.  Over a certified basis an
+    irrational value is rounded exactly with no budget: it is never a tie,
+    so its rounding is (floor(2 * 10^places * x) + 1) // 2, a floor taken by
+    ``_exact_floor``.  Over a declared basis enclosures are refined level by
+    level until both endpoints round to the same string, which pins the
+    digits of the value itself.  Rendering gets a deeper internal allowance
     (4 x the budget) than comparisons because agreement of rounded strings
     can need a few extra levels near a rounding boundary.
     """
@@ -737,11 +728,9 @@ def decimal_str(x: SpanElement, places: int = 12) -> str:
         raise ValueError(f"decimal places must be nonnegative, got {places}")
     if x.is_rational:
         return _round_decimal(Fraction(x.nums[0], x.den), places)
-    root = _one_root(x)
-    if root is not None:
-        p, q, d, r = root
-        scale = 2 * 10 ** places
-        return _fixed_point((_floor_root(scale * p, scale * q, d) // r + 1) // 2, places)
+    got = _exact_floor(x, 2 * 10 ** places)
+    if got is not None:
+        return _fixed_point((got + 1) // 2, places)
 
     def agreed(lo: Fraction, hi: Fraction) -> Optional[str]:
         slo = _round_decimal(lo, places)
@@ -957,15 +946,12 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     every symbol to its chosen endpoint.  The construction is verified
     before returning: weights positive and summing to one, every map fixing
     1, and the weighted combination equal to the identity matrix exactly;
-    the flags are kept as ``checks`` on the result.
-
-    The level search walks one level at a time rather than on the galloping
-    schedule: it needs the *first* level within delta, because the snap
-    values are that level's endpoints, and a deeper level would change them.
+    the flags are kept as ``checks`` on the result.  The snap values are
+    the endpoints of the *first* level within delta, found by ``_refine``.
     A basis of more than MAX_PARTITION_SYMBOLS irrationals is refused with
     HypothesesUnmet before any work starts.
     """
-    delta = Fraction(delta)
+    delta = _fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     n = basis.dim - 1
@@ -981,12 +967,13 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     budget = current_budget()
     for i in range(1, basis.dim):
         r = basis.unit(i)
-        chosen = None
-        for k in range(budget):
-            lo, hi = basis.enclosures[i].interval(k)
+
+        def within(lo: Fraction, hi: Fraction) -> Optional[Interval]:
             if is_le(r - basis.rational(lo), delta) and is_le(basis.rational(hi) - r, delta):
-                chosen = (lo, hi)
-                break
+                return lo, hi
+            return None
+
+        chosen = _refine(r, within, budget)
         if chosen is None:
             raise RefinementExhausted(
                 f"no enclosure of {basis.symbols[i]} within {delta} in {budget} levels"
@@ -1063,7 +1050,7 @@ def shrink_delta(
     generators carry in those expressions, floored at 1 so the tolerance
     never grows.
     """
-    delta = Fraction(delta)
+    delta = _fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     if not old and not new:

@@ -26,7 +26,9 @@ from .coefflattice import (
     is_gt,
     is_le,
     is_lt,
+    render_exact,
     span_min,
+    _refine,
 )
 from .dualgraph import (
     MarkedVertexPath,
@@ -616,11 +618,8 @@ def _min_coeff_exceeds_16_over_nprime(s: SpanElement, n: int) -> bool:
     """Decide s > 16/(log_3(2n+1) - 1) without floating point.
 
     For rational s = p/q the inequality rearranges to (2n+1)^p > 3^(p+16q);
-    irrational s is bracketed by its enclosure until one side decides.  The
-    levels are walked one at a time, not on the galloping schedule of
-    ``coefflattice._refine``: the test raises 2n+1 to an endpoint's
-    numerator, which grows with the level, so a jump past the deciding
-    level costs more than the levels it skips.
+    irrational s is bracketed by its enclosures, level by level, until one
+    side decides.
     """
 
     def rational_test(fr: Fraction) -> bool:
@@ -629,15 +628,23 @@ def _min_coeff_exceeds_16_over_nprime(s: SpanElement, n: int) -> bool:
             return False
         return (2 * n + 1) ** p > 3 ** (p + 16 * q)
 
-    if s.is_rational:
-        return rational_test(s.coords[0])
-    for k in range(current_budget()):
-        lo, hi = s.enclosure(k)
+    def decide(lo: Fraction, hi: Fraction) -> Optional[bool]:
         if lo > 0 and rational_test(lo):
             return True
         if not rational_test(hi):
             return False
-    raise RefinementExhausted("threshold comparison undecided")
+        return None
+
+    if s.is_rational:
+        return rational_test(s.coords[0])
+    budget = current_budget()
+    got = _refine(s, decide, budget)
+    if got is None:
+        raise RefinementExhausted(
+            f"{render_exact(s)} > 16/(log_3({2 * n + 1}) - 1) undecided after "
+            f"{budget} refinement levels"
+        )
+    return got
 
 
 def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:

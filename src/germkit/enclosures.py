@@ -58,10 +58,9 @@ class Enclosure:
 
     Levels must be nested (interval(k+1) inside interval(k)) and strictly
     shrinking in width, except for exact points which are degenerate at
-    every level.  Correctness rests on the nesting: certified decisions
-    skip levels (coefflattice visits 0, 1, 2, 4, 8, ...), and a level that
-    decides is only known to agree with every level before it because each
-    of those contains it.
+    every level.  A refined decision reads one level and holds because the
+    value lies in every level; the nesting makes each deeper level decide
+    whenever a shallower one does, so a larger budget never loses an answer.
     """
 
     def interval(self, k: int) -> Interval:

@@ -125,13 +125,15 @@ BOOLEAN_EDGE = (
         (["verify-lemmas", "--oracle-depth", "40"], None, "oracle depth 40 exceeds the cap"),
         (["verify-lemmas", "--oracle-depth", "0"], None, "N must be at least 1, got 0"),
         (["partition", "{doc}"], EIGHT_SYMBOLS, "8 irrational symbols exceeds the cap of 7"),
+        (["gen-hj", "7", "3", "--refine-budget", "7"], None, "unrecognized arguments"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
          "partition-zero-delta", "perturb-zero-delta", "verify-zero-delta",
          "zero-refine-budget", "negative-refine-budget", "finite-cf-symbol",
          "finite-cf-empty-cycle", "mld-oracle-over-cap", "scan-oracle-over-cap",
-         "verify-oracle-over-cap", "verify-oracle-depth-zero", "partition-over-cap"],
+         "verify-oracle-over-cap", "verify-oracle-depth-zero", "partition-over-cap",
+         "gen-hj-refine-budget"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"
@@ -254,6 +256,21 @@ def test_check_complement(model_file, capsys):
     doc = json.loads(out)
     assert doc["coefficients"]["ok"] is True
     assert doc["strong_auto"]["hypothesis_ok"] is True
+
+
+def test_check_complement_floors_two_roots_without_budget(model_file, capsys):
+    # floor(sqrt2 + sqrt3) = 3 straddles the isqrt window 2..4; over the
+    # certified basis it needs no refinement level
+    datum = {
+        "n": 2,
+        "basis": ["1", "a", "b"],
+        "enclosures": {"a": SQRT2_CF, "b": {"cf": {"head": [1], "cycle": [1, 2]}}},
+        "B": [["0", "1", "1"]],
+        "Bplus": ["1"],
+    }
+    code, out, err = run(capsys, "check-complement", model_file(datum), "--refine-budget", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"]["rows"][0]["threshold"] == "3"
 
 
 def test_resolve(model_file, capsys):

@@ -30,7 +30,7 @@ from germkit import (
     verify_partition,
 )
 from germkit import coefflattice
-from germkit.coefflattice import current_budget, span_coordinates_over
+from germkit.coefflattice import DEFAULT_BUDGET, current_budget, span_coordinates_over
 from germkit.enclosures import (
     ContinuedFractionEnclosure,
     NestedIntervalsEnclosure,
@@ -345,7 +345,7 @@ def test_span_coordinates_over(sq2):
 
 
 # ---------------------------------------------------------------------------
-# the galloping refinement schedule against a walk through every level
+# refinement against a reference walk through every level
 
 ONE = PointEnclosure(Fraction(1))
 SQRT2 = ContinuedFractionEnclosure((1,), (2,))
@@ -361,8 +361,7 @@ def _nested(*intervals):
     return BasisDescriptor(("1", "r"), (ONE, NestedIntervalsEnclosure(tuple(intervals))))
 
 
-# six levels around 2 that straddle it until level 5, inside the stretch
-# 5..7 that the schedule skips on its way from level 4 to level 8
+# six levels around 2 that straddle it until level 5, the last one
 SETTLES_AT_5 = _nested(
     *[(2 - Fraction(1, 2 ** k), 2 + Fraction(1, 2 ** k)) for k in range(5)],
     (2 + Fraction(1, 64), 2 + Fraction(1, 32)),
@@ -485,26 +484,28 @@ def test_decimal_str_visits_few_levels():
     basis = BasisDescriptor(("1", "sqrt2"), (ONE, spy))
     spy.asked.clear()
     assert decimal_str(basis.unit(1)) == "1.414213562373"
-    # a walk through every level asks for the 17 levels 0..16
-    assert len(set(spy.asked)) <= 8
+    # the walk asks the levels 0..16 once each and stops at 16, which decides
+    assert spy.asked == list(range(17))
 
 
 def test_refined_compare_asks_each_level_once():
-    schedule = {0, 1, 2, 4, 8, 16, 32, 63}
     spy = SpyEnclosure((1,), (2,))
     twin = SpyEnclosure((1,), (2,))
     basis = BasisDescriptor(("1", "sqrt2", "twin"), (ONE, spy, twin))
     r = basis.unit(1)
-    for bound in (Fraction(7, 5), Fraction(141421356, 10 ** 8), Fraction(141421357, 10 ** 8)):
+    for bound, deciding in (
+        (Fraction(7, 5), 3),
+        (Fraction(141421356, 10 ** 8), 11),
+        (Fraction(141421357, 10 ** 8), 10),
+    ):
         spy.asked.clear()
         compare(r, bound)
-        assert len(spy.asked) == len(set(spy.asked))
-        assert set(spy.asked) <= schedule
+        assert spy.asked == list(range(deciding + 1))
     spy.asked.clear()
     with pytest.raises(RefinementExhausted):
         compare(r, basis.unit(2))
-    # running out visits the whole schedule once and ends on budget - 1
-    assert spy.asked == sorted(schedule)
+    # running out asks every level below the budget once
+    assert spy.asked == list(range(DEFAULT_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +601,60 @@ def test_certified_decisions_ask_no_levels():
         assert decimal_str(r) == "1.414213562373"
         assert decimal_str(r * 10 ** 6, 0) == "1414214"
     assert spy.asked == []
+    # two square roots and their product
+    spy3 = SpyEnclosure((1,), (1, 2))
+    pb = product_basis(BasisDescriptor(("1", "sqrt2", "sqrt3"), (ONE, spy, spy3)))
+    assert pb.certified
+    spy.asked.clear()
+    spy3.asked.clear()
+    r2, r3, r6 = pb.unit(1), pb.unit(2), pb.unit(3)
+    with refinement_budget(1):
+        assert floor_span(r2 + r3) == 3
+        assert floor_span(r6 + r2) == 3
+        assert decimal_str(r2 + r3) == "3.146264369942"
+        assert decimal_str(r6 - r2 - r3, 6) == "-0.696775"
+    assert spy.asked == spy3.asked == []
+
+
+def test_exact_floor_where_the_isqrt_window_straddles_an_integer():
+    # isqrt floors each root alone: sqrt2 + sqrt3 = 3.146... lies in (2, 4)
+    # and its negative in (-4, -2), so one sign picks the floor
+    basis = _basis(SQRT2, SQRT3)
+    x = basis.unit(1) + basis.unit(2)
+    with refinement_budget(1):
+        assert floor_span(x) == 3
+        assert floor_span(-x) == -4
+        assert decimal_str(-x, 2) == "-3.15"
+    # four roots: 8.028... in (6, 10)
+    four = _basis(SQRT2, SQRT3, SQRT5, SQRT7)
+    y = four.element((0, 1, 1, 1, 1))
+    with refinement_budget(1):
+        assert floor_span(y) == 8
+        assert floor_span(-y) == -9
+        assert decimal_str(y, 4) == "8.0281"
+
+
+# three and four radicands, alone and with their products
+MANY_ROOTS = (
+    _basis(SQRT2, SQRT3, SQRT5),
+    _basis(SQRT2, SQRT3, SQRT5, SQRT7),
+    product_basis(_basis(SQRT2, SQRT3, SQRT5)),
+)
+MANY_PAIRS = tuple((b, declared(b)) for b in MANY_ROOTS)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_floors_over_many_roots_match_refinement(data):
+    exact, refined = MANY_PAIRS[data.draw(st.integers(0, len(MANY_PAIRS) - 1))]
+    coords = data.draw(st.tuples(*[coordinate] * exact.dim))
+    places = data.draw(st.integers(0, 12))
+    x, xr = exact.element(coords), refined.element(coords)
+    for f, args in ((floor_span, ()), (decimal_str, (places,))):
+        want = outcome(f, xr, *args)
+        if want[0] == "value":  # wherever refinement decides
+            with refinement_budget(1):
+                assert outcome(f, x, *args) == want
 
 
 def test_zero_closed_form_of_a_nonzero_vector_is_a_defect(monkeypatch):
@@ -612,6 +667,27 @@ def test_zero_closed_form_of_a_nonzero_vector_is_a_defect(monkeypatch):
         compare(d, 0)
     with pytest.raises(InvariantViolated, match="rational closed form"):
         floor_span(d)
+
+
+def test_floats_are_refused():
+    basis = _basis(SQRT2)
+    x = basis.unit(1)
+    for call in (
+        lambda: basis.rational(0.1),
+        lambda: basis.element((0.5, 1)),
+        lambda: SpanElement(basis, (1, 0.5)),
+        lambda: compare(x, 1.4142),
+        lambda: x / 0.5,
+        lambda: x * 0.5,
+        lambda: partition_of_one(basis, 0.001),
+        lambda: shrink_delta([], [], 0.25),
+    ):
+        with pytest.raises(TypeError, match="float"):
+            call()
+    # exact inputs, strings among them, still work
+    assert partition_of_one(basis, "1/1000").delta == Fraction(1, 1000)
+    assert shrink_delta([], [], "1/4") == Fraction(1, 4)
+    assert basis.rational("1/10") == basis.rational(Fraction(1, 10))
 
 
 def test_partition_over_the_cap_is_refused_at_once(monkeypatch):

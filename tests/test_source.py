@@ -62,3 +62,18 @@ def test_no_floats_under_src():
         if path.name != "corpus.py" and _float_use(node)
     ]
     assert found == []
+
+
+def test_enclosure_levels_are_walked_in_one_place():
+    # coefflattice._refine is the one walk over enclosure levels; everything
+    # else that needs levels hands it a decision
+    found = {
+        (path.name, fn.name)
+        for path, fn in _nodes()
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "enclosure"
+    }
+    assert found == {("coefflattice.py", "_refine")}
