@@ -78,7 +78,11 @@ def _oracle_depth_arg(text: str) -> int:
         depth = int(text)
     except ValueError:
         raise ModelError(f"bad oracle depth {text!r}", "--oracle-depth") from None
-    check_oracle_depth(depth)
+    if depth != 0:  # 0 turns the oracle off
+        try:
+            check_oracle_depth(depth)
+        except ValueError as e:
+            raise ModelError(str(e), "--oracle-depth") from None
     return depth
 
 

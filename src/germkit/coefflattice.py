@@ -392,10 +392,10 @@ class _Certificate(NamedTuple):
     forms: Tuple[Tuple[int, ...], ...]
     den: int
 
-    def poly(self, x: SpanElement) -> List[int]:
-        """Monomial coefficients of x * den * x.den."""
+    def poly(self, nums: Sequence[int]) -> List[int]:
+        """Monomial coefficients of den times the element with numerators nums."""
         out = [0] * len(self.roots)
-        for n, form in zip(x.nums, self.forms):
+        for n, form in zip(nums, self.forms):
             if n:
                 for m, c in enumerate(form):
                     if c:
@@ -534,7 +534,7 @@ def _exact_floor(x: SpanElement, scale: int = 1) -> Optional[int]:
     cert = _certificate(x.basis)
     if cert is None:
         return None
-    p = [scale * c for c in cert.poly(x)]
+    p = [scale * c for c in cert.poly(x.nums)]
     roots, r = cert.roots, cert.den * x.den
     s, k = p[0], 0
     for c, d in zip(p[1:], roots[1:]):
@@ -587,39 +587,51 @@ def _sign(lo: Fraction, hi: Fraction) -> Optional[int]:
     return None
 
 
+def _nums_sign(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> int:
+    """Certified sign (LESS, EQUAL or GREATER) of the element nums/den, den > 0.
+
+    A rational vector is decided by the sign of its integer.  Over a
+    certified basis any other vector is too, by recursive squaring of its
+    closed form, with no budget; a zero there would contradict the
+    certificate and raises InvariantViolated.  Over a declared basis
+    enclosures of the element are refined level by level until its sign is
+    certified; if level budget - 1 leaves it open, RefinementExhausted is
+    raised rather than guessing.  Under the declared independence a nonzero
+    element always has a sign, so exhaustion signals either a too-small
+    budget or a hidden relation.
+    """
+    if not any(nums[1:]):
+        c = nums[0]
+        return (c > 0) - (c < 0)
+    cert = _certificate(basis)
+    if cert is not None:
+        got = _poly_sign(cert.poly(nums), cert.roots)
+        if not got:
+            raise InvariantViolated(
+                f"{render_exact(_reduced(basis, nums, den))} is nonzero over a certified "
+                "basis but its closed form is 0"
+            )
+        return got
+    x = _reduced(basis, nums, den)
+    budget = current_budget()
+    got = _refine(x, _sign, budget)
+    if got is None:
+        raise RefinementExhausted(
+            f"sign of {render_exact(x)} undecided after {budget} refinement levels"
+        )
+    return got
+
+
 def compare(x: SpanElement, y) -> int:
     """Certified three-way comparison: LESS, EQUAL or GREATER.
 
-    Rational differences are decided exactly.  Over a certified basis any
-    other difference is too, by recursive squaring of its closed form, with
-    no budget; a zero there would contradict the certificate and raises
-    InvariantViolated.  Over a declared basis enclosures of the difference
-    are refined level by level until its sign is certified; if level
-    budget - 1 leaves it open, RefinementExhausted is raised rather than
-    guessing.  Under the declared independence a nonzero difference always
-    has a sign, so exhaustion signals either a too-small budget or a hidden
-    relation.
+    The sign of x - y: exact when the difference is rational or the basis
+    certified, else refined up to the current budget (RefinementExhausted
+    when it stays open).
     """
     y = _coerce(x.basis, y)
     d = x - y
-    if d.is_rational:
-        c = d.nums[0]
-        return EQUAL if c == 0 else (GREATER if c > 0 else LESS)
-    cert = _certificate(d.basis)
-    if cert is not None:
-        got = _poly_sign(cert.poly(d), cert.roots)
-        if not got:
-            raise InvariantViolated(
-                f"{render_exact(d)} is nonzero over a certified basis but its closed form is 0"
-            )
-        return got
-    budget = current_budget()
-    got = _refine(d, _sign, budget)
-    if got is None:
-        raise RefinementExhausted(
-            f"sign of {render_exact(d)} undecided after {budget} refinement levels"
-        )
-    return got
+    return _nums_sign(d.basis, d.nums, d.den)
 
 
 def is_le(x: SpanElement, y) -> bool:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coefflattice import (
@@ -28,6 +30,8 @@ from .coefflattice import (
     is_lt,
     render_exact,
     span_min,
+    _nums_sign,
+    _reduced,
     _refine,
 )
 from .dualgraph import (
@@ -263,18 +267,60 @@ def _profile(
     return DiscrepancyProfile(tuple(a.items()), mld, realizing, tag, True, is_klt, eps, eps_ok)
 
 
-# Deepest tower the oracle walks.  Its work and its memo each grow about
-# 2.2x per level: depth 14 on the 7/3 chain with one branch takes about 5 s
-# and 150 MB (Python 3.11, 2 cores).
+# Deepest tower the oracle walks.  Its work and its memo each grow 2x to 3x
+# per level, fastest over irrational values.  At depth 14 the 7/3 chain with
+# one rational branch takes 0.7 s and 90 MB; the 5-curve golden tree and
+# cycle models over sqrt2 take 13 to 16 s and about 950 MB (Python 3.11,
+# 2 cores).
 MAX_ORACLE_DEPTH = 14
 
 
 def check_oracle_depth(depth: int) -> None:
-    """Refuse an oracle depth above MAX_ORACLE_DEPTH before any work starts."""
+    """Refuse an oracle depth before any work starts.
+
+    A depth that is not an int, or is a bool, raises TypeError; one below 1
+    raises ValueError; one above MAX_ORACLE_DEPTH raises HypothesesUnmet.
+    """
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise TypeError(f"oracle depth must be an int, got {depth!r}")
+    if depth < 1:
+        raise ValueError(f"oracle depth must be at least 1, got {depth}")
     if depth > MAX_ORACLE_DEPTH:
         raise HypothesesUnmet(
             f"oracle depth {depth} exceeds the cap of {MAX_ORACLE_DEPTH}"
         )
+
+
+Nums = Tuple[int, ...]
+
+
+def _tower_min(
+    point: Tuple[Nums, ...], d: int, basis: BasisDescriptor, den: int, memo: Dict
+) -> Nums:
+    """Least value over the towers of height up to d above one point.
+
+    Every value is an integer numerator vector over the common denominator
+    den.  ``memo`` maps (sorted point, d) to the answer; it belongs to one
+    mld_oracle call and no closure holds it, so it is freed when that call
+    returns rather than by the cyclic collector.
+    """
+    key = (tuple(sorted(point)), d)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    sums = [sum(c) for c in zip(*point)] or [0] * basis.dim
+    sums[0] += (2 - len(point)) * den
+    created = best = tuple(sums)
+    if d > 1:
+        for x in point:
+            cand = _tower_min((created, x), d - 1, basis, den, memo)
+            if _nums_sign(basis, tuple(map(sub, cand, best)), den) == LESS:
+                best = cand
+        cand = _tower_min((created,), d - 1, basis, den, memo)
+        if _nums_sign(basis, tuple(map(sub, cand, best)), den) == LESS:
+            best = cand
+    memo[key] = best
+    return best
 
 
 def mld_oracle(
@@ -288,7 +334,9 @@ def mld_oracle(
     its coefficient).  Blowing up such a point creates a curve of value
     2 - r + sum(values) and the new points worth visiting are its meetings
     with each old curve plus one generic point on it.  The oracle takes the
-    minimum over all towers of height up to ``depth``.
+    minimum over all towers of height up to ``depth``.  The walk runs on
+    integer numerators over one common denominator of all those values;
+    only the minimum becomes a SpanElement again.
 
     Agrees exactly with mld_point whenever every branch coefficient is at
     most 1 (so, on the whole generated corpus).  With a coefficient above 1
@@ -296,39 +344,13 @@ def mld_oracle(
     yet have produced a negative value.
 
     ``profile``, when given, is ``mld_point(model)``; its log discrepancies
-    are used instead of solving the linear system again.  A depth above
-    MAX_ORACLE_DEPTH is refused with HypothesesUnmet.
+    are used instead of solving the linear system again.  The depth is
+    checked by check_oracle_depth.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     check_oracle_depth(depth)
     a = solve_discrepancies(model) if profile is None else profile.a_map()
-    one = model.basis.rational(1)
-
-    memo: Dict[Tuple, SpanElement] = {}
-
-    def key(point: Tuple[SpanElement, ...], d: int) -> Tuple:
-        return (tuple(sorted((x.nums, x.den) for x in point)), d)
-
-    def minval(point: Tuple[SpanElement, ...], d: int) -> SpanElement:
-        k = key(point, d)
-        hit = memo.get(k)
-        if hit is not None:
-            return hit
-        created = model.basis.rational(2 - len(point))
-        for x in point:
-            created = created + x
-        best = created
-        if d > 1:
-            for x in point:
-                cand = minval((created, x), d - 1)
-                if compare(cand, best) == LESS:
-                    best = cand
-            cand = minval((created,), d - 1)
-            if compare(cand, best) == LESS:
-                best = cand
-        memo[k] = best
-        return best
+    basis = model.basis
+    one = basis.rational(1)
 
     points: List[Tuple[SpanElement, ...]] = []
     for i, j in model.graph.edges:
@@ -341,13 +363,21 @@ def mld_oracle(
         points.append((a[vid],))
     if model.graph.order == 0:
         points.append(tuple(one - br.coeff for br in model.branches))
+    values = [a[v] for v in model.graph.ids()]
 
-    values: List[SpanElement] = [a[v] for v in model.graph.ids()]
-    values.extend(minval(p, depth) for p in points)
-    best = span_min(values)
-    if is_lt(best, 0):
+    inputs = values + [x for p in points for x in p]
+    den = lcm(*(x.den for x in inputs))
+    scaled = {x: tuple(n * (den // x.den) for n in x.nums) for x in inputs}
+    memo: Dict[Tuple, Nums] = {}
+    mins = [scaled[x] for x in values]
+    mins.extend(_tower_min(tuple(scaled[x] for x in p), depth, basis, den, memo) for p in points)
+    best = mins[0]
+    for x in mins[1:]:
+        if _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS:
+            best = x
+    if _nums_sign(basis, best, den) == LESS:
         return NEG_INFINITY
-    return best
+    return _reduced(basis, best, den)
 
 
 def smooth_point_mld(mult: SpanElement) -> SpanElement:

@@ -243,8 +243,8 @@ def find_chain(g: WeightedDualGraph, start: int, length: int) -> MarkedVertexPat
     order strictly greater than (3^length - 1)/2.  The greedy step removes
     the current vertex and descends into the largest remaining component
     through that component's smallest-id neighbor; the size bound guarantees
-    the recursion never starves.  Ties between components of equal size go
-    to the one containing the smallest vertex id.
+    the walk never starves.  Ties between components of equal size go to the
+    one containing the smallest vertex id.
     """
     if length < 1:
         raise ValueError("length must be positive")
@@ -260,17 +260,16 @@ def find_chain(g: WeightedDualGraph, start: int, length: int) -> MarkedVertexPat
             f"order {g.order} is not above (3^{length} - 1)/2"
         )
 
-    def grow(alive: FrozenSet[int], v: int, remaining: int) -> List[int]:
-        if remaining == 0:
-            return [v]
+    alive = frozenset(g.ids())
+    path = [start]
+    for _ in range(length):
+        v = path[-1]
         rest = alive - {v}
         neigh = {u for u in adj[v] if u in rest}
         comps = [c for c in _components(rest, adj) if c & neigh]
-        best = min(comps, key=lambda c: (-len(c), min(c)))
-        nxt = min(best & neigh)
-        return [v] + grow(best, nxt, remaining - 1)
-
-    return MarkedVertexPath(tuple(grow(frozenset(g.ids()), start, length)))
+        alive = min(comps, key=lambda c: (-len(c), min(c)))
+        path.append(min(alive & neigh))
+    return MarkedVertexPath(tuple(path))
 
 
 def _components(alive: FrozenSet[int], adj: Dict[int, List[int]]) -> List[FrozenSet[int]]:

@@ -465,7 +465,8 @@ def run_scan(config: ScanConfig) -> ScanReport:
     and the total violation count; not-log-canonical instances are counted
     but contribute no value.
     """
-    check_oracle_depth(config.oracle_depth)
+    if config.oracle_depth != 0:  # 0 turns the oracle off
+        check_oracle_depth(config.oracle_depth)
     models = build_scan_models(config)
     by_digest: Dict[str, Tuple[dict, DiscrepancyProfile]] = {}
     for m in models:

@@ -124,6 +124,7 @@ BOOLEAN_EDGE = (
         (["scan", "--oracle-depth", "15"], None, "oracle depth 15 exceeds the cap of 14"),
         (["verify-lemmas", "--oracle-depth", "40"], None, "oracle depth 40 exceeds the cap"),
         (["verify-lemmas", "--oracle-depth", "0"], None, "N must be at least 1, got 0"),
+        (["scan", "--oracle-depth", "-1"], None, "oracle depth must be at least 1, got -1"),
         (["partition", "{doc}"], EIGHT_SYMBOLS, "8 irrational symbols exceeds the cap of 7"),
         (["gen-hj", "7", "3", "--refine-budget", "7"], None, "unrecognized arguments"),
     ],
@@ -132,7 +133,8 @@ BOOLEAN_EDGE = (
          "partition-zero-delta", "perturb-zero-delta", "verify-zero-delta",
          "zero-refine-budget", "negative-refine-budget", "finite-cf-symbol",
          "finite-cf-empty-cycle", "mld-oracle-over-cap", "scan-oracle-over-cap",
-         "verify-oracle-over-cap", "verify-oracle-depth-zero", "partition-over-cap",
+         "verify-oracle-over-cap", "verify-oracle-depth-zero", "scan-oracle-depth-negative",
+         "partition-over-cap",
          "gen-hj-refine-budget"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):

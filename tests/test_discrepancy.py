@@ -249,6 +249,39 @@ def test_oracle_depth_over_the_cap_is_refused_at_once(monkeypatch):
         explorer.run_scan(explorer.ScanConfig(count=5, oracle_depth=over))
 
 
+@pytest.mark.parametrize(
+    "depth, error, message",
+    [
+        (2.5, TypeError, "oracle depth must be an int, got 2.5"),
+        (True, TypeError, "oracle depth must be an int, got True"),
+        (Fraction(2), TypeError, "oracle depth must be an int"),
+        (0, ValueError, "oracle depth must be at least 1, got 0"),
+        (-2, ValueError, "oracle depth must be at least 1, got -2"),
+    ],
+    ids=["float", "bool", "fraction", "zero", "negative"],
+)
+def test_oracle_depth_that_is_not_a_positive_int_is_refused_at_once(
+    monkeypatch, depth, error, message
+):
+    from germkit import discrepancy, explorer
+
+    def no_work(*args):
+        raise AssertionError("work started for a refused depth")
+
+    with pytest.raises(error, match=message):
+        discrepancy.check_oracle_depth(depth)
+    m = germ(chain(-3, -2))
+    profile = mld_point(m)
+    monkeypatch.setattr(discrepancy, "solve_discrepancies", no_work)
+    monkeypatch.setattr(explorer, "corpus", no_work)
+    with pytest.raises(error, match=message):
+        mld_oracle(m, depth)
+    with pytest.raises(error, match=message):
+        mld_oracle(m, depth, profile)
+    with pytest.raises(error, match=message):
+        explorer.run_verification(count=5, oracle_depth=depth)
+
+
 # ---------------------------------------------------------------------------
 # resolution step
 

@@ -1,13 +1,103 @@
 """Cross-checks the closed-form mld against the blow-up search oracle."""
 
+import gc
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from germkit import NEG_INFINITY, mld_oracle, mld_point
+from germkit import (
+    NEG_INFINITY,
+    Branch,
+    RefinementExhausted,
+    SpanElement,
+    SurfaceGermModel,
+    TRIVIAL_BASIS,
+    mld_oracle,
+    mld_point,
+)
+from germkit.coefflattice import LESS, compare, is_lt, refinement_budget, span_min
 from germkit.corpus import corpus
+from germkit.discrepancy import solve_discrepancies
+from germkit.dualgraph import hj_graph
 
-from util import chain, germ, rbranch
+from util import EMPTY, chain, declared, germ, rbranch
+
+
+def reference_oracle(model, depth, profile=None):
+    """The tower walk on SpanElements, one certified compare per node.
+
+    mld_oracle walks the same towers on integer numerators over one common
+    denominator; this is the form it replaced, kept to compare against.
+    """
+    a = solve_discrepancies(model) if profile is None else profile.a_map()
+    one = model.basis.rational(1)
+
+    memo: Dict[Tuple, SpanElement] = {}
+
+    def key(point: Tuple[SpanElement, ...], d: int) -> Tuple:
+        return (tuple(sorted((x.nums, x.den) for x in point)), d)
+
+    def minval(point: Tuple[SpanElement, ...], d: int) -> SpanElement:
+        k = key(point, d)
+        hit = memo.get(k)
+        if hit is not None:
+            return hit
+        created = model.basis.rational(2 - len(point))
+        for x in point:
+            created = created + x
+        best = created
+        if d > 1:
+            for x in point:
+                cand = minval((created, x), d - 1)
+                if compare(cand, best) == LESS:
+                    best = cand
+            cand = minval((created,), d - 1)
+            if compare(cand, best) == LESS:
+                best = cand
+        memo[k] = best
+        return best
+
+    points: List[Tuple[SpanElement, ...]] = []
+    for i, j in model.graph.edges:
+        points.append((a[i], a[j]))
+    for br in model.branches:
+        if br.vertex is None:
+            continue
+        points.append((a[br.vertex], one - br.coeff))
+    for vid in model.graph.ids():
+        points.append((a[vid],))
+    if model.graph.order == 0:
+        points.append(tuple(one - br.coeff for br in model.branches))
+
+    values: List[SpanElement] = [a[v] for v in model.graph.ids()]
+    values.extend(minval(p, depth) for p in points)
+    best = span_min(values)
+    if is_lt(best, 0):
+        return NEG_INFINITY
+    return best
+
+
+def outcome(oracle, model, depth):
+    """The oracle's value, or the type and text of what it raised."""
+    try:
+        return oracle(model, depth)
+    except RefinementExhausted as e:
+        return ("RefinementExhausted", str(e))
+
+
+def moved(model, basis):
+    """The same germ with every value written over ``basis`` (same symbols)."""
+    def move(x):
+        return basis.element(x.coords)
+
+    return SurfaceGermModel(
+        model.graph,
+        tuple(Branch(br.vertex, move(br.coeff)) for br in model.branches),
+        tuple((v, move(mu)) for v, mu in model.nef_loads),
+        None if model.epsilon is None else move(model.epsilon),
+        basis,
+    )
 
 
 def agree(model, depth):
@@ -60,3 +150,79 @@ def test_oracle_depth_monotone(model):
             elif cur is not None:
                 assert cur <= prev
         prev = "neg" if cur is None else cur
+
+
+def test_matches_reference_on_the_corpus():
+    for m in corpus(0, 60):
+        for depth in (1, 2, 3, 4):
+            assert mld_oracle(m, depth) == reference_oracle(m, depth), m
+
+
+def test_matches_reference_over_declared_bases():
+    # an intervals copy of sqrt2 has no closed form, so every irrational
+    # comparison takes the refinement path
+    for m in corpus(0, 12):
+        m = moved(m, declared(m.basis))
+        for depth in (1, 2, 3):
+            assert mld_oracle(m, depth) == reference_oracle(m, depth), m
+
+
+def test_matches_reference_over_two_certified_symbols(sq2_sq3):
+    b = sq2_sq3
+    r2, r3, one = b.unit(1), b.unit(2), b.rational(1)
+    pairs = [
+        (chain(-2, -3), b.rational(2) - r2, r3 - one),
+        (hj_graph(7, 3), (r2 + r3) / 8, r3 / 4),
+        (chain(-3), b.rational(2) - r2, r2 * 3 - r3 * 2),
+        (chain(-2, -2, -2), b.rational(2) - r2, r3 / 4),
+    ]
+    for g, first, last in pairs:
+        m = germ(g, [Branch(0, first), Branch(g.order - 1, last)], basis=b)
+        for depth in (1, 2, 3, 4):
+            got = mld_oracle(m, depth)
+            assert got == reference_oracle(m, depth), m
+            # the minimum involves both radicals, so signs over both ran
+            assert got.nums[1] and got.nums[2]
+
+
+def test_matches_reference_on_the_empty_graph_and_not_lc_germs():
+    half = TRIVIAL_BASIS.rational(Fraction(1, 2))
+    two_thirds = TRIVIAL_BASIS.rational(Fraction(2, 3))
+    models = [
+        germ(EMPTY),
+        germ(EMPTY, [Branch(None, half)]),
+        germ(EMPTY, [Branch(None, two_thirds), Branch(None, half)]),
+        germ(chain(-2), [rbranch(0, "5/4")]),
+        germ(chain(-2, -2), [rbranch(0, 1), rbranch(1, 1)]),
+        germ(chain(-4), [rbranch(0, 1), rbranch(0, 1), rbranch(0, 1)]),
+    ]
+    for m in models:
+        for depth in (1, 2, 3, 4):
+            assert mld_oracle(m, depth) == reference_oracle(m, depth), m
+    assert mld_oracle(models[3], 2) is NEG_INFINITY
+    assert mld_oracle(models[5], 2) is NEG_INFINITY
+
+
+def test_exhaustion_matches_reference_over_a_declared_basis():
+    models = [moved(m, declared(m.basis)) for m in corpus(0, 12)]
+    raised = 0
+    with refinement_budget(1):
+        for m in models:
+            for depth in (1, 2, 3):
+                want = outcome(reference_oracle, m, depth)
+                assert outcome(mld_oracle, m, depth) == want, m
+                raised += isinstance(want, tuple)
+    assert raised
+
+
+def test_the_memo_is_freed_on_return():
+    # a walk that holds its own memo through a reference cycle leaves every
+    # tower node to the cyclic collector
+    m = corpus(0, 1)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        mld_oracle(m, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -77,3 +77,25 @@ def test_enclosure_levels_are_walked_in_one_place():
         and node.func.attr == "enclosure"
     }
     assert found == {("coefflattice.py", "_refine")}
+
+
+def test_no_self_recursive_closures():
+    # a nested function that calls itself holds itself through its closure
+    # cell, a reference cycle: it and everything it captured (a memo, say)
+    # wait for the cyclic collector instead of going when the call returns
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = {
+        f"{path.relative_to(SRC)}:{inner.lineno} {inner.name}"
+        for path, outer in _nodes()
+        if isinstance(outer, functions)
+        for inner in ast.walk(outer)
+        if inner is not outer
+        and isinstance(inner, functions)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == inner.name
+            for call in ast.walk(inner)
+        )
+    }
+    assert found == set()
