@@ -351,22 +351,30 @@ def _reduced(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> SpanEle
 
 
 def render_exact(x: SpanElement) -> str:
-    """Human-readable exact form, e.g. "1 - 1/4*sqrt2"."""
+    """Human-readable exact form, e.g. "1 - 1/4*sqrt2".
+
+    Each nonzero coordinate n/den is printed in lowest terms, one gcd each.
+    """
     parts: List[str] = []
-    for i, c in enumerate(x.coords):
-        if c == 0:
+    den = x.den
+    symbols = x.basis.symbols
+    for i, n in enumerate(x.nums):
+        if not n:
             continue
-        mag = abs(c)
+        mag = -n if n < 0 else n
+        g = gcd(mag, den)
+        mag, d = mag // g, den // g
+        coeff = str(mag) if d == 1 else f"{mag}/{d}"
         if i == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = x.basis.symbols[i]
+            body = coeff
+        elif coeff == "1":
+            body = symbols[i]
         else:
-            body = f"{mag}*{x.basis.symbols[i]}"
+            body = f"{coeff}*{symbols[i]}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(body if n > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"+ {body}" if n > 0 else f"- {body}")
     if not parts:
         return "0"
     return " ".join(parts)
@@ -383,13 +391,13 @@ class _Certificate(NamedTuple):
 
     Bit i of a monomial index m stands for sqrt(radicands[i]), and roots[m]
     is the product of the radicands in m, so sqrt(roots[a]) * sqrt(roots[b])
-    = roots[a & b] * sqrt(roots[a ^ b]).  forms[j][m] is the coefficient of
-    monomial m in the closed form of symbol j, over the positive common
-    denominator den.
+    = roots[a & b] * sqrt(roots[a ^ b]).  forms[j] lists the (monomial,
+    coefficient) pairs with a nonzero coefficient in the closed form of
+    symbol j, over the positive common denominator den.
     """
 
     roots: Tuple[int, ...]
-    forms: Tuple[Tuple[int, ...], ...]
+    forms: Tuple[Tuple[Tuple[int, int], ...], ...]
     den: int
 
     def poly(self, nums: Sequence[int]) -> List[int]:
@@ -397,9 +405,8 @@ class _Certificate(NamedTuple):
         out = [0] * len(self.roots)
         for n, form in zip(nums, self.forms):
             if n:
-                for m, c in enumerate(form):
-                    if c:
-                        out[m] += n * c
+                for m, c in form:
+                    out[m] += n * c
         return out
 
 
@@ -451,7 +458,8 @@ def _certify(basis: BasisDescriptor) -> Optional[_Certificate]:
     for v, enc in zip(vectors[1:], basis.enclosures[1:]):
         if not _inside(v, den, enc.interval(0), roots):
             return None
-    return _Certificate(tuple(roots), tuple(map(tuple, vectors)), den)
+    sparse = tuple(tuple((m, c) for m, c in enumerate(v) if c) for v in vectors)
+    return _Certificate(tuple(roots), sparse, den)
 
 
 def _inside(v: List[int], den: int, interval: Interval, roots: Sequence[int]) -> bool:

@@ -33,6 +33,7 @@ from .coefflattice import (
     _nums_sign,
     _reduced,
     _refine,
+    _span,
 )
 from .dualgraph import (
     MarkedVertexPath,
@@ -176,18 +177,23 @@ def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
         sum_i (1 - a_i) (E_i . E_j) = (w_j + 2) - (branch coefficients at j) - load(j)
     and negative definiteness, certified when the model was built, makes it
     uniquely solvable.  One substitution on the graph's factor solves every
-    basis coordinate at once, entirely over Fraction.
+    basis coordinate at once, on the integer numerators and common
+    denominator the elements store.  1 - x needs no reduction: when
+    x = (n_0, n_1, ...)/d is in lowest terms, so is (d - n_0, -n_1, ...)/d.
     """
     g = model.graph
     basis = model.basis
     pos = {vid: i for i, vid in enumerate(g.ids())}
-    rows = [[Fraction(w + 2)] + [Fraction(0)] * (basis.dim - 1) for _, w in g.vertices]
+    rhs = [basis.rational(w + 2) for _, w in g.vertices]
     inputs = [(br.vertex, br.coeff) for br in model.branches if br.vertex is not None]
     for vid, x in inputs + list(model.nef_loads):
-        rows[pos[vid]] = [r - c for r, c in zip(rows[pos[vid]], x.coords)]
-    sols = solve_exact(g.factor, rows)
-    one = basis.rational(1)
-    return {vid: one - basis.element(sols[i]) for vid, i in pos.items()}
+        rhs[pos[vid]] -= x
+    sols = solve_exact(g.factor, [(x.nums, x.den) for x in rhs])
+    out = {}
+    for vid, i in pos.items():
+        nums, den = sols[i]
+        out[vid] = _span(basis, (den - nums[0],) + tuple([-n for n in nums[1:]]), den)
+    return out
 
 
 def _candidates(
@@ -913,8 +919,8 @@ def adjunction_form(model: SurfaceGermModel, branch_index: int) -> AdjunctionFor
             value, ell, "plt", value == basis.rational(0), (), (), True, True, True
         )
     s = model.branches[branch_index].vertex
-    column = solve_exact(g.factor, [[int(vid == s)] for vid in g.ids()])
-    mult = {vid: -x for vid, (x,) in zip(g.ids(), column)}
+    column = solve_exact(g.factor, [((int(vid == s),), 1) for vid in g.ids()])
+    mult = {vid: Fraction(-n, d) for vid, ((n,), d) in zip(g.ids(), column)}
     # with the distinguished branch alone the right-hand side is (w_v + 2) - [v = s]
     base = sum(-mult[vid] * (w + 2) for vid, w in g.vertices) + mult[s]
     others = [(idx, br) for idx, br in enumerate(model.branches) if idx != branch_index]

@@ -4,7 +4,10 @@ One elimination serves the intersection form: ``factor_form`` takes a
 sparse symmetric form and computes P M P^T = L D L^T over Fraction,
 leaves first, stopping at the first pivot that is not negative.
 The definiteness verdict, the determinant and every solve are read from
-that factor.  ``rref`` and the row-space helpers serve coefficient spans.
+that factor.  A solve runs on integers: each right-hand side row is a
+tuple of numerators over one positive denominator in lowest terms, the
+form ``SpanElement`` stores, and stays so through every step.  ``rref``
+and the row-space helpers serve coefficient spans.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InvariantViolated, NotNegativeDefinite
@@ -89,26 +93,56 @@ def determinant(f: SymmetricFactor) -> int:
     return det.numerator
 
 
-def solve_exact(f: SymmetricFactor, rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+# integer numerators over one positive denominator, in lowest terms
+Row = Tuple[Tuple[int, ...], int]
+
+
+def _lowest(nums: Tuple[int, ...], den: int) -> Row:
+    """nums/den in lowest terms; den must be positive."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return tuple([a // g for a in nums]), den // g
+
+
+def _sub_scaled(row: Row, p: int, q: int, nk: Tuple[int, ...], dk: int) -> Row:
+    """row - (p/q) * nk/dk, over the product of the denominators, reduced."""
+    ni, di = row
+    m = q * dk
+    t = p * di
+    return _lowest(tuple([a * m - t * b for a, b in zip(ni, nk)]), di * m)
+
+
+def solve_exact(f: SymmetricFactor, rows: Sequence[Row]) -> List[Row]:
     """Solve M X = B on the factor, all right-hand sides at once.
 
-    B has one row per position and one column per right-hand side, and X
-    is returned the same way: forward substitution through L, division by
-    D, back substitution through L^T.
+    B has one row per position and one column per right-hand side; each
+    row is (numerators, denominator) in lowest terms with a positive
+    denominator, and X is returned the same way.  Forward substitution
+    through L, division by D, back substitution through L^T: each step
+    takes a row x_i to x_i - (p/q) x_k for a multiplier p/q of the factor,
+    or x_k to x_k / d for its pivot d, as one integer update and one gcd.
+    A zero x_k is skipped.
     """
     if not is_negative_definite(f):
         raise NotNegativeDefinite("the form was not fully eliminated")
-    x = [[Fraction(v) for v in row] for row in rows]
+    x = list(rows)
     for k, _, col in f.steps:
-        xk = x[k]
-        for i, li in col:
-            x[i] = [a - li * b for a, b in zip(x[i], xk)]
+        nk, dk = x[k]
+        if any(nk):
+            for i, li in col:
+                x[i] = _sub_scaled(x[i], li.numerator, li.denominator, nk, dk)
     for k, d, _ in f.steps:
-        x[k] = [a / d for a in x[k]]
+        # d = p/q < 0, so x_k / d = (-q x_k) / (-p)
+        nk, dk = x[k]
+        q = d.denominator
+        x[k] = _lowest(tuple([-q * a for a in nk]), -d.numerator * dk)
     for k, _, col in reversed(f.steps):
         xk = x[k]
         for i, li in col:
-            xk = [a - li * b for a, b in zip(xk, x[i])]
+            ni, di = x[i]
+            if any(ni):
+                xk = _sub_scaled(xk, li.numerator, li.denominator, ni, di)
         x[k] = xk
     return x
 

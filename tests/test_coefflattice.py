@@ -660,7 +660,7 @@ def test_floors_over_many_roots_match_refinement(data):
 def test_zero_closed_form_of_a_nonzero_vector_is_a_defect(monkeypatch):
     # a certificate giving two symbols one form, which _certify never builds
     basis = _basis(SQRT2, SQRT5)
-    bad = coefflattice._Certificate((1, 8), ((2, 0), (0, 1), (0, 1)), 2)
+    bad = coefflattice._Certificate((1, 8), (((0, 2),), ((1, 1),), ((1, 1),)), 2)
     monkeypatch.setattr(coefflattice, "_certify", lambda b: bad)
     d = basis.unit(1) - basis.unit(2)
     with pytest.raises(InvariantViolated, match="certified basis"):

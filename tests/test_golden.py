@@ -25,6 +25,12 @@ CASES = [
     (("mld", "{chain.json}", "--oracle-depth", "2"), "chain.mld.json"),
     (("mld", "{tree.json}", "--oracle-depth", "2"), "tree.mld.json"),
     (("mld", "{cycle.json}", "--oracle-depth", "2"), "cycle.mld.json"),
+    # models of the sizes the large-graphs benchmark runs, so that the pinned
+    # renderings carry numerators of 15 and more digits: an lc 60-curve
+    # chain and a not-lc one-cycle graph of 40 curves (every log discrepancy
+    # is still solved and printed), each with a sqrt2/2 branch
+    (("mld", "{chain60.json}", "--oracle-depth", "2"), "chain60.mld.json"),
+    (("mld", "{cycle40.json}", "--oracle-depth", "2"), "cycle40.mld.json"),
 ]
 
 
@@ -64,6 +70,8 @@ GOLDEN_DIGESTS = {
     "chain.json": "69a8d9209600f51c",
     "tree.json": "e0f58431cc6e7b64",
     "cycle.json": "b457a5458228d48d",
+    "chain60.json": "126329f1bda9f1f5",
+    "cycle40.json": "644f12e29353a5e6",
 }
 
 

@@ -1,8 +1,13 @@
-"""Exact linear algebra against sympy as an independent oracle."""
+"""Exact linear algebra against sympy as an independent oracle.
+
+The solve runs on integer rows, numerators over one denominator; it is
+also compared with ``reference_solve``, the Fraction solve it replaced.
+"""
 
 import random
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -46,6 +51,46 @@ def factor_dense(m):
     n = len(m)
     off = [(i, j, m[i][j]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
     return factor_form([m[i][i] for i in range(n)], off)
+
+
+def to_rows(m):
+    """Rows of rationals as (numerators, denominator) in lowest terms."""
+    out = []
+    for row in m:
+        fs = [Fraction(c) for c in row]
+        den = lcm(*(f.denominator for f in fs))
+        out.append((tuple(f.numerator * (den // f.denominator) for f in fs), den))
+    return out
+
+
+def from_rows(rows):
+    return [[Fraction(n, den) for n in nums] for nums, den in rows]
+
+
+def assert_lowest_terms(rows):
+    for nums, den in rows:
+        assert type(den) is int and den > 0
+        assert all(type(n) is int for n in nums)
+        assert gcd(den, *nums) == 1
+
+
+def reference_solve(f, rows):
+    """The solve over Fraction that the integer solve replaced, verbatim."""
+    if not is_negative_definite(f):
+        raise NotNegativeDefinite("the form was not fully eliminated")
+    x = [[Fraction(v) for v in row] for row in rows]
+    for k, _, col in f.steps:
+        xk = x[k]
+        for i, li in col:
+            x[i] = [a - li * b for a, b in zip(x[i], xk)]
+    for k, d, _ in f.steps:
+        x[k] = [a / d for a in x[k]]
+    for k, _, col in reversed(f.steps):
+        xk = x[k]
+        for i, li in col:
+            xk = [a - li * b for a, b in zip(xk, x[i])]
+        x[k] = xk
+    return x
 
 
 def cyclic_graph(seed, size, extra):
@@ -92,9 +137,9 @@ def test_determinant_of_empty_matrix_is_one():
 def test_solve_matches_sympy(g, width, seed):
     rng = random.Random(seed)
     rhs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(width)] for _ in g.ids()]
-    got = solve_exact(g.factor, rhs)
+    got = solve_exact(g.factor, to_rows(rhs))
     want = to_sympy(intersection_matrix(g)).solve(to_sympy(rhs))
-    assert to_sympy(got) == want
+    assert to_sympy(from_rows(got)) == want
 
 
 @given(int_matrices, st.integers(min_value=0, max_value=30))
@@ -121,7 +166,7 @@ def test_not_negative_definite_cases():
     assert not is_negative_definite(factor_dense([[0]]))
     assert is_negative_definite(factor_dense([]))
     with pytest.raises(NotNegativeDefinite):
-        solve_exact(factor_dense([[-1, 2], [2, -1]]), [[1], [1]])
+        solve_exact(factor_dense([[-1, 2], [2, -1]]), [((1,), 1), ((1,), 1)])
     with pytest.raises(NotNegativeDefinite):
         determinant(factor_dense([[0]]))
 
@@ -151,5 +196,78 @@ def test_row_space_coordinates_outside():
 
 def test_solve_multiple_columns():
     f = factor_dense([[-2, 0], [0, -4]])
-    got = solve_exact(f, [[1, 0], [0, 1]])
-    assert got == [[Fraction(-1, 2), Fraction(0)], [Fraction(0), Fraction(-1, 4)]]
+    got = solve_exact(f, [((1, 0), 1), ((0, 1), 1)])
+    assert from_rows(got) == [[Fraction(-1, 2), Fraction(0)], [Fraction(0), Fraction(-1, 4)]]
+    assert got == [((-1, 0), 2), ((0, -1), 4)]
+
+
+def _form(draw_seed, kind, size):
+    """(diagonal, couplings) of a random negative definite form.
+
+    A tree, a tree plus one edge, or a dense form coupling every pair, so
+    that no leaf is left and the least-degree branch and fill-in run.
+    Couplings range over -3..3 without 0; each diagonal entry lies below
+    minus its row's absolute sum, which makes the form definite.
+    """
+    rng = random.Random(draw_seed)
+    if kind == "dense":
+        pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    else:
+        pairs = [(rng.randrange(v), v) for v in range(1, size)]
+        if kind == "cycle":
+            present = set(pairs)
+            missing = [(i, j) for i in range(size) for j in range(i + 1, size) if (i, j) not in present]
+            if missing:
+                pairs.append(rng.choice(missing))
+    off = [(i, j, rng.choice((-3, -2, -1, 1, 2, 3))) for i, j in pairs]
+    row_sum = [0] * size
+    for i, j, v in off:
+        row_sum[i] += abs(v)
+        row_sum[j] += abs(v)
+    return [-row_sum[i] - rng.randint(1, 3) for i in range(size)], off
+
+
+forms = st.tuples(
+    st.integers(0, 10**6),
+    st.sampled_from(("tree", "cycle", "dense")),
+    st.integers(1, 14),
+)
+
+
+@given(forms, st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_integer_solve_matches_fraction_reference(form, width):
+    seed, kind, size = form
+    if kind == "dense":
+        size = max(size, 3)  # every position then has degree at least 2
+    diag, off = _form(seed, kind, size)
+    f = factor_form(diag, off)
+    assert is_negative_definite(f)
+    if kind == "dense":
+        # no leaf at the start: the first pivot is coupled to every other position
+        assert len(f.steps[0][2]) == size - 1
+    # mixed denominators, so rows reduce by different gcds; some entries zero
+    rng = random.Random(10**7 + seed)
+    rhs = [
+        [Fraction(rng.randint(-30, 30) * rng.randint(0, 1), rng.randint(1, 40)) for _ in range(width)]
+        for _ in range(size)
+    ]
+    got = solve_exact(f, to_rows(rhs))
+    assert_lowest_terms(got)
+    assert from_rows(got) == reference_solve(f, rhs)
+
+
+@given(st.integers(0, 10**6), st.integers(2, 8), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_integer_solve_refuses_what_the_reference_refuses(seed, size, width):
+    # a positive diagonal entry stops the elimination short of the last position
+    rng = random.Random(seed)
+    diag, off = _form(seed, rng.choice(("tree", "cycle", "dense")), size)
+    diag[rng.randrange(size)] = rng.randint(0, 5)
+    f = factor_form(diag, off)
+    assert not is_negative_definite(f)
+    rows = [(tuple(rng.randint(-5, 5) for _ in range(width)), 1) for _ in range(size)]
+    with pytest.raises(NotNegativeDefinite):
+        reference_solve(f, [list(nums) for nums, _ in rows])
+    with pytest.raises(NotNegativeDefinite):
+        solve_exact(f, rows)

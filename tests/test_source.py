@@ -99,3 +99,31 @@ def test_no_self_recursive_closures():
         )
     }
     assert found == set()
+
+
+def test_solve_and_render_stay_on_integers():
+    # the solve, its caller and the renderer work on numerators over one
+    # denominator; a Fraction built there, or a read of .coords (which builds
+    # one per coordinate), brings the per-coordinate normalisation back
+    watched = {
+        ("linalg.py", "solve_exact"),
+        ("discrepancy.py", "solve_discrepancies"),
+        ("coefflattice.py", "render_exact"),
+    }
+    seen = set()
+    found = set()
+    for path, fn in _nodes():
+        if not isinstance(fn, ast.FunctionDef) or (path.name, fn.name) not in watched:
+            continue
+        seen.add((path.name, fn.name))
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+            ):
+                found.add(f"{path.name}:{node.lineno} Fraction(")
+            if isinstance(node, ast.Attribute) and node.attr == "coords":
+                found.add(f"{path.name}:{node.lineno} .coords")
+    assert seen == watched
+    assert found == set()

@@ -8,6 +8,7 @@ interval and the same decision, or fail the same way.  The bases declare
 their symbols by the continued fraction levels of sqrt2 and sqrt3, so the
 library refines as the reference does; over the continued fractions
 themselves it decides exactly, which the last test compares.
+``reference_render`` is the renderer that read those Fractions.
 """
 
 import copy
@@ -15,7 +16,7 @@ import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
-from typing import Tuple
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,28 @@ class Ref:
         return (lo, hi)
 
 
+def reference_render(x) -> str:
+    """The renderer over ``coords`` Fractions that render_exact replaced, verbatim."""
+    parts: List[str] = []
+    for i, c in enumerate(x.coords):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = x.basis.symbols[i]
+        else:
+            body = f"{mag}*{x.basis.symbols[i]}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    if not parts:
+        return "0"
+    return " ".join(parts)
+
+
 def ref_rational(basis: BasisDescriptor, q) -> Ref:
     return Ref(basis, (Fraction(q),) + (Fraction(0),) * (basis.dim - 1))
 
@@ -96,7 +119,7 @@ def ref_compare(x: Ref, y: Ref):
         if hi < 0:
             return -1
     raise RefinementExhausted(
-        f"sign of {render_exact(d)} undecided after {budget} refinement levels"
+        f"sign of {reference_render(d)} undecided after {budget} refinement levels"
     )
 
 
@@ -110,7 +133,7 @@ def ref_floor(x: Ref):
         if floor(lo) == floor(hi) or (floor(hi) == floor(lo) + 1 and hi == floor(hi)):
             return floor(lo)
     raise FloorUndecidable(
-        f"floor of {render_exact(x)} undecided after {budget} refinement levels"
+        f"floor of {reference_render(x)} undecided after {budget} refinement levels"
     )
 
 
@@ -128,7 +151,7 @@ def ref_decimal(x: Ref, places: int):
         lo, hi = x.enclosure(k)
         if ref_round(lo, places) == ref_round(hi, places):
             return ref_round(lo, places)
-    raise RefinementExhausted(f"{places}-place rendering of {render_exact(x)} undecided")
+    raise RefinementExhausted(f"{places}-place rendering of {reference_render(x)} undecided")
 
 
 def outcome(f, *args):
@@ -181,7 +204,7 @@ def test_span_matches_fraction_reference(ops, s, places):
     for got, want in results:
         assert_lowest_terms(got)
         assert got.coords == want.coords
-        assert str(got) == render_exact(want)
+        assert str(got) == render_exact(got) == reference_render(want)
         # the same value built another way is equal and hashes the same
         again = SpanElement(got.basis, want.coords)
         assert again == got and hash(again) == hash(got)
@@ -201,6 +224,41 @@ def test_span_matches_fraction_reference(ops, s, places):
             assert outcome(floor_span, x) == outcome(ref_floor, rx)
             assert outcome(floor_span, y - x) == outcome(ref_floor, ry - rx)
             assert outcome(decimal_str, x, places) == outcome(ref_decimal, rx, places)
+
+
+# bases of one to four irrational symbols: sqrt2, sqrt3, sqrt5, sqrt7
+RENDER_ENCLOSURES = (
+    ContinuedFractionEnclosure((1,), (2,)),
+    ContinuedFractionEnclosure((1,), (1, 2)),
+    ContinuedFractionEnclosure((2,), (4,)),
+    ContinuedFractionEnclosure((2,), (1, 1, 1, 4)),
+)
+RENDER_BASES = tuple(
+    BasisDescriptor(
+        ("1",) + tuple(f"sqrt{d}" for d in (2, 3, 5, 7)[:k]), (ONE,) + RENDER_ENCLOSURES[:k]
+    )
+    for k in range(1, 5)
+)
+# zero, +1 and -1 are printed specially; integers, small and large
+# fractions of either sign are printed as numerator/denominator
+render_coordinate = st.one_of(
+    st.sampled_from((0, 1, -1)),
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+    st.fractions(min_value=-50, max_value=50, max_denominator=100),
+    st.fractions(min_value=-10 ** 15, max_value=10 ** 15, max_denominator=10 ** 18),
+)
+
+
+@given(st.sampled_from(range(len(RENDER_BASES))).flatmap(
+    lambda i: st.tuples(st.just(i), st.tuples(*[render_coordinate] * RENDER_BASES[i].dim))
+))
+@settings(max_examples=150, deadline=None)
+def test_render_exact_matches_reference_renderer(case):
+    i, coords = case
+    basis = RENDER_BASES[i]
+    x = basis.element(coords)
+    want = reference_render(Ref(basis, tuple(Fraction(c) for c in coords)))
+    assert render_exact(x) == str(x) == want
 
 
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6))
