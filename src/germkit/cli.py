@@ -123,12 +123,7 @@ def cmd_mld(args) -> int:
         "a": {str(v): value_json(x) for v, x in profile.a},
         "mld": value_json(profile.mld),
         "classification": profile.classification,
-        "realizing": {
-            "kind": profile.realizing[0],
-            "where": profile.realizing[1]
-            if not isinstance(profile.realizing[1], tuple)
-            else list(profile.realizing[1]),
-        },
+        "realizing": {"kind": profile.realizing[0], "where": profile.realizing[1]},
     }
     if model.epsilon is not None:
         doc["epsilon"] = value_json(model.epsilon)

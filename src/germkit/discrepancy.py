@@ -3,10 +3,12 @@
 A model bundles a weighted dual graph with branch coefficients, nef loads
 and an optional positivity threshold, all exact values over one declared
 basis.  The solver reads the graph's one factorization of the intersection
-form to get per-curve log discrepancies; the point minimum over curves,
-meeting points and branch points is computed with certified comparisons,
-alongside an independent brute-force tower enumeration used to cross-check
-it.
+form to get per-curve log discrepancies.  Once the pair is log canonical
+no point of the fiber has a smaller log discrepancy than some curve
+through it, so the point minimum is the least log discrepancy of a curve,
+ranked with certified signs.  An independent brute-force enumeration of
+blow-up towers, which still visits meeting points and branch points,
+cross-checks it.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coefflattice import (
     BasisDescriptor,
+    GREATER,
     LESS,
     QLinearMap,
     SpanElement,
-    compare,
     current_budget,
     is_ge,
     is_gt,
@@ -79,8 +81,10 @@ NEG_INFINITY = NegInfinity()
 
 MldValue = Union[SpanElement, NegInfinity]
 
-# realizing locus kinds: ("vertex", id), ("edge", (i, j)), ("branch", index),
-# ("point", None) for the center of an empty-graph germ
+# realizing locus kinds: ("vertex", id); ("branch", index) for the first
+# branch with coefficient above 1 on a germ that is not lc; ("point", None)
+# for the center of an empty-graph germ.  No meeting point of two curves is
+# ever a locus: once the germ is lc a curve through it does as well.
 Locus = Tuple[str, object]
 
 
@@ -196,58 +200,59 @@ def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
     return out
 
 
-def _candidates(
-    model: SurfaceGermModel, a: Dict[int, SpanElement]
-) -> List[Tuple[SpanElement, Locus]]:
-    one = model.basis.rational(1)
-    cands: List[Tuple[SpanElement, Locus]] = []
-    for vid in model.graph.ids():
-        cands.append((a[vid], ("vertex", vid)))
-    for i, j in model.graph.edges:
-        cands.append((a[i] + a[j], ("edge", (i, j))))
-    for idx, br in enumerate(model.branches):
-        if br.vertex is not None:
-            cands.append((one + a[br.vertex] - br.coeff, ("branch", idx)))
-    return cands
-
-
 def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
     """Minimal log discrepancy over the fiber, with realizing locus and tags.
 
-    The minimum runs over exceptional curves, their pairwise meeting points
-    and the branch attachment points; on the empty graph the center itself
-    is the only candidate.  The value is NEG_INFINITY exactly when the model
-    is not log canonical.  Ties resolve to the earliest candidate in the
-    fixed order (vertices by id, then edges, then branches), so the
-    realizing locus is deterministic.
+    The value is NEG_INFINITY exactly when the model is not log canonical:
+    the locus is the first vertex by id with a < 0, else the first branch
+    with b > 1, else, on the empty graph, the center when 2 - sum b < 0.
+    On the empty graph the center is the only point, of value 2 - sum b.
+
+    Otherwise the minimum is the least a_i, realized at the first vertex by
+    id that attains it.  Blowing up a point where curves of values c_1..c_r
+    meet (an exceptional curve has value a_i, a branch 1 - b) creates a
+    curve of value 2 - r + sum c_k: log discrepancies add under a point
+    blow-up of an snc pair (Kollar-Mori, Birational Geometry of Algebraic
+    Varieties, 1998, section 2.3), and for a generalized pair the nef part
+    descends to the blow-up, so the same holds.  An lc pair has every a_i >= 0 and
+    every b <= 1, so a meeting point gives a_i + a_j >= a_i, a branch point
+    1 + a_i - b >= a_i and a general point 1 + a_i, and each new curve again
+    has a value >= 0: no point of the fiber beats the curves through it,
+    and a vertex wins every tie.  The vertices are ranked on integer
+    numerators over one common denominator, as mld_oracle ranks, so no
+    SpanElement is built per comparison.
     """
     a = solve_discrepancies(model)
     basis = model.basis
-    realizing: Locus
-    mld: MldValue
+    ids = model.graph.ids()
 
-    for vid in model.graph.ids():
-        if is_lt(a[vid], 0):
+    for vid in ids:
+        x = a[vid]
+        if _nums_sign(basis, x.nums, x.den) == LESS:
             return _profile(model, a, NEG_INFINITY, ("vertex", vid))
     for idx, br in enumerate(model.branches):
-        if is_gt(br.coeff, 1):
+        b = br.coeff
+        # b - 1 is in lowest terms over b's own denominator
+        if _nums_sign(basis, (b.nums[0] - b.den,) + b.nums[1:], b.den) == GREATER:
             return _profile(model, a, NEG_INFINITY, ("branch", idx))
 
-    if model.graph.order == 0:
+    if not ids:
         total = basis.zero()
         for br in model.branches:
             total = total + br.coeff
         value = basis.rational(2) - total
-        if is_lt(value, 0):
+        if _nums_sign(basis, value.nums, value.den) == LESS:
             return _profile(model, a, NEG_INFINITY, ("point", None))
         return _profile(model, a, value, ("point", None))
 
-    cands = _candidates(model, a)
-    mld, realizing = cands[0]
-    for value, locus in cands[1:]:
-        if compare(value, mld) == LESS:
-            mld, realizing = value, locus
-    return _profile(model, a, mld, realizing)
+    values = [a[vid] for vid in ids]
+    den = lcm(*(x.den for x in values))
+    scaled = [tuple(n * (den // x.den) for n in x.nums) for x in values]
+    best = 0
+    for k in range(1, len(values)):
+        if _nums_sign(basis, tuple(map(sub, scaled[k], scaled[best])), den) == LESS:
+            best = k
+    return _profile(model, a, values[best], ("vertex", ids[best]))
 
 
 def _profile(
@@ -262,7 +267,7 @@ def _profile(
             tuple(a.items()), mld, realizing, "not-lc", False, False, eps,
             False if eps is not None else None,
         )
-    is_klt = is_gt(mld, 0)
+    is_klt = _nums_sign(mld.basis, mld.nums, mld.den) == GREATER
     eps_ok = None if eps is None else is_ge(mld, eps)
     if eps is not None and eps_ok and is_gt(eps, 0):
         tag = "eps-lc"
@@ -555,8 +560,9 @@ class ResolutionStep:
     """Outcome of normalizing a model so a vertex realizes the minimum.
 
     ``kind`` is "existing-vertex" when the input already realizes its mld at
-    a curve, or "blown-up" when one blow-up at the realizing point was
-    inserted.  ``profile`` describes the returned model.
+    a curve, which every log canonical germ on a nonempty graph does, or
+    "blown-up" when the center of an empty graph was blown up.  ``profile``
+    describes the returned model.
     """
 
     model: SurfaceGermModel
@@ -569,58 +575,35 @@ class ResolutionStep:
 def resolution_model(model: SurfaceGermModel) -> ResolutionStep:
     """Arrange for the mld to be realized at a vertex, blowing up once if needed.
 
-    Log canonical input only.  When the minimum sits at an edge or branch
-    point (or at the center of an empty graph), that point is blown up: the
-    new curve gets weight -1 and zero load, incident curves drop their
-    weight by one, and a branch through the point re-attaches to the new
-    curve.  The new curve's log discrepancy equals the old minimum, which
-    is re-derived from the new graph as an internal consistency check.
+    Log canonical input only.  On a nonempty graph mld_point realizes the
+    minimum at a curve (its docstring says why), so the model is returned
+    as it is.  On the empty graph the minimum sits at the smooth center,
+    which is blown up: the new curve gets weight -1 and zero load, and every
+    branch re-attaches to it.  The new curve's log discrepancy equals the
+    old minimum, which is re-derived from the new graph as an internal
+    consistency check.
     """
     profile = mld_point(model)
     if not profile.is_lc:
         raise HypothesesUnmet("model is not log canonical")
     kind, where = profile.realizing
     if kind == "vertex":
-        vid = where
-        return ResolutionStep(model, "existing-vertex", vid, profile, None)
+        return ResolutionStep(model, "existing-vertex", where, profile, None)
 
-    g = model.graph
-    new_id = max(g.ids()) + 1 if g.order else 0
-    verts = dict(g.vertices)
-    edges = set(g.edges)
-    branches = list(model.branches)
-    if kind == "edge":
-        i, j = where
-        verts[i] -= 1
-        verts[j] -= 1
-        verts[new_id] = -1
-        edges.discard((min(i, j), max(i, j)))
-        edges.add((min(i, new_id), max(i, new_id)))
-        edges.add((min(j, new_id), max(j, new_id)))
-    elif kind == "branch":
-        idx = where
-        br = model.branches[idx]
-        verts[br.vertex] -= 1
-        verts[new_id] = -1
-        edges.add((min(br.vertex, new_id), max(br.vertex, new_id)))
-        branches[idx] = Branch(new_id, br.coeff)
-    else:  # the smooth center of an empty graph
-        verts[new_id] = -1
-        branches = [Branch(new_id, br.coeff) for br in model.branches]
-    new_graph = WeightedDualGraph(tuple(verts.items()), tuple(edges))
     new_model = SurfaceGermModel(
-        new_graph, tuple(branches), model.nef_loads, model.epsilon, model.basis
+        WeightedDualGraph(((0, -1),), ()),
+        tuple(Branch(0, br.coeff) for br in model.branches),
+        model.nef_loads,
+        model.epsilon,
+        model.basis,
     )
     new_profile = mld_point(new_model)
-    new_a = new_profile.a_map()
-    if new_a[new_id] != profile.mld:
+    if new_profile.a_map()[0] != profile.mld:
         raise InvariantViolated("blow-up must be crepant at the new curve")
     if new_profile.mld != profile.mld:
         raise InvariantViolated("one blow-up must preserve the minimum")
-    minus_ones = [v for v, w in new_graph.vertices if w == -1]
-    return ResolutionStep(
-        new_model, "blown-up", new_id, new_profile, minus_ones == [new_id]
-    )
+    # the new curve is the only curve, so the only (-1)-curve
+    return ResolutionStep(new_model, "blown-up", 0, new_profile, True)
 
 
 @dataclass(frozen=True)

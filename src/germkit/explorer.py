@@ -239,12 +239,21 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_doc(path: str):
-    """Read one JSON document; an object that repeats a key is refused."""
-    with open(path) as fh:
+    """Read one UTF-8 JSON document; an object that repeats a key is refused.
+
+    Bytes that are not UTF-8, an integer literal past the interpreter's
+    digit limit and nesting past its recursion limit each raise a one-line
+    ModelError naming the path.
+    """
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as e:
+        except UnicodeDecodeError as e:
+            raise ModelError(f"{path} is not UTF-8: {e}") from None
+        except ValueError as e:  # JSONDecodeError, or an int past the digit limit
             raise ModelError(f"{path} is not valid JSON: {e}") from None
+        except RecursionError:
+            raise ModelError(f"{path} nests too deeply to read") from None
 
 
 def load_model(path: str) -> SurfaceGermModel:
@@ -306,8 +315,6 @@ def _realizing_str(locus) -> str:
     kind, where = locus
     if kind == "vertex":
         return f"vertex:{where}"
-    if kind == "edge":
-        return f"edge:{where[0]}-{where[1]}"
     if kind == "branch":
         return f"branch:{where}"
     return "point"

@@ -96,6 +96,10 @@ EIGHT_SYMBOLS = json.dumps({
     "enclosures": {f"r{k}": {"cf": {"head": [k], "cycle": [2 * k]}} for k in range(1, 9)},
     "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
 })
+# one integer past CPython's 4,300-digit limit on int("...")
+HUGE_INTEGER = '{"graph": {"vertices": [{"id": 0, "weight": -2' + "0" * 5000 + '}], "edges": []}}'
+# nesting past the interpreter's recursion limit
+DEEP_ARRAYS = "[" * 100_000 + "]" * 100_000
 BOOLEAN_EDGE = (
     '{"graph": {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],'
     ' "edges": [[true, false]]}}'
@@ -127,6 +131,9 @@ BOOLEAN_EDGE = (
         (["scan", "--oracle-depth", "-1"], None, "oracle depth must be at least 1, got -1"),
         (["partition", "{doc}"], EIGHT_SYMBOLS, "8 irrational symbols exceeds the cap of 7"),
         (["gen-hj", "7", "3", "--refine-budget", "7"], None, "unrecognized arguments"),
+        (["mld", "{doc}"], b'{"graph": "\xff"}', "doc.json is not UTF-8"),
+        (["mld", "{doc}"], HUGE_INTEGER, "doc.json is not valid JSON: Exceeds the limit"),
+        (["mld", "{doc}"], DEEP_ARRAYS, "doc.json nests too deeply to read"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
@@ -135,11 +142,13 @@ BOOLEAN_EDGE = (
          "finite-cf-empty-cycle", "mld-oracle-over-cap", "scan-oracle-over-cap",
          "verify-oracle-over-cap", "verify-oracle-depth-zero", "scan-oracle-depth-negative",
          "partition-over-cap",
-         "gen-hj-refine-budget"],
+         "gen-hj-refine-budget", "not-utf8", "integer-past-digit-limit", "deep-nesting"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"
-    if text is not None:
+    if isinstance(text, bytes):
+        doc.write_bytes(text)
+    elif text is not None:
         doc.write_text(text)
     argv = [a.format(doc=doc, dir=tmp_path) for a in argv]
     code, out, err = run(capsys, *argv)

@@ -30,7 +30,7 @@ from germkit import (
     verify_partition,
 )
 from germkit import coefflattice
-from germkit.coefflattice import DEFAULT_BUDGET, current_budget, span_coordinates_over
+from germkit.coefflattice import DEFAULT_BUDGET, span_coordinates_over
 from germkit.enclosures import (
     ContinuedFractionEnclosure,
     NestedIntervalsEnclosure,
@@ -345,14 +345,13 @@ def test_span_coordinates_over(sq2):
 
 
 # ---------------------------------------------------------------------------
-# refinement against a reference walk through every level
+# the one walk over enclosure levels, over declared bases
 
 ONE = PointEnclosure(Fraction(1))
 SQRT2 = ContinuedFractionEnclosure((1,), (2,))
 SQRT3 = ContinuedFractionEnclosure((1,), (1, 2))
-# declared by their levels, so every irrational decision refines
+# declared by its levels, so every irrational decision refines
 ONE_SYMBOL = declared(BasisDescriptor(("1", "sqrt2"), (ONE, SQRT2)))
-TWO_SYMBOLS = declared(BasisDescriptor(("1", "sqrt2", "sqrt3"), (ONE, SQRT2, SQRT3)))
 # two names for one real, so no difference of them ever gets a sign
 TWIN = BasisDescriptor(("1", "a", "b"), (ONE, SQRT2, ContinuedFractionEnclosure((1,), (2,))))
 
@@ -369,94 +368,11 @@ SETTLES_AT_5 = _nested(
 NEVER_SETTLES = _nested(*[(2 - Fraction(1, 2 ** k), 2 + Fraction(1, 2 ** k)) for k in range(6)])
 
 
-def walk_compare(x, y):
-    d = x - (y if isinstance(y, SpanElement) else x.basis.rational(y))
-    if d.is_rational:
-        c = d.coords[0]
-        return (c > 0) - (c < 0)
-    budget = current_budget()
-    for k in range(budget):
-        lo, hi = d.enclosure(k)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-    raise RefinementExhausted(
-        f"sign of {render_exact(d)} undecided after {budget} refinement levels"
-    )
-
-
-def walk_floor(x):
-    if x.is_rational:
-        c = x.coords[0]
-        return c.numerator // c.denominator
-    budget = current_budget()
-    for k in range(budget):
-        lo, hi = x.enclosure(k)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi or (fhi == flo + 1 and hi == fhi):
-            return flo
-    raise FloorUndecidable(
-        f"floor of {render_exact(x)} undecided after {budget} refinement levels"
-    )
-
-
-def walk_decimal(x, places):
-    if x.is_rational:
-        return decimal_str(x, places)
-    for k in range(4 * current_budget()):
-        lo, hi = x.enclosure(k)
-        slo = decimal_str(x.basis.rational(lo), places)
-        if slo == decimal_str(x.basis.rational(hi), places):
-            return slo
-    raise RefinementExhausted(f"{places}-place rendering of {render_exact(x)} undecided")
-
-
 def outcome(f, *args):
     try:
         return ("value", f(*args))
     except GermkitError as e:
         return (type(e), str(e))
-
-
-def assert_schedule_matches_walk(x, y, places):
-    for budget in (1, 5, 64):
-        with refinement_budget(budget):
-            assert outcome(compare, x, y) == outcome(walk_compare, x, y)
-            assert outcome(floor_span, x) == outcome(walk_floor, x)
-            assert outcome(decimal_str, x, places) == outcome(walk_decimal, x, places)
-
-
-spans = st.one_of(
-    st.tuples(fractions, fractions).map(ONE_SYMBOL.element),
-    st.tuples(fractions, fractions, fractions).map(TWO_SYMBOLS.element),
-)
-
-
-@given(spans, fractions, st.integers(min_value=0, max_value=12))
-@settings(max_examples=80, deadline=None)
-def test_schedule_matches_walk_on_random_spans(x, q, places):
-    third = x.basis.element((q,) + (Fraction(1, 3),) * (x.basis.dim - 1))
-    assert_schedule_matches_walk(x, x.basis.rational(q), places)
-    assert_schedule_matches_walk(x, third, places)
-
-
-def test_schedule_matches_walk_on_finite_sources():
-    for basis in (SETTLES_AT_5, NEVER_SETTLES):
-        for places in (1, 3):
-            assert_schedule_matches_walk(basis.unit(1), 2, places)
-    with refinement_budget(64):
-        assert floor_span(SETTLES_AT_5.unit(1)) == 2
-        assert compare(SETTLES_AT_5.unit(1), 2) == 1
-        with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
-            floor_span(NEVER_SETTLES.unit(1))
-
-
-def test_schedule_matches_walk_on_hidden_relation():
-    a, b = TWIN.unit(1), TWIN.unit(2)
-    assert_schedule_matches_walk(a, b, 12)
-    assert_schedule_matches_walk(a - b, 0, 12)
 
 
 class SpyEnclosure(ContinuedFractionEnclosure):
@@ -486,6 +402,17 @@ def test_decimal_str_visits_few_levels():
     assert decimal_str(basis.unit(1)) == "1.414213562373"
     # the walk asks the levels 0..16 once each and stops at 16, which decides
     assert spy.asked == list(range(17))
+    # a finite source settles one place at level 0 and runs dry before three
+    for source in (SETTLES_AT_5, NEVER_SETTLES):
+        assert decimal_str(source.unit(1), 1) == "2.0"
+        with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
+            decimal_str(source.unit(1), 3)
+    # a - b is 0 under the hidden relation: its digits settle, its sign never
+    a, b = TWIN.unit(1), TWIN.unit(2)
+    assert decimal_str(a - b) == "0.000000000000"
+    with refinement_budget(1):
+        with pytest.raises(RefinementExhausted, match="12-place rendering of a - b undecided"):
+            decimal_str(a - b)
 
 
 def test_refined_compare_asks_each_level_once():
@@ -506,6 +433,29 @@ def test_refined_compare_asks_each_level_once():
         compare(r, basis.unit(2))
     # running out asks every level below the budget once
     assert spy.asked == list(range(DEFAULT_BUDGET))
+    # the walk stops at the budget, or where a finite source runs dry
+    for source in (SETTLES_AT_5, NEVER_SETTLES):
+        r = source.unit(1)
+        with refinement_budget(5):
+            with pytest.raises(RefinementExhausted, match=r"-2 \+ r undecided after 5 refinement"):
+                compare(r, 2)
+            with pytest.raises(FloorUndecidable, match="floor of r undecided after 5 refinement"):
+                floor_span(r)
+    assert compare(SETTLES_AT_5.unit(1), 2) == 1
+    assert floor_span(SETTLES_AT_5.unit(1)) == 2
+    for decide in (lambda r: compare(r, 2), floor_span):
+        with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
+            decide(NEVER_SETTLES.unit(1))
+    # under the hidden relation a - b has no sign and no floor at any budget
+    a, b = TWIN.unit(1), TWIN.unit(2)
+    for budget in (1, 5, 64):
+        with refinement_budget(budget):
+            for x, y in ((a, b), (a - b, 0)):
+                with pytest.raises(RefinementExhausted, match=f"a - b undecided after {budget} "):
+                    compare(x, y)
+            with pytest.raises(FloorUndecidable, match=f"a - b undecided after {budget} "):
+                floor_span(a - b)
+            assert floor_span(a) == 1
 
 
 # ---------------------------------------------------------------------------

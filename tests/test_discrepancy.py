@@ -3,8 +3,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
+from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from germkit import (
     Branch,
@@ -18,9 +23,20 @@ from germkit import (
     mld_oracle,
     mld_point,
 )
-from germkit.corpus import family_an, family_cyclic_one_one, random_nd_tree, sqrt2_basis
+from germkit import coefflattice
+from germkit.coefflattice import LESS, compare, is_ge, is_gt, is_lt
+from germkit.corpus import (
+    coefficient_pool,
+    corpus,
+    decorate,
+    family_an,
+    family_cyclic_one_one,
+    random_nd_tree,
+    sqrt2_basis,
+)
 from germkit.discrepancy import (
     MAX_ORACLE_DEPTH,
+    Locus,
     adjunction_form,
     check_convexity,
     check_empty_graph_value,
@@ -33,8 +49,11 @@ from germkit.discrepancy import (
     smooth_point_mld,
     solve_discrepancies,
 )
+from germkit.dualgraph import is_negative_definite
+from germkit.errors import GermkitError
+from germkit.explorer import load_model
 
-from util import EMPTY, chain, germ, rbranch
+from util import EMPTY, chain, declared, germ, rbranch
 
 
 def frac(x):
@@ -175,6 +194,192 @@ def test_epsilon_tagging():
     p = mld_point(germ(chain(-3), eps=frac(0)))
     assert p.classification == "klt"
     assert p.epsilon_ok is True
+
+
+# ---------------------------------------------------------------------------
+# the vertex minimum against the candidate loop it replaced
+
+
+def _candidates(
+    model: SurfaceGermModel, a: Dict[int, SpanElement]
+) -> List[Tuple[SpanElement, Locus]]:
+    one = model.basis.rational(1)
+    cands: List[Tuple[SpanElement, Locus]] = []
+    for vid in model.graph.ids():
+        cands.append((a[vid], ("vertex", vid)))
+    for i, j in model.graph.edges:
+        cands.append((a[i] + a[j], ("edge", (i, j))))
+    for idx, br in enumerate(model.branches):
+        if br.vertex is not None:
+            cands.append((one + a[br.vertex] - br.coeff, ("branch", idx)))
+    return cands
+
+
+def _reference_tag(model, mld):
+    eps = model.epsilon
+    if eps is not None and is_ge(mld, eps) and is_gt(eps, 0):
+        return "eps-lc"
+    return "klt" if is_gt(mld, 0) else "lc"
+
+
+def reference_mld_point(model):
+    """(mld, realizing, classification) ranked over every vertex, meeting
+    point and branch point, as mld_point did before it ranked vertices only."""
+    a = solve_discrepancies(model)
+    basis = model.basis
+    for vid in model.graph.ids():
+        if is_lt(a[vid], 0):
+            return NEG_INFINITY, ("vertex", vid), "not-lc"
+    for idx, br in enumerate(model.branches):
+        if is_gt(br.coeff, 1):
+            return NEG_INFINITY, ("branch", idx), "not-lc"
+
+    if model.graph.order == 0:
+        total = basis.zero()
+        for br in model.branches:
+            total = total + br.coeff
+        value = basis.rational(2) - total
+        if is_lt(value, 0):
+            return NEG_INFINITY, ("point", None), "not-lc"
+        return value, ("point", None), _reference_tag(model, value)
+
+    cands = _candidates(model, a)
+    mld, realizing = cands[0]
+    for value, locus in cands[1:]:
+        if compare(value, mld) == LESS:
+            mld, realizing = value, locus
+    return mld, realizing, _reference_tag(model, mld)
+
+
+def _point_minimum(model):
+    p = mld_point(model)
+    return p.mld, p.realizing, p.classification
+
+
+def _outcome(f, model):
+    try:
+        return f(model)
+    except GermkitError as e:
+        return type(e), str(e)
+
+
+def assert_matches_reference(model):
+    want = _outcome(reference_mld_point, model)
+    assert _outcome(_point_minimum, model) == want
+    return want
+
+
+SQ2 = sqrt2_basis()
+DECLARED_SQ2 = declared(SQ2)
+# the corpus pool plus coefficients above 1, which make germs that are not lc
+POOL = coefficient_pool(SQ2) + [SQ2.rational(Fraction(5, 4)), SQ2.element((1, Fraction(1, 8)))]
+
+
+def over(model, basis):
+    """The same germ with every coefficient moved to a basis of the same dimension."""
+
+    def move(x):
+        return basis.element(x.coords)
+
+    return SurfaceGermModel(
+        model.graph,
+        tuple(Branch(b.vertex, move(b.coeff)) for b in model.branches),
+        tuple((v, move(mu)) for v, mu in model.nef_loads),
+        None if model.epsilon is None else move(model.epsilon),
+        basis,
+    )
+
+
+@lru_cache(maxsize=None)
+def _corpus(seed):
+    return corpus(seed, 200)
+
+
+@given(st.integers(0, 3), st.integers(0, 199), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_vertex_minimum_matches_candidates_on_the_corpus(seed, index, declare):
+    model = _corpus(seed)[index]
+    assert_matches_reference(over(model, DECLARED_SQ2) if declare else model)
+
+
+@st.composite
+def drawn_germs(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["tree", "one-cycle", "empty"]))
+    if shape == "empty":
+        k = draw(st.integers(0, 3))
+        return germ(EMPTY, [Branch(None, rng.choice(POOL)) for _ in range(k)], basis=SQ2)
+    g = random_nd_tree(rng, draw(st.integers(1, 9)))
+    if shape == "one-cycle":
+        ids = g.ids()
+        missing = [(i, j) for i in ids for j in ids if i < j and (i, j) not in g.edges]
+        assume(missing)
+        g = WeightedDualGraph(g.vertices, g.edges + (rng.choice(missing),))
+        assume(is_negative_definite(g))
+        if draw(st.booleans()):
+            # a bare cycle is lc with every a_i = 0, so every point ties;
+            # any branch or load on it leaves it not lc
+            return germ(g, basis=SQ2)
+    return decorate(rng, g, SQ2, POOL)
+
+
+@given(drawn_germs(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_vertex_minimum_matches_candidates_on_drawn_germs(model, declare):
+    assert_matches_reference(over(model, DECLARED_SQ2) if declare else model)
+
+
+def test_vertex_minimum_matches_candidates_on_germs_that_are_not_lc():
+    sq2_third = SQ2.element((1, Fraction(1, 3)))  # 1 + sqrt2/3 > 1
+    cases = [
+        germ(chain(-2), loads=[(0, frac(3))]),
+        germ(chain(-2, -2), [rbranch(1, "1"), rbranch(1, "1"), rbranch(1, "1")]),
+        germ(chain(-2, -3), [rbranch(1, "5/4")]),
+        germ(chain(-3, -2), [Branch(0, sq2_third)], basis=SQ2),
+        germ(EMPTY, [Branch(None, frac("3/2")), Branch(None, frac("3/4"))]),
+        germ(EMPTY, [Branch(None, sq2_third)], basis=SQ2),
+    ]
+    for model in cases:
+        for m in (model, over(model, declared(model.basis))):
+            assert assert_matches_reference(m)[2] == "not-lc"
+
+
+def test_vertex_minimum_matches_candidates_on_the_empty_graph():
+    for coeffs in ((), ("1/2",), ("5/6", "5/6"), ("1", "1"), ("1", "1", "1/3")):
+        model = germ(EMPTY, [Branch(None, frac(c)) for c in coeffs])
+        assert assert_matches_reference(model)[1] == ("point", None)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_MODELS = ("chain", "chain60", "cycle", "cycle40", "tree")
+
+
+def test_resolution_keeps_every_lc_germ_on_a_nonempty_graph():
+    models = _corpus(0) + [load_model(str(GOLDEN / f"{n}.json")) for n in GOLDEN_MODELS]
+    lc = [m for m in models if mld_point(m).is_lc]
+    # every graph here is nonempty; 94 corpus germs and 3 goldens are lc
+    assert all(m.graph.order for m in models) and len(lc) == 97
+    for model in lc:
+        step = resolution_model(model)
+        assert (step.kind, step.model) == ("existing-vertex", model)
+
+
+def test_point_minimum_of_a_long_chain_makes_no_compare(monkeypatch):
+    model = load_model(str(GOLDEN / "chain60.json"))
+    calls = []
+    real = coefflattice.compare
+
+    def spy(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(coefflattice, "compare", spy)
+    profile = mld_point(model)
+    assert calls == []
+    assert profile.realizing == ("vertex", 28)
+    # the spy sees the comparisons the candidate loop made
+    assert reference_mld_point(model)[:2] == (profile.mld, profile.realizing)
+    assert calls
 
 
 # ---------------------------------------------------------------------------

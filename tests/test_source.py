@@ -127,3 +127,26 @@ def test_solve_and_render_stay_on_integers():
                 found.add(f"{path.name}:{node.lineno} .coords")
     assert seen == watched
     assert found == set()
+
+
+def test_point_minimum_ranks_without_compare():
+    # mld_point decides every sign with coefflattice._nums_sign on integer
+    # numerators; compare and its wrappers build a SpanElement difference
+    # and reduce it by a gcd on each call
+    spans = {"compare", "is_lt", "is_le", "is_gt", "is_ge", "span_min", "span_max"}
+    fns = [
+        fn
+        for path, fn in _nodes()
+        if path.name == "discrepancy.py"
+        and isinstance(fn, ast.FunctionDef)
+        and fn.name == "mld_point"
+    ]
+    assert len(fns) == 1
+    found = {
+        f"{node.lineno} {node.func.id}"
+        for node in ast.walk(fns[0])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in spans
+    }
+    assert found == set()
