@@ -375,6 +375,44 @@ def outcome(f, *args):
         return (type(e), str(e))
 
 
+def test_schedule_matches_walk_on_finite_sources():
+    # the walk stops at the budget, or where a finite source runs dry
+    for source in (SETTLES_AT_5, NEVER_SETTLES):
+        r = source.unit(1)
+        with refinement_budget(5):
+            with pytest.raises(RefinementExhausted, match=r"-2 \+ r undecided after 5 refinement"):
+                compare(r, 2)
+            with pytest.raises(FloorUndecidable, match="floor of r undecided after 5 refinement"):
+                floor_span(r)
+        # one place settles at level 0; three run dry first
+        assert decimal_str(r, 1) == "2.0"
+        with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
+            decimal_str(r, 3)
+    with refinement_budget(64):
+        assert compare(SETTLES_AT_5.unit(1), 2) == 1
+        assert floor_span(SETTLES_AT_5.unit(1)) == 2
+        for decide in (lambda r: compare(r, 2), floor_span):
+            with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
+                decide(NEVER_SETTLES.unit(1))
+
+
+def test_schedule_matches_walk_on_hidden_relation():
+    # a - b is 0 under the hidden relation: its digits settle, its sign and floor never
+    a, b = TWIN.unit(1), TWIN.unit(2)
+    for budget in (1, 5, 64):
+        with refinement_budget(budget):
+            for x, y in ((a, b), (a - b, 0)):
+                with pytest.raises(RefinementExhausted, match=f"a - b undecided after {budget} "):
+                    compare(x, y)
+            with pytest.raises(FloorUndecidable, match=f"a - b undecided after {budget} "):
+                floor_span(a - b)
+            assert floor_span(a) == 1
+    assert decimal_str(a - b) == "0.000000000000"
+    with refinement_budget(1):
+        with pytest.raises(RefinementExhausted, match="12-place rendering of a - b undecided"):
+            decimal_str(a - b)
+
+
 class SpyEnclosure(ContinuedFractionEnclosure):
     """Records every level it is asked for."""
 
@@ -402,17 +440,6 @@ def test_decimal_str_visits_few_levels():
     assert decimal_str(basis.unit(1)) == "1.414213562373"
     # the walk asks the levels 0..16 once each and stops at 16, which decides
     assert spy.asked == list(range(17))
-    # a finite source settles one place at level 0 and runs dry before three
-    for source in (SETTLES_AT_5, NEVER_SETTLES):
-        assert decimal_str(source.unit(1), 1) == "2.0"
-        with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
-            decimal_str(source.unit(1), 3)
-    # a - b is 0 under the hidden relation: its digits settle, its sign never
-    a, b = TWIN.unit(1), TWIN.unit(2)
-    assert decimal_str(a - b) == "0.000000000000"
-    with refinement_budget(1):
-        with pytest.raises(RefinementExhausted, match="12-place rendering of a - b undecided"):
-            decimal_str(a - b)
 
 
 def test_refined_compare_asks_each_level_once():
@@ -433,29 +460,6 @@ def test_refined_compare_asks_each_level_once():
         compare(r, basis.unit(2))
     # running out asks every level below the budget once
     assert spy.asked == list(range(DEFAULT_BUDGET))
-    # the walk stops at the budget, or where a finite source runs dry
-    for source in (SETTLES_AT_5, NEVER_SETTLES):
-        r = source.unit(1)
-        with refinement_budget(5):
-            with pytest.raises(RefinementExhausted, match=r"-2 \+ r undecided after 5 refinement"):
-                compare(r, 2)
-            with pytest.raises(FloorUndecidable, match="floor of r undecided after 5 refinement"):
-                floor_span(r)
-    assert compare(SETTLES_AT_5.unit(1), 2) == 1
-    assert floor_span(SETTLES_AT_5.unit(1)) == 2
-    for decide in (lambda r: compare(r, 2), floor_span):
-        with pytest.raises(RefinementExhausted, match="interval list has 6 levels, wanted 6"):
-            decide(NEVER_SETTLES.unit(1))
-    # under the hidden relation a - b has no sign and no floor at any budget
-    a, b = TWIN.unit(1), TWIN.unit(2)
-    for budget in (1, 5, 64):
-        with refinement_budget(budget):
-            for x, y in ((a, b), (a - b, 0)):
-                with pytest.raises(RefinementExhausted, match=f"a - b undecided after {budget} "):
-                    compare(x, y)
-            with pytest.raises(FloorUndecidable, match=f"a - b undecided after {budget} "):
-                floor_span(a - b)
-            assert floor_span(a) == 1
 
 
 # ---------------------------------------------------------------------------
