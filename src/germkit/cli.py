@@ -40,6 +40,7 @@ from .explorer import (
     model_digest,
     parse_coefficient,
     parse_complement_datum,
+    parse_rational,
     run_perturb_harness,
     run_scan,
     run_verification,
@@ -49,15 +50,8 @@ from .explorer import (
 VIOLATIONS_EXIT = 2
 
 
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ModelError(f"bad rational literal {text!r}") from None
-
-
 def _delta_arg(text: str) -> Fraction:
-    delta = _fraction_arg(text)
+    delta = parse_rational(text, "--delta")
     if delta <= 0:
         raise ModelError(f"delta must be positive, got {text}", "--delta")
     return delta
@@ -217,7 +211,7 @@ def _pair_args(pairs, basis, label):
             v = int(vid)
         except ValueError:
             raise ModelError(f"bad vertex id {vid!r}", label) from None
-        out.append((v, basis.rational(_fraction_arg(lit))))
+        out.append((v, basis.rational(parse_rational(lit, label))))
     return out
 
 
@@ -234,7 +228,7 @@ def cmd_gen_hj(args) -> int:
     loads = tuple(_pair_args(args.load, TRIVIAL_BASIS, "--load"))
     eps = None
     if args.epsilon is not None:
-        eps = TRIVIAL_BASIS.rational(_fraction_arg(args.epsilon))
+        eps = TRIVIAL_BASIS.rational(parse_rational(args.epsilon, "--epsilon"))
     model = SurfaceGermModel(g, branches, loads, eps, TRIVIAL_BASIS)
     _write(emit_json(canonical_model_doc(model)), args.out)
     return 0

@@ -34,14 +34,13 @@ and hashing stay by value.  Rational inputs are ints, Fractions or strings;
 a float is refused with TypeError, since its binary value is rarely the
 number that was written.
 
-The refinement budget is one value per run, held in a context variable:
-``refinement_budget(levels)`` sets it for a block (the command line wraps
-every subcommand in it), and only the loops that refine read it, through
-``current_budget()``, after their exact path has returned.  ``_refine`` is
-the one walk over enclosure levels: it asks the levels 0, 1, 2, ... in turn
-and stops at the first that decides.  Signs, floors and decimals over
-declared bases, the level search of a partition of one and the threshold
-test of ``discrepancy.find_computing_path`` all go through it.
+The refinement budget is defined in ``enclosures``, with the levels it
+counts.  ``_refine`` is the one walk over enclosure levels and reads it:
+it asks the levels 0, 1, 2, ... in turn, up to the budget (four times it
+for a decimal), stops at the first that decides and raises its caller's
+refusal when none does.  Signs, floors and decimals over declared bases,
+the level search of a partition of one and the threshold test of
+``discrepancy.find_computing_path`` all go through it.
 """
 
 from __future__ import annotations
@@ -49,48 +48,29 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt, lcm
 from operator import add as _add, sub as _sub
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
 )
 
 from .enclosures import (
-    ContinuedFractionEnclosure,
+    DEFAULT_BUDGET,
     Enclosure,
     Interval,
-    NestedIntervalsEnclosure,
     PointEnclosure,
     ProductEnclosure,
+    current_budget,
     positive_from_level,
+    refinement_budget,
 )
 from .errors import (
     BasisMismatch, FloorUndecidable, HypothesesUnmet, InvariantViolated, RefinementExhausted,
 )
-from .linalg import pivot_columns, row_space_coordinates, rref
-
-DEFAULT_BUDGET = 64
+from .linalg import row_space_coordinates, rref
 
 T = TypeVar("T")
-
-_budget: ContextVar[int] = ContextVar("refinement_budget", default=DEFAULT_BUDGET)
-
-
-def current_budget() -> int:
-    """Refinement levels a certified decision may use in the current context."""
-    return _budget.get()
-
-
-@contextmanager
-def refinement_budget(levels: int) -> Iterator[None]:
-    """Run the enclosed block with ``levels`` as the refinement budget."""
-    token = _budget.set(levels)
-    try:
-        yield
-    finally:
-        _budget.reset(token)
 
 LESS = -1
 EQUAL = 0
@@ -147,10 +127,14 @@ class BasisDescriptor:
     def dim(self) -> int:
         return len(self.symbols)
 
+    @cached_property
+    def _certificate(self) -> Optional[_Certificate]:
+        return _certify(self)
+
     @property
     def certified(self) -> bool:
         """Whether the closed forms of the symbols prove them independent."""
-        return _certificate(self) is not None
+        return self._certificate is not None
 
     def index(self, name: str) -> int:
         try:
@@ -472,14 +456,6 @@ def _inside(v: List[int], den: int, interval: Interval, roots: Sequence[int]) ->
     return _poly_sign(above, roots) >= 0 and _poly_sign(below, roots) >= 0
 
 
-def _certificate(basis: BasisDescriptor) -> Optional[_Certificate]:
-    """The basis's certificate, built on first use and kept on the instance."""
-    cache = basis.__dict__
-    if "_cert" not in cache:
-        object.__setattr__(basis, "_cert", _certify(basis))
-    return cache["_cert"]
-
-
 def _square(p: Sequence[int], roots: Sequence[int]) -> List[int]:
     """The square of the sum of p[m] * sqrt(roots[m]), in the same form."""
     out = [0] * len(p)
@@ -539,7 +515,7 @@ def _exact_floor(x: SpanElement, scale: int = 1) -> Optional[int]:
     strictly between an integer s and s + k.  The floor of the sum over R is
     then one of a few integers, and a bisection on exact signs picks it.
     """
-    cert = _certificate(x.basis)
+    cert = x.basis._certificate
     if cert is None:
         return None
     p = [scale * c for c in cert.poly(x.nums)]
@@ -572,19 +548,22 @@ def _coerce(basis: BasisDescriptor, v) -> SpanElement:
 
 
 def _refine(
-    x: SpanElement, decide: Callable[[Fraction, Fraction], Optional[T]], limit: int
-) -> Optional[T]:
-    """First decision of ``decide(lo, hi)`` on the enclosures of x, or None.
+    x: SpanElement, decide: Callable[[Fraction, Fraction], Optional[T]],
+    refusal: Callable[[int], Exception], scale: int = 1,
+) -> T:
+    """First decision of ``decide(lo, hi)`` on the enclosures of x.
 
-    Asks the levels 0, 1, ..., limit - 1 in turn, each once, and stops at
-    the first level where ``decide`` returns something other than None.
-    This is the only walk over enclosure levels in the library.
+    Asks the levels 0, 1, ..., scale * budget - 1 in turn, each once, and
+    stops at the first where ``decide`` returns something other than None;
+    when none does, raises ``refusal(budget)``.  This is the only walk over
+    enclosure levels in the library.
     """
-    for k in range(limit):
+    budget = current_budget()
+    for k in range(scale * budget):
         got = decide(*x.enclosure(k))
         if got is not None:
             return got
-    return None
+    raise refusal(budget)
 
 
 def _sign(lo: Fraction, hi: Fraction) -> Optional[int]:
@@ -611,7 +590,7 @@ def _nums_sign(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> int:
     if not any(nums[1:]):
         c = nums[0]
         return (c > 0) - (c < 0)
-    cert = _certificate(basis)
+    cert = basis._certificate
     if cert is not None:
         got = _poly_sign(cert.poly(nums), cert.roots)
         if not got:
@@ -621,13 +600,9 @@ def _nums_sign(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> int:
             )
         return got
     x = _reduced(basis, nums, den)
-    budget = current_budget()
-    got = _refine(x, _sign, budget)
-    if got is None:
-        raise RefinementExhausted(
-            f"sign of {render_exact(x)} undecided after {budget} refinement levels"
-        )
-    return got
+    return _refine(x, _sign, lambda levels: RefinementExhausted(
+        f"sign of {render_exact(x)} undecided after {levels} refinement levels"
+    ))
 
 
 def compare(x: SpanElement, y) -> int:
@@ -707,13 +682,9 @@ def floor_span(x: SpanElement) -> int:
     got = _exact_floor(x)
     if got is not None:
         return got
-    budget = current_budget()
-    got = _refine(x, _floor_of, budget)
-    if got is None:
-        raise FloorUndecidable(
-            f"floor of {render_exact(x)} undecided after {budget} refinement levels"
-        )
-    return got
+    return _refine(x, _floor_of, lambda levels: FloorUndecidable(
+        f"floor of {render_exact(x)} undecided after {levels} refinement levels"
+    ))
 
 
 def _fixed_point(scaled: int, places: int) -> str:
@@ -756,12 +727,9 @@ def decimal_str(x: SpanElement, places: int = 12) -> str:
         slo = _round_decimal(lo, places)
         return slo if slo == _round_decimal(hi, places) else None
 
-    got = _refine(x, agreed, 4 * current_budget())
-    if got is None:
-        raise RefinementExhausted(
-            f"{places}-place rendering of {render_exact(x)} undecided"
-        )
-    return got
+    return _refine(x, agreed, lambda _: RefinementExhausted(
+        f"{places}-place rendering of {render_exact(x)} undecided"
+    ), scale=4)
 
 
 @dataclass(frozen=True)
@@ -984,7 +952,6 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     snaps: List[Tuple[Fraction, Fraction]] = []
     lowers: List[SpanElement] = []
     uppers: List[SpanElement] = []
-    budget = current_budget()
     for i in range(1, basis.dim):
         r = basis.unit(i)
 
@@ -993,12 +960,9 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
                 return lo, hi
             return None
 
-        chosen = _refine(r, within, budget)
-        if chosen is None:
-            raise RefinementExhausted(
-                f"no enclosure of {basis.symbols[i]} within {delta} in {budget} levels"
-            )
-        q1, q2 = chosen
+        q1, q2 = _refine(r, within, lambda levels: RefinementExhausted(
+            f"no enclosure of {basis.symbols[i]} within {delta} in {levels} levels"
+        ))
         w = q2 - q1
         # (q2 - r)/w and (r - q1)/w, both strictly between 0 and 1
         u1 = (basis.rational(q2) - r) / w

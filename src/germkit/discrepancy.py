@@ -25,7 +25,6 @@ from .coefflattice import (
     LESS,
     QLinearMap,
     SpanElement,
-    current_budget,
     is_ge,
     is_gt,
     is_le,
@@ -656,14 +655,10 @@ def _min_coeff_exceeds_16_over_nprime(s: SpanElement, n: int) -> bool:
 
     if s.is_rational:
         return rational_test(s.coords[0])
-    budget = current_budget()
-    got = _refine(s, decide, budget)
-    if got is None:
-        raise RefinementExhausted(
-            f"{render_exact(s)} > 16/(log_3({2 * n + 1}) - 1) undecided after "
-            f"{budget} refinement levels"
-        )
-    return got
+    return _refine(s, decide, lambda levels: RefinementExhausted(
+        f"{render_exact(s)} > 16/(log_3({2 * n + 1}) - 1) undecided after "
+        f"{levels} refinement levels"
+    ))
 
 
 def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:

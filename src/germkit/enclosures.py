@@ -11,19 +11,47 @@ fraction is a quadratic irrational (u + v*sqrt(D))/w (Lagrange), and a
 product of such sources is a sum of rational multiples of square roots.
 ``closed_form`` gives that form, exactly and in integers; coefflattice
 decides signs from it when every symbol of a basis has one.
+
+The refinement budget, how many levels a refined decision may ask, is one
+value per run: ``refinement_budget(levels)`` sets it for a block (the
+command line wraps every subcommand in it).  Two walks read it, through
+``current_budget()``: ``coefflattice._refine``, behind every refined
+decision, and ``positive_from_level``, for the factors of a product basis.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import RefinementExhausted
 
 Interval = Tuple[Fraction, Fraction]
 Radicands = Tuple[int, ...]
+
+DEFAULT_BUDGET = 64
+
+_budget: ContextVar[int] = ContextVar("refinement_budget", default=DEFAULT_BUDGET)
+
+
+def current_budget() -> int:
+    """Refinement levels a certified decision may use in the current context."""
+    return _budget.get()
+
+
+@contextmanager
+def refinement_budget(levels: int) -> Iterator[None]:
+    """Run the enclosed block with ``levels`` as the refinement budget."""
+    token = _budget.set(levels)
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 
 class ClosedForm(NamedTuple):
@@ -143,8 +171,9 @@ class ContinuedFractionEnclosure(Enclosure):
     repeats forever after it (so sqrt(2) is head=(1,), cycle=(2,)).  Level k
     is the interval spanned by convergents k and k+1; consecutive convergents
     straddle the value, so the levels nest and the widths 1/(q_k q_{k+1})
-    strictly decrease.  A periodic one has a closed form (u + v*sqrt(D))/w,
-    built on first use and kept like the convergents.
+    strictly decrease.  A periodic one has a closed form (u + v*sqrt(D))/w.
+    Convergents, levels and closed form are built on first use and kept
+    outside the fields, so equality, hashing and repr ignore them.
     """
 
     head: Tuple[int, ...]
@@ -161,21 +190,20 @@ class ContinuedFractionEnclosure(Enclosure):
         rest = list(self.head[1:]) + list(self.cycle)
         if any(a < 1 for a in rest):
             raise ValueError("continued fraction coefficients past the first must be >= 1")
-        # (p_k, q_k) for k = -2, -1, 0, ..., the levels built so far and the
-        # closed form once built; not fields, so equality, hashing and repr
-        # ignore them
-        object.__setattr__(self, "_convergents", [(0, 1), (1, 0)])
-        object.__setattr__(self, "_levels", {})
-        object.__setattr__(self, "_form", None)
 
-    @property
+    @cached_property
+    def _convergents(self) -> List[Tuple[int, int]]:
+        """(p_k, q_k) for k = -2, -1, 0, ..., as far as built so far."""
+        return [(0, 1), (1, 0)]
+
+    @cached_property
+    def _levels(self) -> Dict[int, Interval]:
+        return {}
+
+    @cached_property
     def closed_form(self) -> Optional[ClosedForm]:
         """(u + v*sqrt(D))/w when the fraction has a cycle; None when it is finite."""
-        form = self._form
-        if form is None and self.cycle:
-            form = _periodic_closed_form(self.head, self.cycle)
-            object.__setattr__(self, "_form", form)
-        return form
+        return _periodic_closed_form(self.head, self.cycle) if self.cycle else None
 
     def interval(self, k: int) -> Interval:
         hit = self._levels.get(k)
@@ -247,20 +275,14 @@ class ProductEnclosure(Enclosure):
     right: Enclosure
     start: int = 0
 
-    def __post_init__(self):
-        # levels built so far and the closed form once built; not fields, so
-        # equality, hashing and repr ignore them
-        object.__setattr__(self, "_levels", {})
-        object.__setattr__(self, "_form", None)
+    @cached_property
+    def _levels(self) -> Dict[int, Interval]:
+        return {}
 
-    @property
+    @cached_property
     def closed_form(self) -> Optional[ClosedForm]:
-        if self._form is None:
-            left, right = self.left.closed_form, self.right.closed_form
-            if left is None or right is None:
-                return None
-            object.__setattr__(self, "_form", left.times(right))
-        return self._form
+        left, right = self.left.closed_form, self.right.closed_form
+        return None if left is None or right is None else left.times(right)
 
     def interval(self, k: int) -> Interval:
         hit = self._levels.get(k)
@@ -275,9 +297,9 @@ class ProductEnclosure(Enclosure):
         return level
 
 
-def positive_from_level(e: Enclosure, limit: int = 64) -> int:
-    """Smallest level at which the enclosure's lower endpoint is positive."""
-    for k in range(limit):
+def positive_from_level(e: Enclosure) -> int:
+    """Smallest level within the budget whose lower endpoint is positive."""
+    for k in range(current_budget()):
         try:
             lo, _ = e.interval(k)
         except RefinementExhausted:

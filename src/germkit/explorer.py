@@ -12,6 +12,8 @@ import hashlib
 import io
 import json
 import csv
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,13 +79,27 @@ def _is_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-def _fraction_literal(obj, path: str) -> Fraction:
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(obj, path: str) -> Fraction:
+    """An integer, or a string Fraction reads ("-3/4", "5e-3"), found at ``path``.
+
+    A decimal string is refused before it is built when its numerator or
+    denominator could need more digits than ``sys.get_int_max_str_digits``:
+    its length before the exponent plus the exponent bounds both.  int()
+    keeps each side of a ratio to that limit itself.
+    """
     if isinstance(obj, bool):
         raise ModelError("expected a rational literal, got a boolean", path)
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         try:
+            m = _EXPONENT.search(obj)
+            if "/" not in obj and (m.start() + abs(int(m[1])) if m else len(obj)) > limit:
+                raise ModelError(f"rational literal {obj!r} needs more than {limit} digits", path)
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as e:
             raise ModelError(f"bad rational literal {obj!r}: {e}", path) from None
@@ -97,8 +113,8 @@ def parse_coefficient(obj, basis: BasisDescriptor, path: str) -> SpanElement:
             raise ModelError(
                 f"coordinate list needs {basis.dim} entries, got {len(obj)}", path
             )
-        return basis.element([_fraction_literal(x, f"{path}[{i}]") for i, x in enumerate(obj)])
-    return basis.rational(_fraction_literal(obj, path))
+        return basis.element([parse_rational(x, f"{path}[{i}]") for i, x in enumerate(obj)])
+    return basis.rational(parse_rational(obj, path))
 
 
 def _parse_enclosure(obj, path: str) -> Enclosure:
@@ -138,8 +154,8 @@ def _parse_enclosure(obj, path: str) -> Enclosure:
                 raise ModelError("interval must be a [lo, hi] pair", f"{path}[{i}]")
             ivs.append(
                 (
-                    _fraction_literal(pair[0], f"{path}[{i}][0]"),
-                    _fraction_literal(pair[1], f"{path}[{i}][1]"),
+                    parse_rational(pair[0], f"{path}[{i}][0]"),
+                    parse_rational(pair[1], f"{path}[{i}][1]"),
                 )
             )
         try:

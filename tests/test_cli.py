@@ -98,6 +98,21 @@ EIGHT_SYMBOLS = json.dumps({
 })
 # one integer past CPython's 4,300-digit limit on int("...")
 HUGE_INTEGER = '{"graph": {"vertices": [{"id": 0, "weight": -2' + "0" * 5000 + '}], "edges": []}}'
+# a rational literal whose exponent alone passes the same limit
+HUGE_EXPONENT = (
+    '{"graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},'
+    ' "branches": [{"vertex": 0, "b": "1e999999"}]}'
+)
+# sqrt3 - 1 = [0; 1, 2, ...] has no positive lower endpoint at level 0, so a
+# product basis needs level 1 of it
+HEAD_ZERO_PAIR = json.dumps({
+    "basis": ["1", "r", "s"],
+    "enclosures": {
+        "r": {"cf": {"head": [0], "cycle": [1, 2]}},
+        "s": {"cf": {"head": [1], "cycle": [2]}},
+    },
+    "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
+})
 # nesting past the interpreter's recursion limit
 DEEP_ARRAYS = "[" * 100_000 + "]" * 100_000
 BOOLEAN_EDGE = (
@@ -134,6 +149,16 @@ BOOLEAN_EDGE = (
         (["mld", "{doc}"], b'{"graph": "\xff"}', "doc.json is not UTF-8"),
         (["mld", "{doc}"], HUGE_INTEGER, "doc.json is not valid JSON: Exceeds the limit"),
         (["mld", "{doc}"], DEEP_ARRAYS, "doc.json nests too deeply to read"),
+        (["mld", "{doc}"], HUGE_EXPONENT,
+         "branches[0].b: rational literal '1e999999' needs more than 4300 digits"),
+        (["mld", "{doc}"], HUGE_EXPONENT.replace("1e999999", "1e999999999"),
+         "branches[0].b: rational literal '1e999999999' needs more than 4300 digits"),
+        (["gen-hj", "7", "3", "--branch", "0:1e999999"], None,
+         "--branch: rational literal '1e999999' needs more than 4300 digits"),
+        (["partition", "--delta", "1e-999999"], None,
+         "--delta: rational literal '1e-999999' needs more than 4300 digits"),
+        (["partition", "{doc}", "--refine-budget", "1"], HEAD_ZERO_PAIR,
+         "no level with a positive lower endpoint"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
@@ -142,7 +167,9 @@ BOOLEAN_EDGE = (
          "finite-cf-empty-cycle", "mld-oracle-over-cap", "scan-oracle-over-cap",
          "verify-oracle-over-cap", "verify-oracle-depth-zero", "scan-oracle-depth-negative",
          "partition-over-cap",
-         "gen-hj-refine-budget", "not-utf8", "integer-past-digit-limit", "deep-nesting"],
+         "gen-hj-refine-budget", "not-utf8", "integer-past-digit-limit", "deep-nesting",
+         "exponent-past-digit-limit", "huge-exponent", "gen-hj-exponent-past-digit-limit",
+         "delta-exponent-past-digit-limit", "partition-positive-level-past-budget"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"
@@ -249,6 +276,32 @@ def test_scan_files_family_requires_paths(capsys):
     code, _, err = run(capsys, "scan", "--family", "files")
     assert code == 1
     assert "needs at least one model path" in err
+
+
+def test_scan_files_over_the_empty_graph(model_file, capsys):
+    # on the empty graph the smooth-center check runs exactly when the
+    # branches sum to at most 1
+    def point(*bs):
+        return {
+            "graph": {"vertices": [], "edges": []},
+            "branches": [{"vertex": None, "b": b} for b in bs],
+        }
+
+    paths = [
+        model_file(point("1/2", "1/3"), "low.json"),
+        model_file(point("3/4", "1/2"), "high.json"),
+    ]
+    code, out, _ = run(capsys, "scan", "--family", "files", *paths, "--epsilon", "1/10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["epsilon"] == "1/10"
+    got = {i["mld"]["exact"]: (i["checks"], i["violations"]) for i in doc["instances"]}
+    assert got == {
+        "7/6": (["convexity", "smooth-center", "span-closure"], []),
+        "3/4": (["convexity", "span-closure"], []),
+    }
+    assert [i["classification"] for i in doc["instances"]] == ["eps-lc", "eps-lc"]
+    assert doc["aggregate"]["violations_total"] == 0
 
 
 def test_partition_default_basis(capsys):

@@ -24,7 +24,7 @@ from germkit import (
     mld_point,
 )
 from germkit import coefflattice
-from germkit.coefflattice import LESS, compare, is_ge, is_gt, is_lt
+from germkit.coefflattice import LESS, compare, is_ge, is_gt, is_lt, refinement_budget
 from germkit.corpus import (
     coefficient_pool,
     corpus,
@@ -37,6 +37,7 @@ from germkit.corpus import (
 from germkit.discrepancy import (
     MAX_ORACLE_DEPTH,
     Locus,
+    _min_coeff_exceeds_16_over_nprime,
     adjunction_form,
     check_convexity,
     check_empty_graph_value,
@@ -50,7 +51,7 @@ from germkit.discrepancy import (
     solve_discrepancies,
 )
 from germkit.dualgraph import is_negative_definite
-from germkit.errors import GermkitError
+from germkit.errors import GermkitError, RefinementExhausted
 from germkit.explorer import load_model
 
 from util import EMPTY, chain, declared, germ, rbranch
@@ -565,6 +566,28 @@ def test_computing_path_hypotheses():
     # order 2 cannot host a usable path even with mld inside (0, 1)
     with pytest.raises(HypothesesUnmet, match="order 2"):
         find_computing_path(germ(hj_graph(5, 2)))
+
+
+def test_threshold_of_the_moreover_facts():
+    # s > 16/(log_3(2n+1) - 1): for s = 1 that is 2n + 1 > 3^17 = 129140163,
+    # so the moreover facts of find_computing_path need 64,570,082 curves
+    # and the helper is asked directly
+    one = frac(1)
+    assert _min_coeff_exceeds_16_over_nprime(one, 64_570_082) is True
+    assert _min_coeff_exceeds_16_over_nprime(one, 64_570_081) is False
+    assert _min_coeff_exceeds_16_over_nprime(frac(0), 10**9) is False
+    # for s = sqrt2 the bound is 2n + 1 > 3^(1 + 8*sqrt2), n near 375,061;
+    # the enclosures are refined over the certified basis too
+    sq2 = sqrt2_basis()
+    for basis in (sq2, declared(sq2)):
+        s = basis.unit(1)
+        assert _min_coeff_exceeds_16_over_nprime(s, 380_000) is True
+        assert _min_coeff_exceeds_16_over_nprime(s, 370_000) is False
+    with refinement_budget(1), pytest.raises(RefinementExhausted) as info:
+        _min_coeff_exceeds_16_over_nprime(declared(sq2).unit(1), 380_000)
+    assert str(info.value) == (
+        "sqrt2 > 16/(log_3(760001) - 1) undecided after 1 refinement levels"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from germkit.enclosures import (
     PointEnclosure,
     ProductEnclosure,
     positive_from_level,
+    refinement_budget,
 )
 from germkit.errors import RefinementExhausted
 
@@ -125,6 +126,13 @@ def test_positive_from_level():
     assert positive_from_level(e) == 2
     sqrt2 = ContinuedFractionEnclosure((1,), (2,))
     assert positive_from_level(sqrt2) == 0
+    # sqrt3 - 1 = [0; 1, 2, 1, 2, ...]: level 0 is [0, 1], level 1 is [1/2, 1]
+    head_zero = ContinuedFractionEnclosure((0,), (1, 2))
+    for budget in (2, 64):
+        with refinement_budget(budget):
+            assert positive_from_level(head_zero) == 1
+    with refinement_budget(1), pytest.raises(RefinementExhausted, match="no level"):
+        positive_from_level(head_zero)
 
 
 def _sign(a, b, d):

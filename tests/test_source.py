@@ -33,6 +33,33 @@ def test_no_budget_parameters():
     assert found == []
 
 
+def test_budget_is_read_by_the_level_walks_alone():
+    # the refinement budget is read where levels are walked: the walk behind
+    # every refined decision, the positive-level search of a product basis,
+    # and the scan report that names the budget it ran under
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)] + [
+            (f"{c.name}.{n.name}", n)
+            for c in tree.body
+            if isinstance(c, ast.ClassDef)
+            for n in c.body
+            if isinstance(n, ast.FunctionDef)
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "current_budget" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                where = [n for n, fn in scopes if fn.lineno <= node.lineno <= fn.end_lineno]
+                found.add((path.name, where[0] if where else "<module>"))
+    assert found == {
+        ("coefflattice.py", "_refine"),
+        ("enclosures.py", "positive_from_level"),
+        ("explorer.py", "ScanConfig.to_dict"),
+    }
+
+
 def _float_use(node) -> bool:
     if isinstance(node, ast.Constant):
         return isinstance(node.value, float)
