@@ -175,10 +175,8 @@ def cmd_partition(args) -> int:
         entries.append(
             {
                 "weight": value_json(weight),
-                "images": {
-                    name: str(snap.apply(basis.unit(i)).as_fraction())
-                    for i, name in enumerate(basis.symbols)
-                },
+                # row 0 of a rational snap holds the image of each symbol
+                "images": dict(zip(basis.symbols, map(str, snap.matrix[0]))),
             }
         )
     doc = {

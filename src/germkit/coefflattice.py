@@ -50,7 +50,7 @@ from math import gcd, isqrt, lcm
 from operator import add as _add, sub as _sub
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar,
 )
@@ -334,10 +334,17 @@ def _reduced(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> SpanEle
     return _span(basis, nums, den)
 
 
+def ratio_str(n: int, den: int) -> str:
+    """n/den in lowest terms as str(Fraction(n, den)) prints it, den > 0."""
+    g = gcd(n, den)
+    n, den = n // g, den // g
+    return str(n) if den == 1 else f"{n}/{den}"
+
+
 def render_exact(x: SpanElement) -> str:
     """Human-readable exact form, e.g. "1 - 1/4*sqrt2".
 
-    Each nonzero coordinate n/den is printed in lowest terms, one gcd each.
+    Each nonzero coordinate n/den is printed by ratio_str.
     """
     parts: List[str] = []
     den = x.den
@@ -345,10 +352,7 @@ def render_exact(x: SpanElement) -> str:
     for i, n in enumerate(x.nums):
         if not n:
             continue
-        mag = -n if n < 0 else n
-        g = gcd(mag, den)
-        mag, d = mag // g, den // g
-        coeff = str(mag) if d == 1 else f"{mag}/{d}"
+        coeff = ratio_str(-n if n < 0 else n, den)
         if i == 0:
             body = coeff
         elif coeff == "1":
@@ -633,27 +637,25 @@ def is_gt(x: SpanElement, y) -> bool:
     return compare(x, y) == GREATER
 
 
+# sort key for the certified order: sorted, min and max ask compare for
+# each pair they need and nothing else.  compare is looked up per call, so
+# a wrapped module compare sees every pair.
+span_key = cmp_to_key(lambda x, y: compare(x, y))
+
+
 def span_min(items: Iterable[SpanElement]) -> SpanElement:
-    it = iter(items)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise ValueError("span_min of empty sequence") from None
-    for x in it:
-        if compare(x, best) == LESS:
-            best = x
+    """Least item under compare, the first of equals; ValueError when empty."""
+    best = min(items, key=span_key, default=None)
+    if best is None:
+        raise ValueError("span_min of empty sequence")
     return best
 
 
 def span_max(items: Iterable[SpanElement]) -> SpanElement:
-    it = iter(items)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise ValueError("span_max of empty sequence") from None
-    for x in it:
-        if compare(x, best) == GREATER:
-            best = x
+    """Greatest item under compare, the first of equals; ValueError when empty."""
+    best = max(items, key=span_key, default=None)
+    if best is None:
+        raise ValueError("span_max of empty sequence")
     return best
 
 

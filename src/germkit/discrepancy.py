@@ -156,6 +156,17 @@ def apply_to_coefficients(model: SurfaceGermModel, f: QLinearMap) -> SurfaceGerm
     return SurfaceGermModel(model.graph, branches, loads, eps, model.basis)
 
 
+def branch_total(model: SurfaceGermModel) -> SpanElement:
+    """Sum of the branch coefficients, the multiplicity of the boundary."""
+    return sum((br.coeff for br in model.branches), model.basis.zero())
+
+
+def positive_inputs(model: SurfaceGermModel) -> List[SpanElement]:
+    """The positive branch coefficients, then the positive nef loads, in model order."""
+    inputs = [br.coeff for br in model.branches] + [mu for _, mu in model.nef_loads]
+    return [x for x in inputs if is_gt(x, 0)]
+
+
 @dataclass(frozen=True)
 class DiscrepancyProfile:
     """Solved log discrepancies plus the point minimum and its classification."""
@@ -236,10 +247,7 @@ def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
             return _profile(model, a, NEG_INFINITY, ("branch", idx))
 
     if not ids:
-        total = basis.zero()
-        for br in model.branches:
-            total = total + br.coeff
-        value = basis.rational(2) - total
+        value = basis.rational(2) - branch_total(model)
         if _nums_sign(basis, value.nums, value.den) == LESS:
             return _profile(model, a, NEG_INFINITY, ("point", None))
         return _profile(model, a, value, ("point", None))
@@ -421,8 +429,8 @@ def check_convexity(
                    for middle curves of weight <= -2;
       weight-bound a(E) <= 2/(-E^2) at every vertex;
       gap          a(E1) + a(E3) - 2 a(E2) >= epsilon across middle curves
-                   of weight <= -3, when the model is epsilon-lc with a
-                   declared positive epsilon.
+                   of weight <= -3, when the profile classifies the model
+                   "eps-lc" (a declared epsilon > 0 that the mld reaches).
     Requires a log canonical model with every a <= 1.
     """
     if profile is None:
@@ -449,8 +457,8 @@ def check_convexity(
         bound = Fraction(2, -w)
         if is_gt(a[vid], bound):
             out.append(Violation("weight-bound", (vid,), f"a({vid}) above {bound}"))
-    eps = model.epsilon
-    if eps is not None and is_gt(eps, 0) and profile.epsilon_ok:
+    if profile.classification == "eps-lc":
+        eps = model.epsilon
         for vid in model.graph.ids():
             if model.graph.weight(vid) > -3:
                 continue
@@ -483,19 +491,16 @@ def check_smooth_threshold(
 
 
 def check_empty_graph_value(
-    model: SurfaceGermModel,
-    profile: DiscrepancyProfile | None = None,
-    oracle_depth: int = 4,
+    model: SurfaceGermModel, profile: DiscrepancyProfile | None = None
 ) -> Tuple[Violation, ...]:
     """Empty-graph models with multiplicity <= 1: mld must equal 2 - mult.
 
-    Cross-checked against the tower oracle at the given depth.
+    The multiplicity is branch_total.  The value is cross-checked against
+    the tower oracle at depth 4.
     """
     if model.graph.order != 0:
         return ()
-    total = model.basis.zero()
-    for br in model.branches:
-        total = total + br.coeff
+    total = branch_total(model)
     if is_gt(total, 1):
         return ()
     if profile is None:
@@ -504,7 +509,7 @@ def check_empty_graph_value(
     out: List[Violation] = []
     if isinstance(profile.mld, NegInfinity) or profile.mld != expected:
         out.append(Violation("smooth-center-value", (), "mld differs from 2 - mult"))
-    got = mld_oracle(model, oracle_depth, profile)
+    got = mld_oracle(model, 4, profile)
     if isinstance(got, NegInfinity) or got != expected:
         out.append(Violation("smooth-center-oracle", (), "tower oracle differs from 2 - mult"))
     return tuple(out)
@@ -533,13 +538,7 @@ def check_vertex_window(
         return ()
     if not (is_gt(mld, Fraction(2, 3)) and is_lt(mld, 1)):
         return ()
-    positives: List[SpanElement] = []
-    for br in model.branches:
-        if is_gt(br.coeff, 0):
-            positives.append(br.coeff)
-    for _, mu in model.nef_loads:
-        if is_gt(mu, 0):
-            positives.append(mu)
+    positives = positive_inputs(model)
     if positives:
         d = span_min(positives)
         floor = model.basis.rational(1) - d / 2
@@ -712,7 +711,7 @@ def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:
     def run_is_computing(seq: Sequence[int]) -> bool:
         return all(v in computing for v in seq)
 
-    if 3 ** (2 * j + 1) < 2 * n + 1:
+    if not _length_at_least_half_log(j, n):
         # the computing prefix is short: drop it and start at its last vertex
         path_ids = base[j:]
         kind = "noncomputing-neighbor"
@@ -755,7 +754,7 @@ def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:
         for i, v in enumerate(tail, start=1):
             if v in computing:
                 far = i
-        if not all(v in computing for v in tail[:far]):
+        if not run_is_computing(tail[:far]):
             raise HypothesesUnmet(
                 "vertices between two computing vertices fail to compute the mld"
             )
@@ -774,7 +773,7 @@ def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:
     if kind == "noncomputing-neighbor":
         conditions["second-not-computing"] = path_ids[1] not in computing
     else:
-        conditions["run-computing"] = all(v in computing for v in path_ids)
+        conditions["run-computing"] = run_is_computing(path_ids)
         conditions["side-is-chain"] = not fork_census(gamma0).forks
         conditions["side-has-no-other-computing"] = all(
             v == path_ids[0] or v not in computing for v in gamma0.ids()
@@ -786,22 +785,14 @@ def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:
         "side-singleton-at-minus-1": None,
     }
     applicable = False
-    eps = model.epsilon
-    if eps is not None and is_gt(eps, 0) and profile.epsilon_ok:
-        positives: List[SpanElement] = [eps]
-        for br in model.branches:
-            if is_gt(br.coeff, 0):
-                positives.append(br.coeff)
-        for _, mu in model.nef_loads:
-            if is_gt(mu, 0):
-                positives.append(mu)
-        floor = span_min(positives)
+    if profile.classification == "eps-lc":
+        coeff_positives = positive_inputs(model)
+        floor = span_min([model.epsilon] + coeff_positives)
         if _min_coeff_exceeds_16_over_nprime(floor, n):
             applicable = True
             moreover["half-path-weights-minus-2"] = all(
                 g.weight(path_ids[i]) == -2 for i in range(1, m // 2 + 1)
             )
-            coeff_positives = positives[1:]
             if coeff_positives:
                 d = span_min(coeff_positives)
                 if is_le(d, Fraction(2, 3)):

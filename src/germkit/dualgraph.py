@@ -50,21 +50,8 @@ class WeightedDualGraph:
         for v, w in self.vertices:
             if not isinstance(w, int) or w > -1:
                 raise ValueError(f"vertex {v} weight must be an integer <= -1")
-        if self.vertices and not self._connected():
+        if self.vertices and len(_components(frozenset(idset), self.adjacency())) != 1:
             raise ValueError("graph must be connected")
-
-    def _connected(self) -> bool:
-        ids = self.ids()
-        seen = {ids[0]}
-        stack = [ids[0]]
-        adj = self.adjacency()
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(ids)
 
     @cached_property
     def factor(self) -> SymmetricFactor:
@@ -218,22 +205,10 @@ def split_at_edge(
         raise ValueError(f"no edge {edge}")
     if not fork_census(g).is_tree:
         raise ValueError("splitting requires a tree")
-    adj = g.adjacency()
-
-    def side(root: int, banned: int) -> FrozenSet[int]:
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if v == root and u == banned:
-                    continue
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return frozenset(seen)
-
-    return g.induced(side(a, b)), g.induced(side(b, a))
+    # in a tree, a's side of the edge is a's component once b is removed
+    alive = frozenset(g.ids())
+    side = next(c for c in _components(alive - {b}, g.adjacency()) if a in c)
+    return g.induced(side), g.induced(alive - side)
 
 
 def find_chain(g: WeightedDualGraph, start: int, length: int) -> MarkedVertexPath:
@@ -273,6 +248,11 @@ def find_chain(g: WeightedDualGraph, start: int, length: int) -> MarkedVertexPat
 
 
 def _components(alive: FrozenSet[int], adj: Dict[int, List[int]]) -> List[FrozenSet[int]]:
+    """Components of the subgraph on ``alive``, by least vertex id.
+
+    The one graph walk of the module: connectedness, tree splits and the
+    chain growth of find_chain all read it.
+    """
     remaining = set(alive)
     out: List[FrozenSet[int]] = []
     while remaining:

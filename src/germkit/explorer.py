@@ -22,14 +22,16 @@ from .coefflattice import (
     BasisDescriptor,
     SpanElement,
     TRIVIAL_BASIS,
-    compare,
+    _fraction,
     current_budget,
     decimal_str,
     is_ge,
     is_gt,
     partition_of_one,
+    ratio_str,
     render_exact,
     span_coordinates_over,
+    span_key,
 )
 from .complements import (
     ComplementDatum,
@@ -55,6 +57,7 @@ from .discrepancy import (
     SurfaceGermModel,
     adjunction_form,
     apply_to_coefficients,
+    branch_total,
     check_convexity,
     check_empty_graph_value,
     check_oracle_depth,
@@ -285,7 +288,7 @@ def _canonical_enclosure(enc: Enclosure):
 
 
 def _canonical_coeff(x: SpanElement) -> List[str]:
-    return [str(c) for c in x.coords]
+    return [ratio_str(n, x.den) for n in x.nums]
 
 
 def canonical_model_doc(model: SurfaceGermModel) -> dict:
@@ -334,21 +337,6 @@ def _realizing_str(locus) -> str:
     if kind == "branch":
         return f"branch:{where}"
     return "point"
-
-
-def sort_values(values: Sequence[SpanElement]) -> List[SpanElement]:
-    out: List[SpanElement] = []
-    for v in values:
-        lo = 0
-        hi = len(out)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare(v, out[mid]) < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        out.insert(lo, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -427,10 +415,7 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
             checks.append("vertex-window")
             record(check_vertex_window(model, profile))
     if g.order == 0:
-        total = model.basis.zero()
-        for br in model.branches:
-            total = total + br.coeff
-        if not is_gt(total, 1):
+        if not is_gt(branch_total(model), 1):
             checks.append("smooth-center")
             record(check_empty_graph_value(model, profile))
     if config.oracle_depth >= 1:
@@ -496,24 +481,16 @@ def run_scan(config: ScanConfig) -> ScanReport:
         inst, profile = _scan_instance(m, config)
         by_digest.setdefault(inst["digest"], (inst, profile))
     instances = [inst for _, (inst, _) in sorted(by_digest.items())]
-    finite: List[SpanElement] = []
-    not_lc = 0
-    violations_total = 0
-    for _, (inst, profile) in sorted(by_digest.items()):
-        violations_total += len(inst["violations"])
-        if isinstance(profile.mld, NegInfinity):
-            not_lc += 1
-        elif all(profile.mld != v for v in finite):
-            finite.append(profile.mld)
-    ordered = sort_values(finite)
-    min_gap = None
-    for x, y in zip(ordered, ordered[1:]):
-        gap = y - x
-        if min_gap is None or compare(gap, min_gap) < 0:
-            min_gap = gap
+    mlds = [profile.mld for _, (_, profile) in sorted(by_digest.items())]
+    finite = [x for x in mlds if not isinstance(x, NegInfinity)]
+    # values hash by value, so fromkeys keeps the first of each
+    ordered = sorted(dict.fromkeys(finite), key=span_key)
+    gaps = (y - x for x, y in zip(ordered, ordered[1:]))
+    min_gap = min(gaps, key=span_key, default=None)
+    violations_total = sum(len(inst["violations"]) for inst in instances)
     aggregate = {
         "count": len(instances),
-        "not_lc": not_lc,
+        "not_lc": len(mlds) - len(finite),
         "values": [value_json(v) for v in ordered],
         "min_gap": None if min_gap is None else value_json(min_gap),
         "violations_total": violations_total,
@@ -533,8 +510,9 @@ def run_perturb_harness(models: Sequence[SurfaceGermModel], delta) -> dict:
     For each entry of the partition family the perturbed model must stay
     log canonical, and when the original was tagged against a positive
     epsilon the perturbed mld must stay at or above the snapped epsilon.
+    A float delta is refused with TypeError.
     """
-    delta = Fraction(delta)
+    delta = _fraction(delta)
     entries: Dict[str, dict] = {}
     violations = 0
     for m in models:
@@ -546,11 +524,7 @@ def run_perturb_harness(models: Sequence[SurfaceGermModel], delta) -> dict:
             entries[digest] = {"digest": digest, "status": "skipped-not-lc"}
             continue
         part = partition_of_one(m.basis, delta)
-        eps_active = (
-            m.epsilon is not None
-            and is_gt(m.epsilon, 0)
-            and bool(profile.epsilon_ok)
-        )
+        eps_active = profile.classification == "eps-lc"
         lc_ok = True
         eps_ok: Optional[bool] = True if eps_active else None
         for _, f in part.entries:
@@ -596,8 +570,11 @@ def run_verification(
     closed form, the named families against their known values, every
     applicable inequality suite, the adjunction decomposition on reduced
     branch chains, the partition identities and the perturbation harness.
+    The depth and ``delta`` (a float is refused with TypeError) are checked
+    before any work starts.
     """
     check_oracle_depth(oracle_depth)
+    delta = _fraction(delta)
     models = corpus(seed, count)
     sections: Dict[str, dict] = {}
 
@@ -661,7 +638,7 @@ def run_verification(
                 partition_ok = False
     sections["partition"] = {"ok": partition_ok}
 
-    perturb = run_perturb_harness(models, Fraction(delta))
+    perturb = run_perturb_harness(models, delta)
     sections["perturb"] = {
         "violations": perturb["violations_total"],
         "entries": len(perturb["entries"]),

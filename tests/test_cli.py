@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from germkit import NEG_INFINITY, explorer
 from germkit.cli import main
 from germkit.coefflattice import DEFAULT_BUDGET, current_budget
+from germkit.corpus import corpus
+from germkit.discrepancy import Violation, mld_point
 
 
 @pytest.fixture
@@ -399,3 +402,179 @@ def test_verify_lemmas_checks_depths_1_to_3_by_default(capsys):
     code, out, _ = run(capsys, "verify-lemmas", "--count", "3")
     assert code == 0
     assert json.loads(out)["sections"]["oracle"]["depths"] == [1, 2, 3]
+
+
+EPS_MODEL = {
+    "basis": ["1", "sqrt2"],
+    "enclosures": {"sqrt2": SQRT2_CF},
+    "graph": {
+        "vertices": [{"id": 0, "weight": -3}, {"id": 1, "weight": -2}],
+        "edges": [[0, 1]],
+    },
+    "branches": [{"vertex": 0, "b": ["0", "1/10"]}],
+    "epsilon": "1/10",
+}
+
+
+def test_mld_reports_the_epsilon(model_file, capsys):
+    code, out, err = run(capsys, "mld", model_file(EPS_MODEL))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert set(doc) == {
+        "a", "classification", "digest", "epsilon", "epsilon_ok", "mld", "realizing",
+    }
+    assert doc["epsilon"] == {"exact": "1/10", "decimal": "0.100000000000"}
+    assert doc["epsilon_ok"] is True
+    assert doc["classification"] == "eps-lc"
+    assert doc["mld"]["exact"] == "3/5 - 1/25*sqrt2"
+
+
+def test_perturb(model_file, capsys):
+    path = model_file(EPS_MODEL)
+    code, out, err = run(capsys, "perturb", path, path, "--delta", "1/100")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert set(doc) == {"delta", "disclaimer", "entries", "violations_total"}
+    assert doc["delta"] == "1/100"
+    # the second copy has the same digest and is checked once
+    assert doc["entries"] == [
+        {
+            "digest": doc["entries"][0]["digest"],
+            "status": "checked",
+            "maps": 2,
+            "lc_preserved": True,
+            "epsilon_preserved": True,
+        }
+    ]
+    assert doc["violations_total"] == 0
+
+
+@pytest.mark.parametrize(
+    "weights, report",
+    [
+        (
+            ["1/2", "1/2"],
+            {
+                "ok": True,
+                "weights_positive": True,
+                "weights_sum_to_one": True,
+                "mixes_back": True,
+                "parts_ok": [True, True],
+            },
+        ),
+        (
+            ["1/2", "1/4"],
+            {
+                "ok": False,
+                "weights_positive": True,
+                "weights_sum_to_one": False,
+                # 1/2 * 1 + 1/4 * 0 is still B+ = 1/2
+                "mixes_back": True,
+                "parts_ok": [True, True],
+            },
+        ),
+    ],
+    ids=["mixes-back", "short-weights"],
+)
+def test_check_complement_with_a_decomposition(model_file, capsys, weights, report):
+    datum = {
+        "n": 2,
+        "B": ["1/2"],
+        "Bplus": ["1/2"],
+        "decomposition": {"weights": weights, "parts": [{"Bplus": ["1"]}, {"Bplus": ["0"]}]},
+    }
+    code, out, err = run(capsys, "check-complement", model_file(datum, "datum.json"))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert set(doc) == {"n", "coefficients", "strong_auto", "decomposition"}
+    assert doc["decomposition"] == report
+
+
+# ---------------------------------------------------------------------------
+# violations, forced with monkeypatch: every other test runs on valid germs
+
+# a0 = 1/3 and a1 = 2/3: lc, every a <= 1, all weights -2, a reduced branch
+REDUCED_CHAIN = {
+    "graph": {
+        "vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],
+        "edges": [[0, 1]],
+    },
+    "branches": [{"vertex": 0, "b": "1"}],
+}
+
+
+class _FailedForm:
+    ok = False
+
+
+def test_scan_records_each_kind_of_violation(model_file, capsys, monkeypatch):
+    forced = (Violation("midpoint", (0, 1, 2), "forced"),)
+    monkeypatch.setattr(explorer, "check_convexity", lambda model, profile: forced)
+    monkeypatch.setattr(explorer, "mld_oracle", lambda model, depth, profile: NEG_INFINITY)
+    monkeypatch.setattr(explorer, "span_coordinates_over", lambda gens, x: None)
+    monkeypatch.setattr(explorer, "adjunction_form", lambda model, idx: _FailedForm())
+    path = model_file(REDUCED_CHAIN)
+    code, out, err = run(capsys, "scan", "--family", "files", path, "--oracle-depth", "1")
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    [inst] = doc["instances"]
+    assert inst["violations"] == [
+        "adjunction-form@branch:0: decomposition failed",
+        "midpoint@(0, 1, 2): forced",
+        "oracle: tower enumeration disagrees with the closed form",
+        "span-closure: mld outside the declared coefficient span",
+    ]
+    assert doc["aggregate"]["violations_total"] == 4
+
+
+def test_verify_lemmas_records_oracle_and_suite_violations(capsys, monkeypatch):
+    forced = (Violation("midpoint", (0, 1, 2), "forced"),)
+    monkeypatch.setattr(explorer, "check_convexity", lambda model, profile: forced)
+    monkeypatch.setattr(explorer, "mld_oracle", lambda model, depth, profile: NEG_INFINITY)
+    code, out, err = run(capsys, "verify-lemmas", "--count", "6", "--oracle-depth", "2")
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    models = corpus(0, 6)
+    finite = [explorer.model_digest(m) for m in models if mld_point(m).mld is not NEG_INFINITY]
+    convex = [
+        explorer.model_digest(m)
+        for m in models
+        if "convexity" in explorer._scan_instance(m, explorer.ScanConfig())[0]["checks"]
+    ]
+    assert finite and convex
+    sections = doc["sections"]
+    assert sections["oracle"]["mismatches"] == [
+        {"digest": d, "depth": k} for d in finite for k in (1, 2)
+    ]
+    assert sections["suites"]["violations"] == [
+        {"digest": d, "violation": "midpoint@(0, 1, 2): forced"} for d in convex
+    ]
+    assert doc["violations_total"] == 2 * len(finite) + len(convex)
+    assert doc["ok"] is False
+
+
+# the snap of a 1/2 chain end that is eps-lc at 1/4 is replaced by a germ
+# that is not lc, or by one that is lc with mld 1/5 below the epsilon
+@pytest.mark.parametrize(
+    "weight, b, lc, eps",
+    [(-2, "5/4", False, False), (-5, "1", True, False)],
+    ids=["not-lc", "below-epsilon"],
+)
+def test_perturb_records_a_snap_that_breaks_the_germ(
+    model_file, capsys, monkeypatch, weight, b, lc, eps
+):
+    snapped = explorer.parse_model(
+        {
+            "graph": {"vertices": [{"id": 0, "weight": weight}], "edges": []},
+            "branches": [{"vertex": 0, "b": b}],
+        }
+    )
+    monkeypatch.setattr(explorer, "apply_to_coefficients", lambda model, f: snapped)
+    doc = {"graph": {"vertices": [{"id": 0, "weight": -4}], "edges": []}, "epsilon": "1/4"}
+    code, out, err = run(capsys, "perturb", model_file(doc))
+    assert (code, err) == (2, "")
+    report = json.loads(out)
+    [entry] = report["entries"]
+    assert (entry["lc_preserved"], entry["epsilon_preserved"]) == (lc, eps)
+    assert entry["note"] == "no irrational symbols; the family is the identity map"
+    assert report["violations_total"] == (0 if lc else 1) + (0 if eps else 1)

@@ -558,6 +558,55 @@ def test_computing_path_run_of_computing_vertices():
     assert r.conditions["side-has-no-other-computing"] is True
 
 
+def test_computing_path_run_extends_along_the_chain_behind_it():
+    # nine (-2)-curves in chain order 5, 0, 1, ..., 8 with a 1/2 branch on
+    # each end: every a_i is 1/2, the greedy path from 0 runs 0, 1, 2, and
+    # the chain behind 0 adds the computing vertex 5 in front of it
+    ids = (5, 0, 1, 2, 3, 4, 6, 7, 8)
+    g = WeightedDualGraph(tuple((v, -2) for v in ids), tuple(zip(ids, ids[1:])))
+    m = germ(g, [rbranch(5, "1/2"), rbranch(8, "1/2")])
+    assert {x.as_fraction() for _, x in mld_point(m).a} == {Fraction(1, 2)}
+    r = find_computing_path(m)
+    assert r.kind == "computing-run"
+    assert r.path.vertex_ids == (5, 0, 1, 2)
+    assert (r.m, r.order) == (3, 9)
+    assert r.computing_ids == tuple(range(9))
+    assert r.conditions == {
+        "starts-computing": True,
+        "length": True,
+        "gap-nonnegative": True,
+        "gap-at-most-1/m": True,
+        "run-computing": True,
+        "side-is-chain": True,
+        "side-has-no-other-computing": True,
+    }
+    assert r.moreover_applicable is False
+    assert all(v is None for v in r.moreover.values())
+
+
+def test_computing_path_run_turns_to_its_chain_end():
+    # the fork 0 and the (-3)-curve 2 both have a = 1/4; no chain hangs off
+    # the fork, so the run is read from 2, whose side 2 - 5 - 4 holds no
+    # other computing vertex
+    g = WeightedDualGraph(
+        ((0, -2), (1, -2), (2, -3), (3, -2), (4, -2), (5, -2)),
+        ((0, 1), (0, 2), (0, 3), (2, 5), (4, 5)),
+    )
+    r = find_computing_path(germ(g))
+    assert r.kind == "computing-run"
+    assert r.path.vertex_ids == (2, 0)
+    assert r.computing_ids == (0, 2)
+    assert r.conditions == {
+        "starts-computing": True,
+        "length": True,
+        "gap-nonnegative": True,
+        "gap-at-most-1/m": True,
+        "run-computing": True,
+        "side-is-chain": True,
+        "side-has-no-other-computing": True,
+    }
+
+
 def test_computing_path_hypotheses():
     with pytest.raises(HypothesesUnmet, match="0 < mld < 1"):
         find_computing_path(germ(chain(-2, -2)))

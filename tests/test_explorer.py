@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from germkit import ModelError, NEG_INFINITY, refinement_budget
-from germkit.corpus import corpus
+from germkit import ModelError, NEG_INFINITY, explorer, refinement_budget
+from germkit.coefflattice import partition_of_one
+from germkit.corpus import corpus, sqrt2_basis
 from germkit.explorer import (
     ScanConfig,
     emit_csv,
@@ -16,6 +17,7 @@ from germkit.explorer import (
     parse_model,
     run_perturb_harness,
     run_scan,
+    run_verification,
     value_json,
 )
 
@@ -153,3 +155,26 @@ def test_perturb_harness_skips_non_lc():
 def test_parse_complement_datum_rejects_unknown_keys():
     with pytest.raises(ModelError):
         parse_complement_datum({"n": 2, "B": [], "Bplus": [], "extra": True})
+
+
+FLOAT_DELTA = "0.001 is a float; give an int, a Fraction or a string"
+
+
+def test_perturb_harness_refuses_a_float_delta():
+    # Fraction(0.001) would be the binary value 1152921504606847/2^60
+    with pytest.raises(TypeError) as info:
+        partition_of_one(sqrt2_basis(), 0.001)
+    assert str(info.value) == FLOAT_DELTA
+    with pytest.raises(TypeError) as info:
+        run_perturb_harness(corpus(0, 3), 0.001)
+    assert str(info.value) == FLOAT_DELTA
+
+
+def test_verification_refuses_a_float_delta_before_any_work(monkeypatch):
+    def no_corpus(*args):
+        raise AssertionError("the corpus was built")
+
+    monkeypatch.setattr(explorer, "corpus", no_corpus)
+    with pytest.raises(TypeError) as info:
+        run_verification(count=3, oracle_depth=1, delta=0.001)
+    assert str(info.value) == FLOAT_DELTA

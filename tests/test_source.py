@@ -177,3 +177,58 @@ def test_point_minimum_ranks_without_compare():
         and node.func.id in spans
     }
     assert found == set()
+
+
+def _innermost_calls(path):
+    """(innermost enclosing function name, call) for every call in one file."""
+    tree = ast.parse(path.read_text(), str(path))
+    fns = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            around = [f for f in fns if f.lineno <= node.lineno <= f.end_lineno]
+            yield (max(around, key=lambda f: f.lineno).name if around else "<module>"), node
+
+
+def test_dualgraph_walks_the_graph_in_one_place():
+    # connectedness, tree splits and chain growth all read _components
+    found = {
+        name
+        for name, call in _innermost_calls(SRC / "germkit" / "dualgraph.py")
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "pop"
+    }
+    assert found == {"_components"}
+
+
+def test_reports_print_coordinates_from_numerators():
+    # .coords builds a Fraction per coordinate; digests, corpus identity and
+    # the partition report read numerators or the map's own rows instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _nodes()
+        if path.name in {"explorer.py", "corpus.py", "cli.py"}
+        and isinstance(node, ast.Attribute)
+        and node.attr == "coords"
+    ]
+    assert found == []
+
+
+def _names_an_epsilon(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in {"eps", "epsilon"}
+    return isinstance(node, ast.Attribute) and node.attr == "epsilon"
+
+
+def test_eps_lc_is_decided_in_profile_alone():
+    # every other reader of the eps-lc tag asks profile.classification
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name, call in _innermost_calls(path)
+        if isinstance(call.func, ast.Name)
+        and call.func.id == "is_gt"
+        and len(call.args) == 2
+        and _names_an_epsilon(call.args[0])
+        and isinstance(call.args[1], ast.Constant)
+        and call.args[1].value == 0
+    }
+    assert found == {("discrepancy.py", "_profile")}
