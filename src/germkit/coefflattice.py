@@ -94,8 +94,9 @@ class BasisDescriptor:
     rest are positive reals, linearly independent over Q together with 1:
     certified when ``certified`` holds, declared otherwise.  Equality is by
     value, so parsing the same document twice gives interchangeable
-    descriptors; the certificate, built on first use, is kept outside the
-    fields and takes no part in equality, hashing or repr.
+    descriptors; the certificate and the product basis, each built on first
+    use, are kept outside the fields and take no part in equality, hashing
+    or repr.
     """
 
     symbols: Tuple[str, ...]
@@ -130,6 +131,28 @@ class BasisDescriptor:
     @cached_property
     def _certificate(self) -> Optional[_Certificate]:
         return _certify(self)
+
+    @cached_property
+    def _products(self) -> BasisDescriptor:
+        # the basis of product_basis, for two or more irrational symbols
+        symbols: List[str] = []
+        encs: List[Enclosure] = []
+        for subset in _monomial_subsets(self.dim - 1):
+            if not subset:
+                symbols.append("1")
+                encs.append(PointEnclosure(Fraction(1)))
+            elif len(subset) == 1:
+                symbols.append(self.symbols[subset[0]])
+                encs.append(self.enclosures[subset[0]])
+            else:
+                symbols.append("*".join(self.symbols[i] for i in subset))
+                enc: Enclosure = self.enclosures[subset[0]]
+                for i in subset[1:]:
+                    right = self.enclosures[i]
+                    start = max(positive_from_level(enc), positive_from_level(right))
+                    enc = ProductEnclosure(enc, right, start)
+                encs.append(enc)
+        return BasisDescriptor(tuple(symbols), tuple(encs))
 
     @property
     def certified(self) -> bool:
@@ -756,16 +779,18 @@ class QLinearMap:
     def apply(self, x: SpanElement) -> SpanElement:
         if x.basis != self.source:
             raise BasisMismatch("element not over the map's source basis")
-        coords = tuple(
-            _dot(row, x.coords) for row in self.matrix
+        # the matrix over the lcm of its denominators, times x.nums over x.den
+        den = lcm(*(c.denominator for row in self.matrix for c in row))
+        nums = tuple(
+            sum(c.numerator * (den // c.denominator) * n for c, n in zip(row, x.nums) if c)
+            for row in self.matrix
         )
-        return SpanElement(self.target, coords)
+        return _reduced(self.target, nums, den * x.den)
 
     @property
     def fixes_one(self) -> bool:
-        col0 = tuple(row[0] for row in self.matrix)
-        want = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(self.target.dim))
-        return col0 == want
+        rows = self.matrix
+        return rows[0][0] == 1 and all(row[0] == 0 for row in rows[1:])
 
     @property
     def is_rational_valued(self) -> bool:
@@ -779,14 +804,6 @@ class QLinearMap:
             for i in range(n)
         )
         return cls(basis, basis, m)
-
-
-def _dot(row: Sequence[Fraction], coords: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for a, b in zip(row, coords):
-        if a and b:
-            total += a * b
-    return total
 
 
 def _monomial_subsets(n: int) -> List[Tuple[int, ...]]:
@@ -804,28 +821,12 @@ def product_basis(basis: BasisDescriptor) -> BasisDescriptor:
     with interval products as enclosures.  For zero or one irrational symbol
     this is the original basis.  Requires every declared irrational to be
     enclosed away from zero, which the positive-real convention guarantees.
+    Built on first use and kept on the basis, so every partition of one
+    basis shares its product basis's levels and certificate.
     """
-    n = basis.dim - 1
-    if n <= 1:
+    if basis.dim <= 2:
         return basis
-    symbols: List[str] = []
-    encs: List[Enclosure] = []
-    for subset in _monomial_subsets(n):
-        if not subset:
-            symbols.append("1")
-            encs.append(PointEnclosure(Fraction(1)))
-        elif len(subset) == 1:
-            symbols.append(basis.symbols[subset[0]])
-            encs.append(basis.enclosures[subset[0]])
-        else:
-            symbols.append("*".join(basis.symbols[i] for i in subset))
-            enc: Enclosure = basis.enclosures[subset[0]]
-            for i in subset[1:]:
-                right = basis.enclosures[i]
-                start = max(positive_from_level(enc), positive_from_level(right))
-                enc = ProductEnclosure(enc, right, start)
-            encs.append(enc)
-    return BasisDescriptor(tuple(symbols), tuple(encs))
+    return basis._products
 
 
 def span_product(factors: Sequence[SpanElement], pb: BasisDescriptor) -> SpanElement:
@@ -837,40 +838,34 @@ def span_product(factors: Sequence[SpanElement], pb: BasisDescriptor) -> SpanEle
     if not factors:
         return pb.rational(1)
     basis = factors[0].basis
-    supports: List[int] = []
-    pairs: List[Tuple[Fraction, Fraction, int]] = []
+    syms: List[int] = []  # the irrational symbol of each factor, 0 for none
     for f in factors:
         if f.basis != basis:
             raise BasisMismatch("factors over different bases")
-        nz = [i for i in range(1, basis.dim) if f.coords[i] != 0]
+        nz = [i for i in range(1, basis.dim) if f.nums[i]]
         if len(nz) > 1:
             raise ValueError("factor involves more than one irrational symbol")
-        sym = nz[0] if nz else 0
-        if sym and sym in supports:
-            raise ValueError(f"two factors involve the symbol {basis.symbols[sym]}")
-        if sym:
-            supports.append(sym)
-        pairs.append((f.coords[0], f.coords[sym] if sym else Fraction(0), sym))
-    positions: Dict[Tuple[int, ...], int] = {
-        s: i for i, s in enumerate(_monomial_subsets(basis.dim - 1))
-    }
-    coords = [Fraction(0)] * pb.dim
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        coeff = Fraction(1)
-        used: List[int] = []
-        for take_linear, (c0, c1, sym) in zip(choice, pairs):
-            if take_linear:
-                if sym == 0:
-                    coeff = Fraction(0)
-                    break
-                coeff *= c1
-                used.append(sym)
-            else:
-                coeff *= c0
-        if coeff == 0:
-            continue
-        coords[positions[tuple(sorted(used))]] += coeff
-    return SpanElement(pb, tuple(coords))
+        if nz and nz[0] in syms:
+            raise ValueError(f"two factors involve the symbol {basis.symbols[nz[0]]}")
+        syms.append(nz[0] if nz else 0)
+    # the expansion so far, keyed by the bit mask of the symbols multiplied
+    # in, over the product of the denominators seen
+    terms: Dict[int, int] = {0: 1}
+    den = 1
+    for f, sym in zip(factors, syms):
+        c0 = f.nums[0]
+        grown: Dict[int, int] = {}
+        for mask, c in terms.items():
+            if c0:
+                grown[mask] = c * c0
+            if sym:
+                grown[mask | 1 << sym] = c * f.nums[sym]
+        terms = grown
+        den *= f.den
+    nums = [0] * pb.dim
+    for i, subset in enumerate(_monomial_subsets(basis.dim - 1)):
+        nums[i] = terms.get(sum(1 << j for j in subset), 0)
+    return _reduced(pb, tuple(nums), den)
 
 
 @dataclass(frozen=True)
@@ -897,31 +892,13 @@ class PartitionOfOne:
             total = total + w
         return total
 
-    def combined_matrix(self) -> List[List[Fraction]]:
-        """Sum of weight-by-value outer products, one row per product symbol."""
-        rows = [[Fraction(0)] * self.basis.dim for _ in range(self.weights_basis.dim)]
-        for w, f in self.entries:
-            values = f.matrix[0]
-            for i, wc in enumerate(w.coords):
-                if wc == 0:
-                    continue
-                for j, v in enumerate(values):
-                    if v:
-                        rows[i][j] += wc * v
-        return rows
-
-    def embedding_matrix(self) -> List[List[Fraction]]:
-        rows = [[Fraction(0)] * self.basis.dim for _ in range(self.weights_basis.dim)]
-        for j in range(self.basis.dim):
-            rows[j][j] = Fraction(1)
-        return rows
-
 
 # Most irrational symbols a partition of one takes.  Its 2^n entries each
-# carry a weight over the 2^n product symbols, so the work grows about 6x
-# per symbol: 7 symbols (128 entries) take about 1.5 s and 24 MB (Python
-# 3.11, 2 cores), and at 8 the weight signs no longer settle within the
-# default budget.
+# carry a weight over the 2^n product symbols, and past four square roots
+# the basis is only declared, so each weight sign is refined over 2^n
+# product enclosures.  Over the square roots of the first n primes at delta
+# 1/1000, 5 symbols take 0.2 s, 6 take 1.2 s and 7 (128 entries) about
+# 26 s and 27 MB of peak RSS (Python 3.11, 2 cores).
 MAX_PARTITION_SYMBOLS = 7
 
 
@@ -1000,26 +977,69 @@ def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
     """Exact certification of every partition invariant.
 
     Returns a flag per invariant so callers can report which one broke;
-    partition_of_one treats any False as a construction failure.
+    partition_of_one treats any False as a construction failure.  Nothing
+    is taken from the construction: every flag is decided again, on integer
+    numerators.  The weights are summed, and weighted with the images of 1
+    and the symbols, over the lcm of their denominators (and of the images'),
+    and a displacement is decided once for each distinct column a symbol
+    is sent to.
     """
-    one = part.weights_basis.rational(1)
+    basis, pb, entries = part.basis, part.weights_basis, part.entries
+    if any(w.basis != pb for w, _ in entries):
+        raise BasisMismatch("weight not over the partition's weights basis")
     checks: Dict[str, bool] = {}
-    checks["weights_sum_to_one"] = part.weight_total() == one
-    pos = True
-    for w, _ in part.entries:
-        if compare(w, 0) != GREATER:
-            pos = False
-            break
-    checks["weights_positive"] = pos
-    checks["maps_fix_one"] = all(f.fixes_one and f.is_rational_valued for _, f in part.entries)
-    checks["combination_is_identity"] = part.combined_matrix() == part.embedding_matrix()
+    wden = lcm(*(w.den for w, _ in entries))
+    weights = [[n * (wden // w.den) for n in w.nums] for w, _ in entries]
+    total = [sum(col) for col in zip([0] * pb.dim, *weights)]
+    checks["weights_sum_to_one"] = total[0] == wden and not any(total[1:])
+    checks["weights_positive"] = all(
+        _nums_sign(pb, w.nums, w.den) == GREATER for w, _ in entries
+    )
+    rational_valued = [f.is_rational_valued for _, f in entries]
+    checks["maps_fix_one"] = all(rational_valued) and all(f.fixes_one for _, f in entries)
+    # sum over the entries of weight i times the image of symbol j, scaled
+    # by wden * vden, against the embedding of the basis in the product basis
+    images = [f.matrix[0] for _, f in entries]
+    vden = lcm(*(v.denominator for row in images for v in row))
+    combined = [[0] * basis.dim for _ in range(pb.dim)]
+    for a, row in zip(weights, images):
+        b = [v.numerator * (vden // v.denominator) for v in row]
+        for i, ai in enumerate(a):
+            if ai:
+                out = combined[i]
+                for j, bj in enumerate(b):
+                    out[j] += ai * bj
+    scale = wden * vden
+    checks["combination_is_identity"] = all(
+        c == (scale if i == j else 0)
+        for i, out in enumerate(combined) for j, c in enumerate(out)
+    )
+    # q - r_i within delta: q - r_i - delta <= 0 <= q - r_i + delta, for the
+    # image q of r_i, a rational or, under a map that is not rational-valued,
+    # its full column
+    delta = part.delta
     disp = True
-    dl = part.basis.rational(part.delta)
-    for _, f in part.entries:
-        for i in range(1, part.basis.dim):
-            image = f.apply(part.basis.unit(i))
-            diff = image - part.basis.unit(i)
-            if not (is_le(diff, dl) and is_ge(diff, -1 * dl)):
+    seen = set()
+    for (_, f), rational in zip(entries, rational_valued):
+        if basis.dim > 1 and (f.source != basis or f.target != basis):
+            raise BasisMismatch("snap map not over the partition's basis")
+        for i in range(1, basis.dim):
+            image = f.matrix[0][i] if rational else tuple(row[i] for row in f.matrix)
+            if (i, image) in seen:
+                continue
+            seen.add((i, image))
+            column = (image,) if rational else image
+            den = lcm(delta.denominator, *(q.denominator for q in column))
+            nums = [q.numerator * (den // q.denominator) for q in column]
+            nums += [0] * (basis.dim - len(nums))
+            nums[i] -= den
+            step = delta.numerator * (den // delta.denominator)
+            nums[0] -= step
+            if _nums_sign(basis, tuple(nums), den) == GREATER:
+                disp = False
+                continue
+            nums[0] += 2 * step
+            if _nums_sign(basis, tuple(nums), den) == LESS:
                 disp = False
     checks["displacement_within_delta"] = disp
     return checks

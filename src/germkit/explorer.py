@@ -8,7 +8,6 @@ timestamps, so a fixed seed and configuration reproduce identical bytes.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 import json
 import csv
@@ -314,6 +313,9 @@ def canonical_model_doc(model: SurfaceGermModel) -> dict:
 
 
 def model_digest(model: SurfaceGermModel) -> str:
+    # imported here: hashlib loads OpenSSL, a few MB that only digests need
+    import hashlib
+
     blob = json.dumps(canonical_model_doc(model), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -1,5 +1,6 @@
 """Span arithmetic, certified comparison and the perturbation constructions."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from germkit import (
     verify_partition,
 )
 from germkit import coefflattice
-from germkit.coefflattice import DEFAULT_BUDGET, span_coordinates_over
+from germkit.coefflattice import DEFAULT_BUDGET, GREATER, span_coordinates_over
 from germkit.enclosures import (
     ContinuedFractionEnclosure,
     NestedIntervalsEnclosure,
@@ -655,3 +656,213 @@ def test_partition_over_the_cap_is_refused_at_once(monkeypatch):
     message = f"partition of one over {n} irrational symbols exceeds the cap of {MAX_PARTITION_SYMBOLS}"
     with pytest.raises(HypothesesUnmet, match=message):
         partition_of_one(basis, Fraction(1, 10))
+
+
+# ---------------------------------------------------------------------------
+# the partition verifier against the Fraction verifier it replaced
+
+
+def _dot(row, coords):
+    total = Fraction(0)
+    for a, b in zip(row, coords):
+        if a and b:
+            total += a * b
+    return total
+
+
+def reference_apply(f, x):
+    if x.basis != f.source:
+        raise BasisMismatch("element not over the map's source basis")
+    coords = tuple(
+        _dot(row, x.coords) for row in f.matrix
+    )
+    return SpanElement(f.target, coords)
+
+
+def reference_fixes_one(f):
+    col0 = tuple(row[0] for row in f.matrix)
+    want = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(f.target.dim))
+    return col0 == want
+
+
+def combined_matrix(part):
+    """Sum of weight-by-value outer products, one row per product symbol."""
+    rows = [[Fraction(0)] * part.basis.dim for _ in range(part.weights_basis.dim)]
+    for w, f in part.entries:
+        values = f.matrix[0]
+        for i, wc in enumerate(w.coords):
+            if wc == 0:
+                continue
+            for j, v in enumerate(values):
+                if v:
+                    rows[i][j] += wc * v
+    return rows
+
+
+def embedding_matrix(part):
+    rows = [[Fraction(0)] * part.basis.dim for _ in range(part.weights_basis.dim)]
+    for j in range(part.basis.dim):
+        rows[j][j] = Fraction(1)
+    return rows
+
+
+def reference_verify(part):
+    """verify_partition as it was on Fractions, kept as an independent oracle."""
+    one = part.weights_basis.rational(1)
+    checks = {}
+    checks["weights_sum_to_one"] = part.weight_total() == one
+    pos = True
+    for w, _ in part.entries:
+        if compare(w, 0) != GREATER:
+            pos = False
+            break
+    checks["weights_positive"] = pos
+    checks["maps_fix_one"] = all(
+        reference_fixes_one(f) and f.is_rational_valued for _, f in part.entries
+    )
+    checks["combination_is_identity"] = combined_matrix(part) == embedding_matrix(part)
+    disp = True
+    dl = part.basis.rational(part.delta)
+    for _, f in part.entries:
+        for i in range(1, part.basis.dim):
+            image = reference_apply(f, part.basis.unit(i))
+            diff = image - part.basis.unit(i)
+            if not (is_le(diff, dl) and is_ge(diff, -1 * dl)):
+                disp = False
+    checks["displacement_within_delta"] = disp
+    return checks
+
+
+def _with_entry(part, k, weight=None, matrix=None):
+    """part with entry k given a new weight or snap matrix."""
+    w, f = part.entries[k]
+    if weight is not None:
+        w = weight
+    if matrix is not None:
+        f = QLinearMap(f.source, f.target, matrix)
+    entries = part.entries[:k] + ((w, f),) + part.entries[k + 1:]
+    return dataclasses.replace(part, entries=entries, checks=None)
+
+
+def _with_row0(part, k, row0):
+    f = part.entries[k][1]
+    return _with_entry(part, k, matrix=(tuple(row0),) + f.matrix[1:])
+
+
+def tampered(part, kind, k=0, i=1):
+    """part with one invariant broken at entry k (and symbol i), by kind."""
+    w, f = part.entries[k]
+    row0 = list(f.matrix[0])
+    if kind == "negated":
+        return _with_entry(part, k, weight=-w)
+    if kind == "scaled":
+        return _with_entry(part, k, weight=w * 2)
+    if kind == "doubled":  # the irrational parts still cancel, the sum is 2
+        entries = tuple((v * 2, g) for v, g in part.entries)
+        return dataclasses.replace(part, entries=entries, checks=None)
+    if kind == "far":  # the snap of symbol i moved 2 delta further away
+        below = is_le(part.basis.rational(row0[i]), part.basis.unit(i))
+        row0[i] += -2 * part.delta if below else 2 * part.delta
+        return _with_row0(part, k, row0)
+    if kind == "moves_one":
+        row0[0] = Fraction(2)
+        return _with_row0(part, k, row0)
+    if kind == "not_rational":  # symbol i keeps a share of itself
+        rows = [list(r) for r in f.matrix]
+        rows[i][i] = Fraction(1, 2)
+        return _with_entry(part, k, matrix=tuple(map(tuple, rows)))
+    if kind == "swapped":  # the maps of entries k and k + 1 trade places
+        (w1, f1), (w2, f2) = part.entries[k], part.entries[k + 1]
+        entries = part.entries[:k] + ((w1, f2), (w2, f1)) + part.entries[k + 2:]
+        return dataclasses.replace(part, entries=entries, checks=None)
+    raise ValueError(kind)
+
+
+# the invariant each kind of tampering must break
+BROKEN = {
+    "negated": "weights_positive",
+    "scaled": "weights_sum_to_one",
+    "doubled": "weights_sum_to_one",
+    "far": "displacement_within_delta",
+    "moves_one": "maps_fix_one",
+    "not_rational": "maps_fix_one",
+    "swapped": "combination_is_identity",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN))
+@pytest.mark.parametrize("exact", [True, False], ids=["certified", "declared"])
+def test_verify_partition_sees_each_broken_invariant(kind, exact, sq2_sq3):
+    basis = sq2_sq3 if exact else declared(sq2_sq3)
+    part = partition_of_one(basis, Fraction(1, 1000))
+    bad = tampered(part, kind)
+    got = verify_partition(bad)
+    assert got == reference_verify(bad)
+    assert got[BROKEN[kind]] is False
+    # the untouched partition still passes both
+    assert verify_partition(part) == reference_verify(part) == part.checks
+    assert all(part.checks.values())
+
+
+def test_verify_partition_reads_no_recorded_checks(sq2_sq3):
+    part = partition_of_one(sq2_sq3, Fraction(1, 10))
+    forged = dict.fromkeys(part.checks, True)
+    bad = dataclasses.replace(tampered(part, "swapped"), checks=forged)
+    assert verify_partition(bad)["combination_is_identity"] is False
+    # and keeps no verdict of its own: the repaired partition passes again
+    assert all(verify_partition(dataclasses.replace(bad, entries=part.entries)).values())
+
+
+def test_verify_partition_refuses_maps_over_another_basis(sq2, sq2_sq3):
+    part = partition_of_one(sq2_sq3, Fraction(1, 10))
+    w, f = part.entries[0]
+    other = QLinearMap.identity(sq2)
+    for bad in (
+        dataclasses.replace(part, entries=((w, other),) + part.entries[1:]),
+        dataclasses.replace(part, entries=((sq2.rational(1), f),) + part.entries[1:]),
+    ):
+        with pytest.raises(BasisMismatch):
+            reference_verify(bad)
+        with pytest.raises(BasisMismatch):
+            verify_partition(bad)
+
+
+# continued fractions from the pool acceptance criterion 6 draws from
+POOL_CF = st.tuples(
+    st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+)
+
+
+@given(
+    cfs=st.lists(POOL_CF, min_size=1, max_size=3, unique=True),
+    delta=st.sampled_from((Fraction(1, 10), Fraction(1, 1000))),
+    exact=st.booleans(),
+    kind=st.sampled_from((None,) + tuple(sorted(BROKEN))),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_verify_partition_matches_reference(cfs, delta, exact, kind, data):
+    basis = _basis(*(ContinuedFractionEnclosure(h, c) for h, c in cfs))
+    if not exact:
+        basis = declared(basis)
+    part = partition_of_one(basis, delta)
+    if kind is not None:
+        k = data.draw(st.integers(0, len(part.entries) - 2), label="entry")
+        i = data.draw(st.integers(1, basis.dim - 1), label="symbol")
+        part = tampered(part, kind, k, i)
+    got = verify_partition(part)
+    assert got == reference_verify(part)
+    if kind is not None:
+        assert got[BROKEN[kind]] is False
+
+
+def test_product_basis_is_built_once_and_kept_out_of_value(sq2_sq3):
+    assert "_products" not in vars(sq2_sq3)  # nothing is built with the basis
+    pb = product_basis(sq2_sq3)
+    assert product_basis(sq2_sq3) is pb
+    assert partition_of_one(sq2_sq3, Fraction(1, 10)).weights_basis is pb
+    fresh = BasisDescriptor(sq2_sq3.symbols, sq2_sq3.enclosures)
+    assert fresh == sq2_sq3 and hash(fresh) == hash(sq2_sq3)
+    assert repr(fresh) == repr(sq2_sq3)
+    assert product_basis(fresh) == pb

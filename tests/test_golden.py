@@ -1,8 +1,10 @@
 """Reports pinned byte for byte against files in tests/golden/.
 
-The files were produced by the CLI before the intersection form moved to
-its single cached factorization, so any change in the solved log
-discrepancies, their rendering or the scan aggregation shows up here.
+The scan and mld files were produced by the CLI before the intersection
+form moved to its single cached factorization, so any change in the solved
+log discrepancies, their rendering or the scan aggregation shows up here.
+The partition files were produced before the partition verifier moved to
+integer numerators; they pin the snap values, the weights and the flags.
 To regenerate after an intended change, rerun each argv below with its
 output redirected to the named file.
 """
@@ -31,6 +33,11 @@ CASES = [
     # is still solved and printed), each with a sqrt2/2 branch
     (("mld", "{chain60.json}", "--oracle-depth", "2"), "chain60.mld.json"),
     (("mld", "{cycle40.json}", "--oracle-depth", "2"), "cycle40.mld.json"),
+    # partitions of one: the default sqrt2 basis, two square roots, and three
+    # continued fractions from the pool acceptance criterion 6 draws from
+    (("partition", "--delta", "1/10"), "partition_sqrt2.json"),
+    (("partition", "{sqrt2_sqrt3.json}", "--delta", "1/1000"), "partition_sqrt2_sqrt3.json"),
+    (("partition", "{pool3.json}", "--delta", "1/1000"), "partition_pool3.json"),
 ]
 
 

@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -154,6 +157,43 @@ def test_solve_and_render_stay_on_integers():
                 found.add(f"{path.name}:{node.lineno} .coords")
     assert seen == watched
     assert found == set()
+
+
+def test_partition_verifier_stays_on_integers():
+    # the partition verifier, the weight product and the map application
+    # work on numerators over one denominator, like the solve
+    watched = {"verify_partition", "span_product", "QLinearMap.apply"}
+    tree = ast.parse((SRC / "germkit" / "coefflattice.py").read_text())
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for c in tree.body:
+        if isinstance(c, ast.ClassDef):
+            fns.update(
+                (f"{c.name}.{n.name}", n) for n in c.body if isinstance(n, ast.FunctionDef)
+            )
+    assert watched <= set(fns)
+    found = set()
+    for name in watched:
+        for node in ast.walk(fns[name]):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+            ):
+                found.add(f"{name}:{node.lineno} Fraction(")
+            if isinstance(node, ast.Attribute) and node.attr == "coords":
+                found.add(f"{name}:{node.lineno} .coords")
+    assert found == set()
+
+
+def test_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, several MB of resident memory; only
+    # explorer.model_digest needs it, and imports it when called
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, germkit; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_point_minimum_ranks_without_compare():
