@@ -94,9 +94,8 @@ class BasisDescriptor:
     rest are positive reals, linearly independent over Q together with 1:
     certified when ``certified`` holds, declared otherwise.  Equality is by
     value, so parsing the same document twice gives interchangeable
-    descriptors; the certificate and the product basis, each built on first
-    use, are kept outside the fields and take no part in equality, hashing
-    or repr.
+    descriptors; the certificate, built on first use, is kept outside the
+    fields and takes no part in equality, hashing or repr.
     """
 
     symbols: Tuple[str, ...]
@@ -131,28 +130,6 @@ class BasisDescriptor:
     @cached_property
     def _certificate(self) -> Optional[_Certificate]:
         return _certify(self)
-
-    @cached_property
-    def _products(self) -> BasisDescriptor:
-        # the basis of product_basis, for two or more irrational symbols
-        symbols: List[str] = []
-        encs: List[Enclosure] = []
-        for subset in _monomial_subsets(self.dim - 1):
-            if not subset:
-                symbols.append("1")
-                encs.append(PointEnclosure(Fraction(1)))
-            elif len(subset) == 1:
-                symbols.append(self.symbols[subset[0]])
-                encs.append(self.enclosures[subset[0]])
-            else:
-                symbols.append("*".join(self.symbols[i] for i in subset))
-                enc: Enclosure = self.enclosures[subset[0]]
-                for i in subset[1:]:
-                    right = self.enclosures[i]
-                    start = max(positive_from_level(enc), positive_from_level(right))
-                    enc = ProductEnclosure(enc, right, start)
-                encs.append(enc)
-        return BasisDescriptor(tuple(symbols), tuple(encs))
 
     @property
     def certified(self) -> bool:
@@ -821,12 +798,28 @@ def product_basis(basis: BasisDescriptor) -> BasisDescriptor:
     with interval products as enclosures.  For zero or one irrational symbol
     this is the original basis.  Requires every declared irrational to be
     enclosed away from zero, which the positive-real convention guarantees.
-    Built on first use and kept on the basis, so every partition of one
-    basis shares its product basis's levels and certificate.
     """
-    if basis.dim <= 2:
+    n = basis.dim - 1
+    if n <= 1:
         return basis
-    return basis._products
+    symbols: List[str] = []
+    encs: List[Enclosure] = []
+    for subset in _monomial_subsets(n):
+        if not subset:
+            symbols.append("1")
+            encs.append(PointEnclosure(Fraction(1)))
+        elif len(subset) == 1:
+            symbols.append(basis.symbols[subset[0]])
+            encs.append(basis.enclosures[subset[0]])
+        else:
+            symbols.append("*".join(basis.symbols[i] for i in subset))
+            enc: Enclosure = basis.enclosures[subset[0]]
+            for i in subset[1:]:
+                right = basis.enclosures[i]
+                start = max(positive_from_level(enc), positive_from_level(right))
+                enc = ProductEnclosure(enc, right, start)
+            encs.append(enc)
+    return BasisDescriptor(tuple(symbols), tuple(encs))
 
 
 def span_product(factors: Sequence[SpanElement], pb: BasisDescriptor) -> SpanElement:
@@ -979,30 +972,25 @@ def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
     Returns a flag per invariant so callers can report which one broke;
     partition_of_one treats any False as a construction failure.  Nothing
     is taken from the construction: every flag is decided again, on integer
-    numerators.  The weights are summed, and weighted with the images of 1
-    and the symbols, over the lcm of their denominators (and of the images'),
-    and a displacement is decided once for each distinct column a symbol
-    is sent to.
+    numerators.  The weights are weighted with the images of 1 and the
+    symbols over the lcm of their denominators (and of the images'), and
+    each distinct displacement of a symbol is decided once.
     """
     basis, pb, entries = part.basis, part.weights_basis, part.entries
-    if any(w.basis != pb for w, _ in entries):
-        raise BasisMismatch("weight not over the partition's weights basis")
     checks: Dict[str, bool] = {}
-    wden = lcm(*(w.den for w, _ in entries))
-    weights = [[n * (wden // w.den) for n in w.nums] for w, _ in entries]
-    total = [sum(col) for col in zip([0] * pb.dim, *weights)]
-    checks["weights_sum_to_one"] = total[0] == wden and not any(total[1:])
+    checks["weights_sum_to_one"] = part.weight_total() == pb.rational(1)
     checks["weights_positive"] = all(
         _nums_sign(pb, w.nums, w.den) == GREATER for w, _ in entries
     )
-    rational_valued = [f.is_rational_valued for _, f in entries]
-    checks["maps_fix_one"] = all(rational_valued) and all(f.fixes_one for _, f in entries)
+    checks["maps_fix_one"] = all(f.fixes_one and f.is_rational_valued for _, f in entries)
     # sum over the entries of weight i times the image of symbol j, scaled
     # by wden * vden, against the embedding of the basis in the product basis
+    wden = lcm(*(w.den for w, _ in entries))
     images = [f.matrix[0] for _, f in entries]
     vden = lcm(*(v.denominator for row in images for v in row))
     combined = [[0] * basis.dim for _ in range(pb.dim)]
-    for a, row in zip(weights, images):
+    for (w, _), row in zip(entries, images):
+        a = [n * (wden // w.den) for n in w.nums]
         b = [v.numerator * (vden // v.denominator) for v in row]
         for i, ai in enumerate(a):
             if ai:
@@ -1014,32 +1002,16 @@ def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
         c == (scale if i == j else 0)
         for i, out in enumerate(combined) for j, c in enumerate(out)
     )
-    # q - r_i within delta: q - r_i - delta <= 0 <= q - r_i + delta, for the
-    # image q of r_i, a rational or, under a map that is not rational-valued,
-    # its full column
-    delta = part.delta
     disp = True
+    dl = basis.rational(part.delta)
     seen = set()
-    for (_, f), rational in zip(entries, rational_valued):
-        if basis.dim > 1 and (f.source != basis or f.target != basis):
-            raise BasisMismatch("snap map not over the partition's basis")
+    for _, f in entries:
         for i in range(1, basis.dim):
-            image = f.matrix[0][i] if rational else tuple(row[i] for row in f.matrix)
-            if (i, image) in seen:
+            diff = f.apply(basis.unit(i)) - basis.unit(i)
+            if diff in seen:
                 continue
-            seen.add((i, image))
-            column = (image,) if rational else image
-            den = lcm(delta.denominator, *(q.denominator for q in column))
-            nums = [q.numerator * (den // q.denominator) for q in column]
-            nums += [0] * (basis.dim - len(nums))
-            nums[i] -= den
-            step = delta.numerator * (den // delta.denominator)
-            nums[0] -= step
-            if _nums_sign(basis, tuple(nums), den) == GREATER:
-                disp = False
-                continue
-            nums[0] += 2 * step
-            if _nums_sign(basis, tuple(nums), den) == LESS:
+            seen.add(diff)
+            if not (is_le(diff, dl) and is_ge(diff, -1 * dl)):
                 disp = False
     checks["displacement_within_delta"] = disp
     return checks

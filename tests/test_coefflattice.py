@@ -855,14 +855,3 @@ def test_verify_partition_matches_reference(cfs, delta, exact, kind, data):
     assert got == reference_verify(part)
     if kind is not None:
         assert got[BROKEN[kind]] is False
-
-
-def test_product_basis_is_built_once_and_kept_out_of_value(sq2_sq3):
-    assert "_products" not in vars(sq2_sq3)  # nothing is built with the basis
-    pb = product_basis(sq2_sq3)
-    assert product_basis(sq2_sq3) is pb
-    assert partition_of_one(sq2_sq3, Fraction(1, 10)).weights_basis is pb
-    fresh = BasisDescriptor(sq2_sq3.symbols, sq2_sq3.enclosures)
-    assert fresh == sq2_sq3 and hash(fresh) == hash(sq2_sq3)
-    assert repr(fresh) == repr(sq2_sq3)
-    assert product_basis(fresh) == pb
