@@ -890,8 +890,8 @@ class PartitionOfOne:
 # carry a weight over the 2^n product symbols, and past four square roots
 # the basis is only declared, so each weight sign is refined over 2^n
 # product enclosures.  Over the square roots of the first n primes at delta
-# 1/1000, 5 symbols take 0.2 s, 6 take 1.2 s and 7 (128 entries) about
-# 26 s and 27 MB of peak RSS (Python 3.11, 2 cores).
+# 1/1000, 5 symbols take 0.2 s, 6 take 1.2-2 s and 7 (128 entries)
+# 26-32 s and 27 MB of peak RSS (Python 3.11, 2 shared cores).
 MAX_PARTITION_SYMBOLS = 7
 
 
@@ -972,9 +972,9 @@ def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
     Returns a flag per invariant so callers can report which one broke;
     partition_of_one treats any False as a construction failure.  Nothing
     is taken from the construction: every flag is decided again, on integer
-    numerators.  The weights are weighted with the images of 1 and the
-    symbols over the lcm of their denominators (and of the images'), and
-    each distinct displacement of a symbol is decided once.
+    numerators.  The weighted sum of the images of 1 and the symbols is
+    formed over the lcm of the weight denominators times that of the image
+    denominators, and each distinct displacement of a symbol is decided once.
     """
     basis, pb, entries = part.basis, part.weights_basis, part.entries
     checks: Dict[str, bool] = {}

@@ -775,6 +775,14 @@ def tampered(part, kind, k=0, i=1):
         (w1, f1), (w2, f2) = part.entries[k], part.entries[k + 1]
         entries = part.entries[:k] + ((w1, f2), (w2, f1)) + part.entries[k + 2:]
         return dataclasses.replace(part, entries=entries, checks=None)
+    if kind == "shifted":  # weight moves from entry k + 1 to entry k along the
+        # last product symbol, a row of the combination with no diagonal entry
+        # once there are two symbols, so the sum and the diagonal stay right
+        pb = part.weights_basis
+        t = pb.unit(pb.dim - 1) * Fraction(1, 10**12)
+        (w1, f1), (w2, f2) = part.entries[k], part.entries[k + 1]
+        entries = part.entries[:k] + ((w1 + t, f1), (w2 - t, f2)) + part.entries[k + 2:]
+        return dataclasses.replace(part, entries=entries, checks=None)
     raise ValueError(kind)
 
 
@@ -787,6 +795,7 @@ BROKEN = {
     "moves_one": "maps_fix_one",
     "not_rational": "maps_fix_one",
     "swapped": "combination_is_identity",
+    "shifted": "combination_is_identity",
 }
 
 
