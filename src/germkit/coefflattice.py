@@ -8,22 +8,22 @@ their closed forms, and values over a declared basis by refinement.
 
 *Certified bases.*  When every symbol is known in closed form as a sum of
 rational multiples of square roots (periodic continued fractions and their
-products), at most four distinct radicands occur, no product of a nonempty
-set of them is a perfect square, each symbol has its own leading radical
-monomial and each form lies in its enclosure's level 0, the basis is
-certified Q-linearly independent: the square roots of the squarefree
-products of such radicands are independent over Q (A. S. Besicovitch,
-J. London Math. Soc. 15, 1940).  The certificate is built from integers,
-on the first irrational sign a basis needs.  Over a certified basis the
-sign of a value is decided by recursive squaring of integer polynomials in
-the square roots, and its floor by ``math.isqrt`` on each square root term
-plus a few such signs; neither reads the refinement budget.
+products), at most MAX_PARTITION_SYMBOLS distinct radicands occur, no
+product of a nonempty set of them is a perfect square, each symbol has its
+own leading radical monomial and each form lies in its enclosure's level 0,
+the basis is certified Q-linearly independent: the square roots of the
+squarefree products of such radicands are independent over Q (A. S.
+Besicovitch, J. London Math. Soc. 15, 1940).  The certificate is built from
+integers, on the first irrational sign a basis needs.  Over a certified
+basis the sign of a value is decided from its closed form by ``math.isqrt``
+brackets of doubling precision, and its floor by ``math.isqrt`` on each
+square root term plus a few such signs; neither reads the refinement budget.
 
 *Declared bases.*  Otherwise (an ``intervals`` symbol, two names for one
-real, a product basis whose radicands multiply to a square, more than four
-radicands) the basis is only declared independent, and enclosures are
-refined until the answer is certified, failing loudly when the refinement
-budget runs out.
+real, a product basis whose radicands multiply to a square, more than
+MAX_PARTITION_SYMBOLS radicands) the basis is only declared independent,
+and enclosures are refined until the answer is certified, failing loudly
+when the refinement budget runs out.
 
 A vector is stored as integer numerators over one common positive
 denominator, kept in lowest terms (the gcd of the denominator and all
@@ -368,12 +368,6 @@ def render_exact(x: SpanElement) -> str:
     return " ".join(parts)
 
 
-# Most distinct radicands a certificate admits.  A sign over k square roots
-# squares polynomials of up to 2^(k-1) terms at each of k levels, about 4^k
-# integer products; past four the refinement path is the cheaper one.
-_MAX_EXACT_RADICALS = 4
-
-
 class _Certificate(NamedTuple):
     """Closed forms of a certified basis as integer polynomials in square roots.
 
@@ -401,14 +395,15 @@ class _Certificate(NamedTuple):
 def _certify(basis: BasisDescriptor) -> Optional[_Certificate]:
     """The certificate of a basis, or None when the basis is only declared.
 
-    Every symbol needs a closed form, at most _MAX_EXACT_RADICALS distinct
-    radicands may occur, and no product of a nonempty set of them may be a
-    perfect square (``isqrt``, no factoring).  The square roots of the
-    products of such radicands are then independent over Q (Besicovitch),
-    so forms whose leading monomials differ are independent too; the
-    leading monomials are compared, which for continued fractions says
-    each has its own radicand.  Last, each form must lie in its enclosure's
-    level 0, one exact check that the form belongs to the enclosure.
+    Every symbol needs a closed form, at most MAX_PARTITION_SYMBOLS distinct
+    radicands may occur (roots holds the product of each subset of them),
+    and no product of a nonempty set of them may be a perfect square
+    (``isqrt``, no factoring).  The square roots of the products of such
+    radicands are then independent over Q (Besicovitch), so forms whose
+    leading monomials differ are independent too; the leading monomials are
+    compared, which for continued fractions says each has its own radicand.
+    Last, each form must lie in its enclosure's level 0, one exact check
+    that the form belongs to the enclosure.
     """
     forms = [enc.closed_form for enc in basis.enclosures]
     if None in forms:
@@ -428,7 +423,7 @@ def _certify(basis: BasisDescriptor) -> Optional[_Certificate]:
             terms.append((m, c))
         masked.append(terms)
     leading = [max(m for m, _ in terms) for terms in masked]
-    if len(bit) > _MAX_EXACT_RADICALS or len(set(leading)) != len(leading):
+    if len(bit) > MAX_PARTITION_SYMBOLS or len(set(leading)) != len(leading):
         return None
     roots = [1]
     for d in bit:
@@ -460,54 +455,55 @@ def _inside(v: List[int], den: int, interval: Interval, roots: Sequence[int]) ->
     return _poly_sign(above, roots) >= 0 and _poly_sign(below, roots) >= 0
 
 
-def _square(p: Sequence[int], roots: Sequence[int]) -> List[int]:
-    """The square of the sum of p[m] * sqrt(roots[m]), in the same form."""
-    out = [0] * len(p)
-    for a, pa in enumerate(p):
-        if pa:
-            out[0] += pa * pa * roots[a]
-            for b in range(a + 1, len(p)):
-                if p[b]:
-                    out[a ^ b] += 2 * pa * p[b] * roots[a & b]
-    return out
-
-
-def _root_sign(a: int, b: int, d: int) -> int:
-    """Exact sign of a + b*sqrt(d) for d > 0."""
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sa == sb or not sb:
-        return sa
-    if not sa:
-        return sb
-    t = a * a - b * b * d
-    return sa * ((t > 0) - (t < 0))
-
-
 def _poly_sign(p: Sequence[int], roots: Sequence[int]) -> int:
-    """Exact sign of the sum of p[m] * sqrt(roots[m]), by recursive squaring.
+    """Exact sign of alpha = the sum of p[m] * sqrt(roots[m]), roots[0] = 1.
 
-    With one irrational monomial this is the sign of a + b*sqrt(d).  Else
-    split off the highest square root: p = P + Q*sqrt(D), with P and Q over
-    the lower ones.  When P and Q do not have opposite signs, p has the sign
-    of the nonzero one; otherwise it has the sign of P exactly when
-    P^2 > D*Q^2.
+    One irrational term: a + b*sqrt(d) has the sign of b unless a has the
+    other sign, and then the sign of a exactly when a^2 > b^2 * d.  k >= 2
+    terms: no roots[m] past the first is a square, so at precision P each
+    term times 2^P lies strictly between its ``isqrt`` bracket t and t + 1,
+    and 2^P * alpha in (s, s + k) for s the sum of the brackets; P doubles
+    until s >= 0 or s + k <= 0 decides.  A nonzero alpha is an algebraic
+    integer of degree at most len(roots), its conjugates are at most
+    H = sum of |p[m]| * sqrt(roots[m]) and its norm is a nonzero integer, so
+    |alpha| >= H^-(len(roots) - 1) (the separation bound of Burnikel,
+    Fleischer, Mehlhorn and Schirra, Algorithmica 27, 2000).  A bracket
+    still open once 2^P times that bound exceeds k means alpha = 0, which
+    contradicts the certificate and raises InvariantViolated.
     """
+    a = p[0]
     irrational = [m for m in range(1, len(p)) if p[m]]
-    if not irrational:
-        return (p[0] > 0) - (p[0] < 0)
     if len(irrational) == 1:
-        m = irrational[0]
-        return _root_sign(p[0], p[m], roots[m])
-    half = 1 << (irrational[-1].bit_length() - 1)
-    lo, hi = p[:half], p[half:2 * half]
-    sp, sq = _poly_sign(lo, roots), _poly_sign(hi, roots)
-    if sp == sq or not sq:
-        return sp
-    if not sp:
-        return sq
-    d = roots[half]
-    diff = [a - d * b for a, b in zip(_square(lo, roots), _square(hi, roots))]
-    return sp * _poly_sign(diff, roots)
+        b = p[irrational[0]]
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa == sb or not sa:
+            return sb
+        t = a * a - b * b * roots[irrational[0]]
+        return sa * ((t > 0) - (t < 0))
+    if not irrational:
+        return (a > 0) - (a < 0)
+    k = len(irrational)
+    precision, bound = 64, None
+    while True:
+        s = a << precision
+        for m in irrational:
+            c = p[m]
+            t = isqrt(c * c * roots[m] << 2 * precision)
+            s += t if c > 0 else -t - 1
+        if s >= 0:
+            return GREATER
+        if s + k <= 0:
+            return LESS
+        if bound is None:
+            # 2^bound > k * H^(len(roots) - 1)
+            height = abs(a) + sum(abs(p[m]) * (isqrt(roots[m]) + 1) for m in irrational)
+            bound = (len(roots) - 1) * height.bit_length() + k.bit_length()
+        if precision >= bound:
+            raise InvariantViolated(
+                f"sign of a certified closed form open at {precision} bits, past its "
+                f"separation bound of {bound}: the form is 0"
+            )
+        precision *= 2
 
 
 def _exact_floor(x: SpanElement, scale: int = 1) -> Optional[int]:
@@ -582,8 +578,8 @@ def _nums_sign(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> int:
     """Certified sign (LESS, EQUAL or GREATER) of the element nums/den, den > 0.
 
     A rational vector is decided by the sign of its integer.  Over a
-    certified basis any other vector is too, by recursive squaring of its
-    closed form, with no budget; a zero there would contradict the
+    certified basis any other vector is too, from its closed form by
+    ``_poly_sign``, with no budget; a zero there would contradict the
     certificate and raises InvariantViolated.  Over a declared basis
     enclosures of the element are refined level by level until its sign is
     certified; if level budget - 1 leaves it open, RefinementExhausted is
@@ -886,12 +882,13 @@ class PartitionOfOne:
         return total
 
 
-# Most irrational symbols a partition of one takes.  Its 2^n entries each
-# carry a weight over the 2^n product symbols, and past four square roots
-# the basis is only declared, so each weight sign is refined over 2^n
-# product enclosures.  Over the square roots of the first n primes at delta
-# 1/1000, 5 symbols take 0.2 s, 6 take 1.2-2 s and 7 (128 entries)
-# 26-32 s and 27 MB of peak RSS (Python 3.11, 2 shared cores).
+# Most irrational symbols a partition of one takes, and most radicands a
+# certificate admits.  A partition's 2^n entries each carry a weight over
+# the 2^n product symbols, and a certificate holds the 2^r products of r
+# radicands and checks each for a square.  Over the square roots of the
+# first n primes at delta 1/1000, 5 symbols take 0.015-0.023 s, 6 take
+# 0.04-0.07 s and 7 (128 entries) 0.14-0.21 s and 20 MB of peak RSS
+# (Python 3.11, 2 shared cores).
 MAX_PARTITION_SYMBOLS = 7
 
 

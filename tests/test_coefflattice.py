@@ -1,7 +1,9 @@
 """Span arithmetic, certified comparison and the perturbation constructions."""
 
 import dataclasses
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -470,6 +472,11 @@ SQRT5 = ContinuedFractionEnclosure((2,), (4,))
 SQRT6 = ContinuedFractionEnclosure((2,), (2, 4))
 SQRT7 = ContinuedFractionEnclosure((2,), (1, 1, 1, 4))
 SQRT11 = ContinuedFractionEnclosure((3,), (3, 6))
+SQRT13 = ContinuedFractionEnclosure((3,), (1, 1, 1, 1, 6))
+SQRT17 = ContinuedFractionEnclosure((4,), (8,))
+SQRT19 = ContinuedFractionEnclosure((4,), (2, 1, 3, 1, 2, 8))
+# the square roots of the first eight primes
+PRIME_ROOTS = (SQRT2, SQRT3, SQRT5, SQRT7, SQRT11, SQRT13, SQRT17, SQRT19)
 # continued fractions as acceptance criterion 6 draws them
 DRAWN = (
     ContinuedFractionEnclosure((1, 3), (2, 5, 1)),
@@ -500,9 +507,11 @@ def test_certified_bases():
     assert all(b.certified for b in CERTIFIED)
     assert not any(d.certified for _, d in PAIRS)
     assert _basis(SQRT2, SQRT3, SQRT5, SQRT7).certified
+    assert _basis(SQRT2, SQRT3, SQRT5, SQRT7, SQRT11).certified
+    assert _basis(*PRIME_ROOTS[:MAX_PARTITION_SYMBOLS]).certified
 
 
-def test_uncertified_bases():
+def test_uncertified_bases(monkeypatch):
     # two names for one real
     assert not TWIN.certified
     # sqrt2 * sqrt3 * sqrt6 = 6, so sqrt6 is not independent of the others'
@@ -517,8 +526,11 @@ def test_uncertified_bases():
     assert not ONE_SYMBOL.certified and not SETTLES_AT_5.certified
     mixed = BasisDescriptor(("1", "a", "b"), (ONE, SQRT2, ONE_SYMBOL.enclosures[1]))
     assert not mixed.certified
-    # more than four radicands
-    assert not _basis(SQRT2, SQRT3, SQRT5, SQRT7, SQRT11).certified
+    # more radicands than MAX_PARTITION_SYMBOLS, the only reason here: with
+    # the cap raised by one the same basis certifies
+    assert not _basis(*PRIME_ROOTS[:MAX_PARTITION_SYMBOLS + 1]).certified
+    monkeypatch.setattr(coefflattice, "MAX_PARTITION_SYMBOLS", MAX_PARTITION_SYMBOLS + 1)
+    assert _basis(*PRIME_ROOTS[:MAX_PARTITION_SYMBOLS + 1]).certified
 
 
 @given(st.data())
@@ -569,6 +581,19 @@ def test_certified_decisions_ask_no_levels():
         assert decimal_str(r2 + r3) == "3.146264369942"
         assert decimal_str(r6 - r2 - r3, 6) == "-0.696775"
     assert spy.asked == spy3.asked == []
+    # five square roots
+    spies = tuple(SpyEnclosure(e.head, e.cycle) for e in PRIME_ROOTS[:5])
+    five = _basis(*spies)
+    assert five.certified
+    for e in spies:
+        e.asked.clear()
+    total = five.element((0, 1, 1, 1, 1, 1))
+    with refinement_budget(1):
+        assert floor_span(total) == 11
+        assert decimal_str(total) == "11.344708448862"
+        assert compare(total, Fraction(11344708448861, 10 ** 12)) == 1
+        assert compare(total, Fraction(11344708448862, 10 ** 12)) == -1
+    assert all(e.asked == [] for e in spies)
 
 
 def test_exact_floor_where_the_isqrt_window_straddles_an_integer():
@@ -622,6 +647,133 @@ def test_zero_closed_form_of_a_nonzero_vector_is_a_defect(monkeypatch):
         compare(d, 0)
     with pytest.raises(InvariantViolated, match="rational closed form"):
         floor_span(d)
+
+
+def test_a_zero_sum_of_roots_stops_at_the_separation_bound(monkeypatch):
+    # roots holding a square (2 * 8 = 16), which _certify never admits, so
+    # that 2*sqrt2 - sqrt8 = 0 and no isqrt bracket ever excludes 0
+    basis = _basis(SQRT2, SQRT5)
+    bad = coefflattice._Certificate((1, 2, 8, 16), (((0, 1),), ((1, 1),), ((2, 1),)), 1)
+    monkeypatch.setattr(coefflattice, "_certify", lambda b: bad)
+    brackets = []
+
+    def counted(n):
+        brackets.append(n)
+        assert len(brackets) < 100, "the precision kept doubling"
+        return isqrt(n)
+
+    monkeypatch.setattr(coefflattice, "isqrt", counted)
+    d = basis.unit(1) * 2 - basis.unit(2)
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolated, match="separation bound"):
+        compare(basis.unit(1) * 2, basis.unit(2))
+    with pytest.raises(InvariantViolated, match="separation bound"):
+        floor_span(d)
+    assert time.perf_counter() - start < 1
+
+
+# ---------------------------------------------------------------------------
+# signs of integer sums of square roots against the recursive squaring that
+# decided them before the isqrt bracket
+
+
+def reference_square(p, roots):
+    """The square of the sum of p[m] * sqrt(roots[m]), in the same form."""
+    out = [0] * len(p)
+    for a, pa in enumerate(p):
+        if pa:
+            out[0] += pa * pa * roots[a]
+            for b in range(a + 1, len(p)):
+                if p[b]:
+                    out[a ^ b] += 2 * pa * p[b] * roots[a & b]
+    return out
+
+
+def reference_root_sign(a, b, d):
+    """Exact sign of a + b*sqrt(d) for d > 0."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    t = a * a - b * b * d
+    return sa * ((t > 0) - (t < 0))
+
+
+def reference_poly_sign(p, roots):
+    """Exact sign of the sum of p[m] * sqrt(roots[m]), by recursive squaring.
+
+    Split off the highest square root: p = P + Q*sqrt(D), with P and Q over
+    the lower ones.  When P and Q do not have opposite signs, p has the sign
+    of the nonzero one; otherwise it has the sign of P exactly when
+    P^2 > D*Q^2.
+    """
+    irrational = [m for m in range(1, len(p)) if p[m]]
+    if not irrational:
+        return (p[0] > 0) - (p[0] < 0)
+    if len(irrational) == 1:
+        m = irrational[0]
+        return reference_root_sign(p[0], p[m], roots[m])
+    half = 1 << (irrational[-1].bit_length() - 1)
+    lo, hi = p[:half], p[half:2 * half]
+    sp, sq = reference_poly_sign(lo, roots), reference_poly_sign(hi, roots)
+    if sp == sq or not sq:
+        return sp
+    if not sp:
+        return sq
+    d = roots[half]
+    diff = [a - d * b for a, b in zip(reference_square(lo, roots), reference_square(hi, roots))]
+    return sp * reference_poly_sign(diff, roots)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _roots(r):
+    """Products of the subsets of the first r primes, by bit mask."""
+    roots = [1]
+    for d in PRIMES[:r]:
+        roots += [x * d for x in roots]
+    return roots
+
+
+def _rounded_irrational_part(p, roots):
+    """The sum of p[m] * sqrt(roots[m]) over m >= 1, rounded to within one."""
+    s = 0
+    for c, d in zip(p[1:], roots[1:]):
+        t = isqrt(c * c * d << 128)
+        s += t if c > 0 else -t
+    return (s + (1 << 63)) >> 64
+
+
+@st.composite
+def sign_problems(draw):
+    roots = _roots(draw(st.integers(1, len(PRIMES))))
+    p = [0] * len(roots)
+    for m in draw(st.lists(st.integers(1, len(roots) - 1), max_size=8)):
+        p[m] = draw(st.integers(-10 ** 6, 10 ** 6))
+    if draw(st.booleans()):
+        # x*sqrt(R) - y*sqrt(2R) = sqrt(R) * (x - y*sqrt2), below 2^-n in
+        # size for the n-th solution of x^2 - 2y^2 = 1: bit 0 is sqrt2
+        x, y = 3, 2
+        for _ in range(draw(st.integers(0, 60))):
+            x, y = 3 * x + 4 * y, 2 * x + 3 * y
+        m = 2 * draw(st.integers(0, len(roots) // 2 - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        p[m], p[m + 1] = sign * x, -sign * y
+    constant = draw(st.sampled_from(("drawn", "zero", "nearly cancelling")))
+    if constant == "zero":
+        p[0] = 0
+    elif constant == "nearly cancelling":
+        p[0] = -_rounded_irrational_part(p, roots) + draw(st.integers(-2, 2))
+    return p, roots
+
+
+@given(sign_problems())
+@settings(max_examples=300, deadline=None)
+def test_poly_sign_matches_recursive_squaring(problem):
+    p, roots = problem
+    assert coefflattice._poly_sign(p, roots) == reference_poly_sign(p, roots)
 
 
 def test_floats_are_refused():
