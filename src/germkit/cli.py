@@ -415,6 +415,13 @@ def main(argv=None) -> int:
     except (GermkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        # an exact result past the interpreter's digit limit cannot be printed
+        if "integer string conversion" not in str(e):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result needs more than {limit} digits to print", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

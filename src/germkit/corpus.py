@@ -142,13 +142,10 @@ def corpus(seed: int, size: int = 200) -> List[SurfaceGermModel]:
 
 def family_an(n_max: int) -> List[SurfaceGermModel]:
     """Chains of (-2)-curves of every length up to n_max, bare."""
-    out = []
-    for k in range(1, n_max + 1):
-        g = WeightedDualGraph(
-            tuple((i, -2) for i in range(k)), tuple((i, i + 1) for i in range(k - 1))
-        )
-        out.append(SurfaceGermModel(g, (), (), None, TRIVIAL_BASIS))
-    return out
+    return [
+        SurfaceGermModel(hj_graph(k + 1, k), (), (), None, TRIVIAL_BASIS)
+        for k in range(1, n_max + 1)
+    ]
 
 
 def family_cyclic_one_one(n_max: int) -> List[SurfaceGermModel]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -445,15 +446,12 @@ def check_convexity(
     out: List[Violation] = []
     half = Fraction(1, 2)
     for vid, w in model.graph.vertices:
-        ns = adj[vid]
         if w <= -2:
-            for x in range(len(ns)):
-                for y in range(x + 1, len(ns)):
-                    p, q = ns[x], ns[y]
-                    if is_gt(a[vid], (a[p] + a[q]) * half):
-                        out.append(
-                            Violation("midpoint", (p, vid, q), f"a({vid}) above neighbor mean")
-                        )
+            for p, q in combinations(adj[vid], 2):
+                if is_gt(a[vid], (a[p] + a[q]) * half):
+                    out.append(
+                        Violation("midpoint", (p, vid, q), f"a({vid}) above neighbor mean")
+                    )
         bound = Fraction(2, -w)
         if is_gt(a[vid], bound):
             out.append(Violation("weight-bound", (vid,), f"a({vid}) above {bound}"))
@@ -462,15 +460,9 @@ def check_convexity(
         for vid in model.graph.ids():
             if model.graph.weight(vid) > -3:
                 continue
-            ns = adj[vid]
-            for x in range(len(ns)):
-                for y in range(x + 1, len(ns)):
-                    p, q = ns[x], ns[y]
-                    lhs = a[p] + a[q] - 2 * a[vid]
-                    if is_lt(lhs, eps):
-                        out.append(
-                            Violation("gap", (p, vid, q), "second difference below epsilon")
-                        )
+            for p, q in combinations(adj[vid], 2):
+                if is_lt(a[p] + a[q] - 2 * a[vid], eps):
+                    out.append(Violation("gap", (p, vid, q), "second difference below epsilon"))
     return tuple(out)
 
 

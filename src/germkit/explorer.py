@@ -74,7 +74,42 @@ from .enclosures import (
 )
 from .errors import GermkitError, ModelError
 
-MODEL_KEYS = {"basis", "enclosures", "graph", "branches", "nefloads", "epsilon"}
+MODEL_KEYS = frozenset({"basis", "enclosures", "graph", "branches", "nefloads", "epsilon"})
+GRAPH_KEYS = frozenset({"vertices", "edges"})
+VERTEX_KEYS = frozenset({"id", "weight"})
+BRANCH_KEYS = frozenset({"vertex", "b"})
+ENCLOSURE_KEYS = frozenset({"cf", "intervals"})
+CF_KEYS = frozenset({"head", "cycle"})
+DATUM_KEYS = frozenset({"n", "basis", "enclosures", "B", "Bplus", "m", "decomposition"})
+DECOMPOSITION_KEYS = frozenset({"weights", "parts"})
+PART_KEYS = frozenset({"Bplus", "m"})
+
+
+def _object(obj, what: str, path, keys=None, required=frozenset(), index=None) -> dict:
+    """``obj`` when it is a JSON object whose keys lie in ``keys`` and include ``required``.
+
+    ``keys`` of None admits any key.  Anything else raises a one-line
+    ModelError at ``path``, or at ``path[index]`` when ``index`` is given;
+    the path is formatted only then, so a check per vertex builds no string.
+    """
+    if isinstance(obj, dict):
+        present = obj.keys()
+        if keys is not None and not present <= keys:
+            message = f"unknown keys {sorted(present - keys)}"
+        elif not present >= required:
+            message = f"missing keys {sorted(required - present)}"
+        else:
+            return obj
+    else:
+        message = f"{what} must be an object"
+    raise ModelError(message, path if index is None else f"{path}[{index}]")
+
+
+def _list(obj, path) -> list:
+    """``obj`` when it is a JSON array; anything else is refused at ``path``."""
+    if isinstance(obj, list):
+        return obj
+    raise ModelError("expected a list", path)
 
 
 def _is_int(obj) -> bool:
@@ -122,20 +157,16 @@ def parse_coefficient(obj, basis: BasisDescriptor, path: str) -> SpanElement:
 def _parse_enclosure(obj, path: str) -> Enclosure:
     if isinstance(obj, list):
         obj = {"cf": obj}
-    if not isinstance(obj, dict):
-        raise ModelError("enclosure must be a list or an object", path)
+    if len(_object(obj, "enclosure", path, ENCLOSURE_KEYS)) != 1:
+        raise ModelError("enclosure needs exactly one of cf or intervals", path)
     if "cf" in obj:
         cf = obj["cf"]
         if isinstance(cf, list):
             head, cycle = cf, ()
-        elif isinstance(cf, dict):
-            head = cf.get("head", [])
-            cycle = cf.get("cycle", [])
-            extra = set(cf) - {"head", "cycle"}
-            if extra:
-                raise ModelError(f"unknown cf keys {sorted(extra)}", path)
         else:
-            raise ModelError("cf must be a list or {head, cycle}", path)
+            cf = _object(cf, "cf", f"{path}.cf", CF_KEYS)
+            head = _list(cf.get("head", []), f"{path}.cf.head")
+            cycle = _list(cf.get("cycle", []), f"{path}.cf.cycle")
         try:
             enc = ContinuedFractionEnclosure(tuple(head), tuple(cycle))
         except (ValueError, TypeError) as e:
@@ -146,45 +177,31 @@ def _parse_enclosure(obj, path: str) -> Enclosure:
                 path,
             )
         return enc
-    if "intervals" in obj:
-        raw = obj["intervals"]
-        if not isinstance(raw, list):
-            raise ModelError("intervals must be a list of [lo, hi] pairs", path)
-        ivs = []
-        for i, pair in enumerate(raw):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ModelError("interval must be a [lo, hi] pair", f"{path}[{i}]")
-            ivs.append(
-                (
-                    parse_rational(pair[0], f"{path}[{i}][0]"),
-                    parse_rational(pair[1], f"{path}[{i}][1]"),
-                )
+    ivs = []
+    for i, pair in enumerate(_list(obj["intervals"], f"{path}.intervals")):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ModelError("interval must be a [lo, hi] pair", f"{path}.intervals[{i}]")
+        ivs.append(
+            (
+                parse_rational(pair[0], f"{path}.intervals[{i}][0]"),
+                parse_rational(pair[1], f"{path}.intervals[{i}][1]"),
             )
-        try:
-            return NestedIntervalsEnclosure(tuple(ivs))
-        except ValueError as e:
-            raise ModelError(str(e), path) from None
-    raise ModelError("enclosure needs a cf or intervals entry", path)
+        )
+    try:
+        return NestedIntervalsEnclosure(tuple(ivs))
+    except ValueError as e:
+        raise ModelError(str(e), path) from None
 
 
 def parse_basis(doc: dict) -> BasisDescriptor:
-    symbols = doc.get("basis", ["1"])
-    if not (isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
+    symbols = _list(doc.get("basis", ["1"]), "basis")
+    if not all(isinstance(s, str) for s in symbols):
         raise ModelError("basis must be a list of symbol names", "basis")
-    encdoc = doc.get("enclosures", {})
-    if not isinstance(encdoc, dict):
-        raise ModelError("enclosures must be an object keyed by symbol", "enclosures")
-    encs: List[Enclosure] = []
-    for i, name in enumerate(symbols):
-        if i == 0:
-            encs.append(PointEnclosure(Fraction(1)))
-            continue
-        if name not in encdoc:
-            raise ModelError(f"missing enclosure for symbol {name!r}", "enclosures")
+    declared = frozenset(symbols[1:])
+    encdoc = _object(doc.get("enclosures", {}), "enclosures", "enclosures", declared, declared)
+    encs = [PointEnclosure(Fraction(1))]
+    for name in symbols[1:]:
         encs.append(_parse_enclosure(encdoc[name], f"enclosures.{name}"))
-    unknown = set(encdoc) - set(symbols[1:])
-    if unknown:
-        raise ModelError(f"enclosures for undeclared symbols {sorted(unknown)}", "enclosures")
     try:
         return BasisDescriptor(tuple(symbols), tuple(encs))
     except ValueError as e:
@@ -193,30 +210,20 @@ def parse_basis(doc: dict) -> BasisDescriptor:
 
 def parse_model(doc: dict) -> SurfaceGermModel:
     """Build a validated germ model from one JSON document."""
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be an object")
-    unknown = set(doc) - MODEL_KEYS
-    if unknown:
-        raise ModelError(f"unknown keys {sorted(unknown)}")
+    _object(doc, "model document", None, MODEL_KEYS)
     basis = parse_basis(doc)
-    gdoc = doc.get("graph", {})
-    if not isinstance(gdoc, dict):
-        raise ModelError("graph must be an object", "graph")
-    extra = set(gdoc) - {"vertices", "edges"}
-    if extra:
-        raise ModelError(f"unknown keys {sorted(extra)}", "graph")
+    gdoc = _object(doc.get("graph", {}), "graph", "graph", GRAPH_KEYS)
     vertices = []
-    for i, v in enumerate(gdoc.get("vertices", [])):
-        if not isinstance(v, dict) or set(v) != {"id", "weight"}:
-            raise ModelError("vertex must be {id, weight}", f"graph.vertices[{i}]")
+    for i, v in enumerate(_list(gdoc.get("vertices", []), "graph.vertices")):
+        _object(v, "vertex", "graph.vertices", VERTEX_KEYS, VERTEX_KEYS, i)
         if not _is_int(v["id"]):
             raise ModelError("id must be an integer", f"graph.vertices[{i}].id")
         if not _is_int(v["weight"]):
             raise ModelError("weight must be an integer", f"graph.vertices[{i}].weight")
         vertices.append((v["id"], v["weight"]))
     edges = []
-    for i, e in enumerate(gdoc.get("edges", [])):
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
+    for i, e in enumerate(_list(gdoc.get("edges", []), "graph.edges")):
+        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
             raise ModelError("edge must be a pair of vertex ids", f"graph.edges[{i}]")
         edges.append((e[0], e[1]))
     try:
@@ -224,26 +231,23 @@ def parse_model(doc: dict) -> SurfaceGermModel:
     except ValueError as e:
         raise ModelError(str(e), "graph") from None
     branches = []
-    for i, b in enumerate(doc.get("branches", [])):
-        if not isinstance(b, dict) or set(b) != {"vertex", "b"}:
-            raise ModelError("branch must be {vertex, b}", f"branches[{i}]")
+    for i, b in enumerate(_list(doc.get("branches", []), "branches")):
+        _object(b, "branch", "branches", BRANCH_KEYS, BRANCH_KEYS, i)
         v = b["vertex"]
         if v is not None and not _is_int(v):
             raise ModelError("vertex must be an id or null", f"branches[{i}].vertex")
         branches.append(Branch(v, parse_coefficient(b["b"], basis, f"branches[{i}].b")))
     loads = []
-    loaddoc = doc.get("nefloads", {})
-    if not isinstance(loaddoc, dict):
-        raise ModelError("nefloads must be an object keyed by vertex id", "nefloads")
+    loaddoc = _object(doc.get("nefloads", {}), "nefloads", "nefloads")
     for k in sorted(loaddoc):
         try:
             vid = int(k)
         except ValueError:
             raise ModelError(f"bad vertex key {k!r}", "nefloads") from None
         loads.append((vid, parse_coefficient(loaddoc[k], basis, f"nefloads.{k}")))
-    eps = None
-    if "epsilon" in doc and doc["epsilon"] is not None:
-        eps = parse_coefficient(doc["epsilon"], basis, "epsilon")
+    eps = doc.get("epsilon")
+    if eps is not None:
+        eps = parse_coefficient(eps, basis, "epsilon")
     return SurfaceGermModel(graph, tuple(branches), tuple(loads), eps, basis)
 
 
@@ -581,11 +585,14 @@ def run_verification(
     sections: Dict[str, dict] = {}
 
     mismatches = []
+    suite_violations = []
     for m in models:
-        profile = mld_point(m)
+        inst, profile = _scan_instance(m, ScanConfig())
         for d in range(1, oracle_depth + 1):
             if not mld_equal(mld_oracle(m, d, profile), profile.mld):
-                mismatches.append({"digest": model_digest(m), "depth": d})
+                mismatches.append({"digest": inst["digest"], "depth": d})
+        for v in inst["violations"]:
+            suite_violations.append({"digest": inst["digest"], "violation": v})
     sections["oracle"] = {
         "models": len(models),
         "depths": list(range(1, oracle_depth + 1)),
@@ -604,11 +611,6 @@ def run_verification(
     ]
     sections["families"] = {"an_failures": bad_an, "cyclic_failures": bad_cyclic}
 
-    suite_violations = []
-    for m in models:
-        inst, _ = _scan_instance(m, ScanConfig())
-        for v in inst["violations"]:
-            suite_violations.append({"digest": inst["digest"], "violation": v})
     sections["suites"] = {"violations": suite_violations}
 
     import math
@@ -664,50 +666,31 @@ def run_verification(
     }
 
 
+def _coefficients(raw, basis: BasisDescriptor, path: str) -> Tuple[SpanElement, ...]:
+    return tuple(
+        parse_coefficient(x, basis, f"{path}[{i}]") for i, x in enumerate(_list(raw, path))
+    )
+
+
 def parse_complement_datum(doc: dict) -> ComplementDatum:
-    if not isinstance(doc, dict):
-        raise ModelError("complement document must be an object")
-    unknown = set(doc) - {"n", "basis", "enclosures", "B", "Bplus", "m", "decomposition"}
-    if unknown:
-        raise ModelError(f"unknown keys {sorted(unknown)}")
-    if "n" not in doc or not _is_int(doc["n"]):
+    _object(doc, "complement document", None, DATUM_KEYS)
+    if not _is_int(doc.get("n")):
         raise ModelError("n must be an integer", "n")
     basis = parse_basis(doc)
-
-    def seq(key: str) -> Tuple[SpanElement, ...]:
-        raw = doc.get(key, [])
-        if not isinstance(raw, list):
-            raise ModelError(f"{key} must be a list", key)
-        return tuple(
-            parse_coefficient(x, basis, f"{key}[{i}]") for i, x in enumerate(raw)
-        )
-
     decomposition = None
     if "decomposition" in doc:
-        d = doc["decomposition"]
-        if not isinstance(d, dict) or set(d) - {"weights", "parts"}:
-            raise ModelError("decomposition must be {weights, parts}", "decomposition")
-        weights = tuple(
-            parse_coefficient(x, basis, f"decomposition.weights[{i}]")
-            for i, x in enumerate(d.get("weights", []))
-        )
+        d = _object(doc["decomposition"], "decomposition", "decomposition", DECOMPOSITION_KEYS)
+        weights = _coefficients(d.get("weights", []), basis, "decomposition.weights")
         parts = []
-        for k, p in enumerate(d.get("parts", [])):
-            if not isinstance(p, dict) or set(p) - {"Bplus", "m"}:
-                raise ModelError("part must be {Bplus, m?}", f"decomposition.parts[{k}]")
-            bplus = tuple(
-                parse_coefficient(x, basis, f"decomposition.parts[{k}].Bplus[{i}]")
-                for i, x in enumerate(p.get("Bplus", []))
-            )
-            loads = None
-            if "m" in p:
-                loads = tuple(
-                    parse_coefficient(x, basis, f"decomposition.parts[{k}].m[{i}]")
-                    for i, x in enumerate(p["m"])
-                )
+        for k, p in enumerate(_list(d.get("parts", []), "decomposition.parts")):
+            path = f"decomposition.parts[{k}]"
+            _object(p, "part", path, PART_KEYS)
+            bplus = _coefficients(p.get("Bplus", []), basis, f"{path}.Bplus")
+            loads = _coefficients(p["m"], basis, f"{path}.m") if "m" in p else None
             parts.append(ComplementPart(bplus, loads))
         decomposition = Decomposition(weights, tuple(parts))
-    return ComplementDatum(doc["n"], basis, seq("B"), seq("Bplus"), seq("m"), decomposition)
+    b, bplus, m = (_coefficients(doc.get(key, []), basis, key) for key in ("B", "Bplus", "m"))
+    return ComplementDatum(doc["n"], basis, b, bplus, m, decomposition)
 
 
 def complement_report(datum: ComplementDatum) -> dict:

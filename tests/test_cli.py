@@ -122,6 +122,63 @@ BOOLEAN_EDGE = (
     '{"graph": {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],'
     ' "edges": [[true, false]]}}'
 )
+ONE_CURVE = {"vertices": [{"id": 0, "weight": -2}], "edges": []}
+
+
+def _with(doc, path, value):
+    # a copy of doc with value put at the dotted path
+    doc = json.loads(json.dumps(doc))
+    *keys, last = path.split(".")
+    inner = doc
+    for key in keys:
+        inner = inner[int(key)] if isinstance(inner, list) else inner[key]
+    inner[last] = value
+    return json.dumps(doc)
+
+
+# 4,000-digit integers, below the digit limit on reading, whose results
+# need more digits than the interpreter prints
+BIG = 10**4000 - 1
+TWO_HUGE_WEIGHTS = json.dumps({
+    "graph": {
+        "vertices": [{"id": 0, "weight": -BIG}, {"id": 1, "weight": -BIG}],
+        "edges": [[0, 1]],
+    },
+    "branches": [{"vertex": 0, "b": "1/2"}],
+})
+HUGE_INDEX = json.dumps({"n": BIG, "B": [f"{BIG}/7"], "Bplus": [f"{BIG}/7"]})
+HUGE_CF = json.dumps({
+    "basis": ["1", "r"],
+    "enclosures": {"r": {"cf": {"head": [BIG], "cycle": [1, BIG]}}},
+    "graph": {"vertices": [], "edges": []},
+})
+MODEL_DOC = {"graph": ONE_CURVE, "branches": [{"vertex": 0, "b": "1/2"}]}
+DATUM_DOC = {
+    "n": 2,
+    "B": ["1/2"],
+    "Bplus": ["1/2"],
+    "m": [],
+    "decomposition": {"weights": ["1"], "parts": [{"Bplus": ["1/2"], "m": []}]},
+}
+SQRT2_MODEL = {
+    "basis": ["1", "r"],
+    "enclosures": {"r": {"cf": {"head": [1], "cycle": [2]}}},
+    "graph": ONE_CURVE,
+}
+# each of these was iterated unchecked, so a non-list ended in a TypeError
+NON_LISTS = [
+    ("mld", MODEL_DOC, "graph.vertices", 5),
+    ("mld", MODEL_DOC, "graph.edges", 7),
+    ("mld", MODEL_DOC, "branches", True),
+    ("check-complement", DATUM_DOC, "decomposition.weights", 3),
+    ("check-complement", DATUM_DOC, "decomposition.parts", 1),
+    ("check-complement", DATUM_DOC, "decomposition.parts.0.Bplus", 2),
+    ("check-complement", DATUM_DOC, "decomposition.parts.0.m", None),
+]
+NON_LIST_CASES = [
+    ([cmd, "{doc}"], _with(doc, key, value), f"{key.replace('.0', '[0]')}: expected a list")
+    for cmd, doc, key, value in NON_LISTS
+]
 
 
 @pytest.mark.parametrize(
@@ -162,6 +219,14 @@ BOOLEAN_EDGE = (
          "--delta: rational literal '1e-999999' needs more than 4300 digits"),
         (["partition", "{doc}", "--refine-budget", "1"], HEAD_ZERO_PAIR,
          "no level with a positive lower endpoint"),
+        (["mld", "{doc}"], TWO_HUGE_WEIGHTS, "a result needs more than 4300 digits to print"),
+        (["check-complement", "{doc}"], HUGE_INDEX, "a result needs more than 4300 digits"),
+        (["partition", "{doc}"], HUGE_CF, "a result needs more than 4300 digits to print"),
+        *NON_LIST_CASES,
+        (["mld", "{doc}"], _with(SQRT2_MODEL, "enclosures.r.typo", 3),
+         "enclosures.r: unknown keys ['typo']"),
+        (["mld", "{doc}"], _with(SQRT2_MODEL, "enclosures.r.intervals", [["1", "2"]]),
+         "enclosures.r: enclosure needs exactly one of cf or intervals"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
@@ -172,7 +237,10 @@ BOOLEAN_EDGE = (
          "partition-over-cap",
          "gen-hj-refine-budget", "not-utf8", "integer-past-digit-limit", "deep-nesting",
          "exponent-past-digit-limit", "huge-exponent", "gen-hj-exponent-past-digit-limit",
-         "delta-exponent-past-digit-limit", "partition-positive-level-past-budget"],
+         "delta-exponent-past-digit-limit", "partition-positive-level-past-budget",
+         "mld-past-digit-limit", "complement-past-digit-limit", "partition-past-digit-limit",
+         *(f"non-list-{key}" for _, _, key, _ in NON_LISTS),
+         "enclosure-unknown-key", "enclosure-cf-and-intervals"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"

@@ -272,3 +272,35 @@ def test_eps_lc_is_decided_in_profile_alone():
         and call.args[1].value == 0
     }
     assert found == {("discrepancy.py", "_profile")}
+
+
+def _checks_document(node) -> bool:
+    # isinstance(x, dict), x.keys(), or set(x) compared with or taken from a set
+    if isinstance(node, ast.Call):
+        if getattr(node.func, "id", None) == "isinstance":
+            return any(getattr(n, "id", None) == "dict" for n in ast.walk(node.args[1]))
+        return getattr(node.func, "attr", None) == "keys"
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+    elif isinstance(node, ast.BinOp):
+        operands = [node.left, node.right]
+    else:
+        return False
+    return any(
+        isinstance(n, ast.Call) and getattr(n.func, "id", None) in {"set", "frozenset"}
+        for n in operands
+    )
+
+
+def test_documents_are_checked_by_one_reader():
+    # explorer._object alone asks whether a document value is an object and
+    # compares its keys; every parser reads objects through it
+    path = SRC / "germkit" / "explorer.py"
+    tree = ast.parse(path.read_text(), str(path))
+    fns = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    found = set()
+    for node in ast.walk(tree):
+        if _checks_document(node):
+            around = [f for f in fns if f.lineno <= node.lineno <= f.end_lineno]
+            found.add(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    assert found == {"_object"}
