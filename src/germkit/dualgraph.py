@@ -149,12 +149,21 @@ def graph_determinant_abs(g: WeightedDualGraph) -> int:
     return abs(determinant(g.factor))
 
 
+# Longest quotient chain hj_weights builds.  Its length is not bounded by
+# the size of n/q: 10^9/(10^9 - 1) expands into 10^9 - 1 curves.  germkit
+# mld on a chain of 10,000 (-2)-curves with one branch takes 0.8 s and
+# 44 MB; on 10,000 (-3)-curves (n of about 4,200 digits, and log
+# discrepancies as long) 52 s and 330 MB (Python 3.11, 2 cores).
+MAX_CHAIN_CURVES = 10_000
+
+
 def hj_weights(n: int, q: int) -> List[int]:
     """Ceiling-division expansion of n/q into chain weights -b_1, ..., -b_s.
 
     Each step takes b = ceil(n/q) and continues with (q, b*q - n); every b
     is at least 2, so the chain is a string of curves of self-intersection
-    at most -2.
+    at most -2.  A chain longer than MAX_CHAIN_CURVES raises HypothesesUnmet
+    as soon as the expansion passes it.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -164,6 +173,8 @@ def hj_weights(n: int, q: int) -> List[int]:
         raise ValueError("n and q must be coprime")
     out: List[int] = []
     while q > 0:
+        if len(out) == MAX_CHAIN_CURVES:
+            raise HypothesesUnmet(f"quotient chain exceeds the cap of {MAX_CHAIN_CURVES} curves")
         b = -(-n // q)
         out.append(-b)
         n, q = q, b * q - n

@@ -1,24 +1,27 @@
 """Exact linear algebra over the integers and rationals.
 
 One elimination serves the intersection form: ``factor_form`` takes a
-sparse symmetric form and computes P M P^T = L D L^T over Fraction,
-leaves first, stopping at the first pivot that is not negative.
-The definiteness verdict, the determinant and every solve are read from
-that factor.  A solve runs on integers: each right-hand side row is a
-tuple of numerators over one positive denominator in lowest terms, the
-form ``SpanElement`` stores, and stays so through every step.  ``rref``
-and the row-space helpers serve coefficient spans.
+sparse symmetric form and computes P M P^T = L D L^T on integers, each
+entry a (numerator, denominator) pair in lowest terms, leaves first,
+stopping at the first pivot that is not negative.  The definiteness
+verdict, the determinant and every solve are read from that factor.  A
+solve runs on integers too: each right-hand side row is a tuple of
+numerators over one positive denominator in lowest terms, the form
+``SpanElement`` stores, and stays so through every step.  ``rref`` and
+the row-space helpers serve coefficient spans, over Fraction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InvariantViolated, NotNegativeDefinite
+
+# a rational p/q as (p, q) with q > 0 and gcd(p, q) == 1
+Pair = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -27,13 +30,25 @@ class SymmetricFactor:
 
     Each step is (position, pivot, column): the column lists the (position,
     multiplier) pairs of L below that pivot, i.e. the positions eliminated
-    later that were coupled to it.  Elimination stops before the first
-    pivot that is not negative, so the form is negative definite exactly
-    when every position was eliminated.
+    later that were coupled to it.  Every pivot and multiplier is a
+    ``Pair``.  Elimination stops before the first pivot that is not
+    negative, so the form is negative definite exactly when every position
+    was eliminated.
     """
 
     size: int
-    steps: Tuple[Tuple[int, Fraction, Tuple[Tuple[int, Fraction], ...]], ...]
+    steps: Tuple[Tuple[int, Pair, Tuple[Tuple[int, Pair], ...]], ...]
+
+
+def _minus_product(a: Pair, p: int, q: int, b: Pair) -> Pair:
+    """a - (p/q) * b in lowest terms; every denominator is positive."""
+    an, ad = a
+    bn, bd = b
+    den = q * bd
+    num = an * den - p * bn * ad
+    den *= ad
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def factor_form(
@@ -45,13 +60,15 @@ def factor_form(
     (i, j, value).  Leaves (positions of degree at most 1) go first, and
     when none is left, a position of least degree, the smallest on ties.
     A leaf creates no new nonzero (Parter 1961, Rose 1970), so on a tree
-    each step costs O(1).  Entries stay ints until the first division.
+    each step costs O(1): the pivot of v is w_v - sum 1/d_c over its
+    children c already eliminated, a continued fraction whose numerators
+    are the determinants of the subtrees below v (their continuants).
+    Every entry is a ``Pair`` and each update costs one gcd.
     """
-    diag = list(diagonal)
-    coupled = [{} for _ in diag]
+    diag: List[Pair] = [(w, 1) for w in diagonal]
+    coupled: List[Dict[int, Pair]] = [{} for _ in diag]
     for i, j, v in off_diagonal:
-        coupled[i][j] = v
-        coupled[j][i] = v
+        coupled[i][j] = coupled[j][i] = (v, 1)
     # each position enters at most once: at the start, or when its degree drops to 1
     leaves = [k for k, row in enumerate(coupled) if len(row) <= 1]
     steps = []
@@ -61,20 +78,26 @@ def factor_form(
         else:
             k = min((len(row), k) for k, row in enumerate(coupled) if row is not None)[1]
         d = diag[k]
-        if d >= 0:
+        dn, dd = d
+        if dn >= 0:
             break
         row, coupled[k] = coupled[k], None
-        col = tuple((i, Fraction(v, d)) for i, v in row.items())
-        for i, li in col:
+        col = []
+        for i, (vn, vd) in row.items():
+            # v/d = (vn dd) / (vd dn), with both signs flipped since dn < 0
+            p, q = -vn * dd, -vd * dn
+            g = gcd(p, q)
+            col.append((i, (p // g, q // g)))
+        for i, (p, q) in col:
             near = coupled[i]
             del near[k]
-            diag[i] -= li * row[i]
+            diag[i] = _minus_product(diag[i], p, q, row[i])
             for j, _ in col:
                 if j != i:
-                    near[j] = near.get(j, 0) - li * row[j]
+                    near[j] = _minus_product(near.get(j, (0, 1)), p, q, row[j])
             if len(near) == 1:
                 leaves.append(i)
-        steps.append((k, d, col))
+        steps.append((k, d, tuple(col)))
     return SymmetricFactor(len(diag), tuple(steps))
 
 
@@ -84,13 +107,19 @@ def is_negative_definite(f: SymmetricFactor) -> bool:
 
 
 def determinant(f: SymmetricFactor) -> int:
-    """Determinant of a negative definite form: the product of its pivots."""
+    """Determinant of a negative definite form: the product of its pivots.
+
+    The product of the first pivots is the leading minor of the positions
+    eliminated so far, an integer, so each step divides exactly.
+    """
     if not is_negative_definite(f):
         raise NotNegativeDefinite("the form was not fully eliminated")
-    det = math.prod(d for _, d, _ in f.steps)
-    if det.denominator != 1:
-        raise InvariantViolated(f"pivot product {det} of an integer form is not an integer")
-    return det.numerator
+    det = 1
+    for k, (p, q), _ in f.steps:
+        det, r = divmod(det * p, q)
+        if r:
+            raise InvariantViolated(f"a leading minor of an integer form is not an integer at {k}")
+    return det
 
 
 # integer numerators over one positive denominator, in lowest terms
@@ -130,19 +159,19 @@ def solve_exact(f: SymmetricFactor, rows: Sequence[Row]) -> List[Row]:
     for k, _, col in f.steps:
         nk, dk = x[k]
         if any(nk):
-            for i, li in col:
-                x[i] = _sub_scaled(x[i], li.numerator, li.denominator, nk, dk)
+            for i, (p, q) in col:
+                x[i] = _sub_scaled(x[i], p, q, nk, dk)
     for k, d, _ in f.steps:
         # d = p/q < 0, so x_k / d = (-q x_k) / (-p)
+        p, q = d
         nk, dk = x[k]
-        q = d.denominator
-        x[k] = _lowest(tuple([-q * a for a in nk]), -d.numerator * dk)
+        x[k] = _lowest(tuple([-q * a for a in nk]), -p * dk)
     for k, _, col in reversed(f.steps):
         xk = x[k]
-        for i, li in col:
+        for i, (p, q) in col:
             ni, di = x[i]
             if any(ni):
-                xk = _sub_scaled(xk, li.numerator, li.denominator, ni, di)
+                xk = _sub_scaled(xk, p, q, ni, di)
         x[k] = xk
     return x
 

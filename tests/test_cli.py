@@ -175,6 +175,19 @@ NON_LISTS = [
     ("check-complement", DATUM_DOC, "decomposition.parts.0.Bplus", 2),
     ("check-complement", DATUM_DOC, "decomposition.parts.0.m", None),
 ]
+# int() reads each of these as 30, but none is the decimal spelling of an id
+NEFLOAD_KEYS = ["3_0", " 30 ", "+30", "\u0663\u0660"]
+NEFLOAD_CASES = [
+    (
+        ["mld", "{doc}"],
+        json.dumps({
+            "graph": {"vertices": [{"id": 30, "weight": -2}], "edges": []},
+            "nefloads": {key: "1/2"},
+        }),
+        f"nefloads: bad vertex key {key!r}",
+    )
+    for key in NEFLOAD_KEYS
+]
 NON_LIST_CASES = [
     ([cmd, "{doc}"], _with(doc, key, value), f"{key.replace('.0', '[0]')}: expected a list")
     for cmd, doc, key, value in NON_LISTS
@@ -227,6 +240,14 @@ NON_LIST_CASES = [
          "enclosures.r: unknown keys ['typo']"),
         (["mld", "{doc}"], _with(SQRT2_MODEL, "enclosures.r.intervals", [["1", "2"]]),
          "enclosures.r: enclosure needs exactly one of cf or intervals"),
+        *NEFLOAD_CASES,
+        (["gen-hj", "1000000000", "999999999"], None,
+         "quotient chain exceeds the cap of 10000 curves"),
+        (["gen-hj", "10002", "10001"], None, "quotient chain exceeds the cap of 10000 curves"),
+        (["scan", "--count", "10001"], None, "count 10001 exceeds the cap of 10000"),
+        (["scan", "--family", "an", "--n-max", "1001"], None,
+         "n_max 1001 exceeds the cap of 1000"),
+        (["verify-lemmas", "--count", "10001"], None, "count 10001 exceeds the cap of 10000"),
     ],
     ids=["duplicate-model-key", "duplicate-datum-key", "boolean-endpoints", "gen-hj-not-coprime",
          "read-directory", "write-directory", "missing-model", "flag-of-another-subcommand",
@@ -240,7 +261,10 @@ NON_LIST_CASES = [
          "delta-exponent-past-digit-limit", "partition-positive-level-past-budget",
          "mld-past-digit-limit", "complement-past-digit-limit", "partition-past-digit-limit",
          *(f"non-list-{key}" for _, _, key, _ in NON_LISTS),
-         "enclosure-unknown-key", "enclosure-cf-and-intervals"],
+         "enclosure-unknown-key", "enclosure-cf-and-intervals",
+         "nefloads-key-underscore", "nefloads-key-spaces", "nefloads-key-plus",
+         "nefloads-key-arabic-indic", "gen-hj-billion-curves", "gen-hj-one-past-cap",
+         "scan-count-over-cap", "scan-n-max-over-cap", "verify-count-over-cap"],
 )
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, text, message):
     doc = tmp_path / "doc.json"

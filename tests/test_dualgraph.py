@@ -1,6 +1,7 @@
 import pytest
 
 from germkit import (
+    MAX_CHAIN_CURVES,
     MarkedVertexPath,
     WeightedDualGraph,
     find_chain,
@@ -79,6 +80,15 @@ def test_hj_weights_validation():
         hj_weights(3, 3)
     with pytest.raises(ValueError):
         hj_weights(1, 1)
+
+
+def test_hj_weights_stop_at_the_curve_cap():
+    # n/(n - 1) expands into n - 1 (-2)-curves
+    assert hj_weights(MAX_CHAIN_CURVES + 1, MAX_CHAIN_CURVES) == [-2] * MAX_CHAIN_CURVES
+    for n in (MAX_CHAIN_CURVES + 2, 10**9, 10**100):
+        # the check runs inside the expansion, so 10^100 curves stop at the cap
+        with pytest.raises(HypothesesUnmet, match="exceeds the cap of 10000 curves"):
+            hj_graph(n, n - 1)
 
 
 def test_hj_graph_determinant_recovers_n():

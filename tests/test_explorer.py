@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from germkit import ModelError, NEG_INFINITY, explorer, refinement_budget
+from germkit import (
+    HypothesesUnmet,
+    MAX_SCAN_COUNT,
+    MAX_SCAN_N,
+    ModelError,
+    NEG_INFINITY,
+    explorer,
+    refinement_budget,
+)
 from germkit.coefflattice import partition_of_one
 from germkit.corpus import corpus, sqrt2_basis
 from germkit.explorer import (
@@ -74,6 +82,22 @@ def test_parse_nefloads_and_epsilon():
     m = parse_model(doc)
     assert m.nef_loads[0][0] == 3
     assert m.epsilon.as_fraction().numerator == 1
+
+
+def test_nefloads_keys_are_decimal_ids():
+    doc = {
+        "graph": {
+            "vertices": [{"id": -4, "weight": -2}, {"id": 30, "weight": -2}],
+            "edges": [[-4, 30]],
+        },
+        "nefloads": {"-4": "1/3", "30": "1/2"},
+    }
+    assert [v for v, _ in parse_model(doc).nef_loads] == [-4, 30]
+    for key in ("3_0", " 30 ", "+30", "\u0663\u0660", "030", "-0", "30.0", ""):
+        doc["nefloads"] = {key: "1/2"}
+        with pytest.raises(ModelError) as info:
+            parse_model(doc)
+        assert str(info.value) == f"nefloads: bad vertex key {key!r}"
 
 
 def test_value_json():
@@ -178,3 +202,24 @@ def test_verification_refuses_a_float_delta_before_any_work(monkeypatch):
     with pytest.raises(TypeError) as info:
         run_verification(count=3, oracle_depth=1, delta=0.001)
     assert str(info.value) == FLOAT_DELTA
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: run_scan(ScanConfig(count=MAX_SCAN_COUNT + 1)), "count 10001 exceeds the cap"),
+        (lambda: run_scan(ScanConfig(family="an", n_max=MAX_SCAN_N + 1)), "n_max 1001 exceeds"),
+        (lambda: run_scan(ScanConfig(family="hj", n_max=MAX_SCAN_N + 1)), "n_max 1001 exceeds"),
+        (lambda: run_verification(count=MAX_SCAN_COUNT + 1), "count 10001 exceeds the cap"),
+    ],
+    ids=["scan-count", "scan-an-n-max", "scan-hj-n-max", "verify-count"],
+)
+def test_scan_sizes_are_refused_before_any_work(monkeypatch, run, message):
+    def no_models(*args):
+        raise AssertionError("a model was built")
+
+    for name in ("corpus", "family_an", "hj_graph"):
+        monkeypatch.setattr(explorer, name, no_models)
+    with pytest.raises(HypothesesUnmet) as info:
+        run()
+    assert message in str(info.value)

@@ -1,9 +1,12 @@
 """Exact linear algebra against sympy as an independent oracle.
 
-The solve runs on integer rows, numerators over one denominator; it is
-also compared with ``reference_solve``, the Fraction solve it replaced.
+The factor runs on integer pairs and the solve on integer rows,
+numerators over one denominator; they are also compared with
+``reference_factor_form`` and ``reference_solve``, the Fraction
+elimination and solve they replaced.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -19,6 +22,7 @@ from germkit import WeightedDualGraph, hj_graph, intersection_matrix
 from germkit.corpus import random_nd_tree
 from germkit.errors import NotNegativeDefinite
 from germkit.linalg import (
+    SymmetricFactor,
     determinant,
     factor_form,
     is_negative_definite,
@@ -74,8 +78,59 @@ def assert_lowest_terms(rows):
         assert gcd(den, *nums) == 1
 
 
+def reference_factor_form(diagonal, off_diagonal):
+    """The factor over Fraction that the pair factor replaced, verbatim."""
+    diag = list(diagonal)
+    coupled = [{} for _ in diag]
+    for i, j, v in off_diagonal:
+        coupled[i][j] = v
+        coupled[j][i] = v
+    leaves = [k for k, row in enumerate(coupled) if len(row) <= 1]
+    steps = []
+    while len(steps) < len(diag):
+        if leaves:
+            k = leaves.pop()
+        else:
+            k = min((len(row), k) for k, row in enumerate(coupled) if row is not None)[1]
+        d = diag[k]
+        if d >= 0:
+            break
+        row, coupled[k] = coupled[k], None
+        col = tuple((i, Fraction(v, d)) for i, v in row.items())
+        for i, li in col:
+            near = coupled[i]
+            del near[k]
+            diag[i] -= li * row[i]
+            for j, _ in col:
+                if j != i:
+                    near[j] = near.get(j, 0) - li * row[j]
+            if len(near) == 1:
+                leaves.append(i)
+        steps.append((k, d, col))
+    return SymmetricFactor(len(diag), tuple(steps))
+
+
+def steps_as_fractions(f):
+    """The steps of a pair factor with every pair read as a Fraction.
+
+    Each pair must be ints in lowest terms with a positive denominator.
+    """
+
+    def frac(pair):
+        p, q = pair
+        assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1
+        return Fraction(p, q)
+
+    return tuple(
+        (k, frac(d), tuple((i, frac(li)) for i, li in col)) for k, d, col in f.steps
+    )
+
+
 def reference_solve(f, rows):
-    """The solve over Fraction that the integer solve replaced, verbatim."""
+    """The solve over Fraction that the integer solve replaced, verbatim.
+
+    It reads the Fraction steps of ``reference_factor_form``.
+    """
     if not is_negative_definite(f):
         raise NotNegativeDefinite("the form was not fully eliminated")
     x = [[Fraction(v) for v in row] for row in rows]
@@ -157,8 +212,11 @@ def test_leading_minors_known():
     # products are the leading minors in that order
     f = factor_dense([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     assert [k for k, _, _ in f.steps] == [2, 1, 0]
-    assert list(accumulate((d for _, d, _ in f.steps), mul)) == [-2, 3, -4]
+    assert [d for _, d, _ in f.steps] == [(-2, 1), (-3, 2), (-4, 3)]
+    assert list(accumulate((Fraction(*d) for _, d, _ in f.steps), mul)) == [-2, 3, -4]
+    assert [col for _, _, col in f.steps] == [((1, (-1, 2)),), ((0, (-2, 3)),), ()]
     assert is_negative_definite(f)
+    assert determinant(f) == -4
 
 
 def test_not_negative_definite_cases():
@@ -234,6 +292,47 @@ forms = st.tuples(
 )
 
 
+@given(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from(("tree", "cycle", "dense")),
+        st.integers(0, 14),
+    ),
+    st.sampled_from((0, 0, 1, 3, 8)),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_pair_factor_matches_fraction_reference(form, shift):
+    # random trees, one-cycle graphs and dense forms, of size 0 upwards; a
+    # positive shift raises diagonal entries, so the form may stop being
+    # definite at any step and elimination stops there
+    seed, kind, size = form
+    diag, off = _form(seed, kind, size)
+    rng = random.Random(-1 - seed)
+    diag = [w + rng.randint(0, shift) for w in diag]
+    f = factor_form(diag, off)
+    ref = reference_factor_form(diag, off)
+    assert f.size == ref.size == size
+    assert steps_as_fractions(f) == ref.steps  # order, pivots, multipliers, stop
+    assert is_negative_definite(f) == (len(ref.steps) == size)
+    if is_negative_definite(f):
+        assert determinant(f) == math.prod(d for _, d, _ in ref.steps)
+    else:
+        with pytest.raises(NotNegativeDefinite):
+            determinant(f)
+
+
+@given(graphs)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pair_factor_of_graphs_matches_fraction_reference(g):
+    # the forms the engine factors: quotient chains, corpus trees, cycles
+    diag = [w for _, w in g.vertices]
+    pos = {v: i for i, v in enumerate(g.ids())}
+    off = [(pos[a], pos[b], 1) for a, b in g.edges]
+    ref = reference_factor_form(diag, off)
+    assert steps_as_fractions(g.factor) == ref.steps
+    assert determinant(g.factor) == math.prod(d for _, d, _ in ref.steps)
+
+
 @given(forms, st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_integer_solve_matches_fraction_reference(form, width):
@@ -242,7 +341,9 @@ def test_integer_solve_matches_fraction_reference(form, width):
         size = max(size, 3)  # every position then has degree at least 2
     diag, off = _form(seed, kind, size)
     f = factor_form(diag, off)
+    ref = reference_factor_form(diag, off)
     assert is_negative_definite(f)
+    assert steps_as_fractions(f) == ref.steps
     if kind == "dense":
         # no leaf at the start: the first pivot is coupled to every other position
         assert len(f.steps[0][2]) == size - 1
@@ -254,7 +355,7 @@ def test_integer_solve_matches_fraction_reference(form, width):
     ]
     got = solve_exact(f, to_rows(rhs))
     assert_lowest_terms(got)
-    assert from_rows(got) == reference_solve(f, rhs)
+    assert from_rows(got) == reference_solve(ref, rhs)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 8), st.integers(1, 4))
@@ -268,6 +369,6 @@ def test_integer_solve_refuses_what_the_reference_refuses(seed, size, width):
     assert not is_negative_definite(f)
     rows = [(tuple(rng.randint(-5, 5) for _ in range(width)), 1) for _ in range(size)]
     with pytest.raises(NotNegativeDefinite):
-        reference_solve(f, [list(nums) for nums, _ in rows])
+        reference_solve(reference_factor_form(diag, off), [list(nums) for nums, _ in rows])
     with pytest.raises(NotNegativeDefinite):
         solve_exact(f, rows)

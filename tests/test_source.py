@@ -159,6 +159,33 @@ def test_solve_and_render_stay_on_integers():
     assert found == set()
 
 
+def test_factor_and_its_readers_stay_on_integers():
+    # the factor keeps every pivot and multiplier as an integer pair, and
+    # the determinant and the solve read them as pairs; a Fraction named in
+    # them or in a linalg helper they call, or a read of .numerator or
+    # .denominator, brings the per-entry normalisation back.  rref and the
+    # row-space helpers stay on Fraction
+    tree = ast.parse((SRC / "germkit" / "linalg.py").read_text())
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo = ["factor_form", "determinant", "solve_exact"]
+    seen = set()
+    found = set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in fns:
+            continue
+        seen.add(name)
+        for node in ast.walk(fns[name]):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                todo.append(node.func.id)
+            if isinstance(node, ast.Name) and node.id == "Fraction":
+                found.add(f"{name}:{node.lineno} Fraction")
+            if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                found.add(f"{name}:{node.lineno} .{node.attr}")
+    assert {"factor_form", "determinant", "solve_exact", "_minus_product", "_sub_scaled"} <= seen
+    assert found == set()
+
+
 def test_partition_verifier_stays_on_integers():
     # the partition verifier, the weight product and the map application
     # work on numerators over one denominator, like the solve
