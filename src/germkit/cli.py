@@ -17,7 +17,6 @@ from .corpus import sqrt2_basis
 from .discrepancy import (
     Branch,
     MAX_ORACLE_DEPTH,
-    NegInfinity,
     SurfaceGermModel,
     check_oracle_depth,
     find_computing_path,
@@ -414,13 +413,6 @@ def main(argv=None) -> int:
         return 1
     except (GermkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        # an exact result past the interpreter's digit limit cannot be printed
-        if "integer string conversion" not in str(e):
-            raise
-        limit = sys.get_int_max_str_digits()
-        print(f"error: a result needs more than {limit} digits to print", file=sys.stderr)
         return 1
 
 

@@ -66,7 +66,8 @@ from .enclosures import (
     refinement_budget,
 )
 from .errors import (
-    BasisMismatch, FloorUndecidable, HypothesesUnmet, InvariantViolated, RefinementExhausted,
+    BasisMismatch, DigitLimitExceeded, FloorUndecidable, HypothesesUnmet, InvariantViolated,
+    RefinementExhausted,
 )
 from .linalg import row_space_coordinates, rref
 
@@ -338,7 +339,10 @@ def ratio_str(n: int, den: int) -> str:
     """n/den in lowest terms as str(Fraction(n, den)) prints it, den > 0."""
     g = gcd(n, den)
     n, den = n // g, den // g
-    return str(n) if den == 1 else f"{n}/{den}"
+    try:
+        return str(n) if den == 1 else f"{n}/{den}"
+    except ValueError:
+        raise DigitLimitExceeded() from None
 
 
 def render_exact(x: SpanElement) -> str:
@@ -689,7 +693,10 @@ def _fixed_point(scaled: int, places: int) -> str:
     """The integer scaled / 10^places written with exactly ``places`` decimals."""
     whole, frac = divmod(abs(scaled), 10 ** places)
     sign = "-" if scaled < 0 else ""
-    return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+    try:
+        return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+    except ValueError:
+        raise DigitLimitExceeded() from None
 
 
 def _round_decimal(fr: Fraction, places: int) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -286,11 +286,11 @@ def _profile(
     return DiscrepancyProfile(tuple(a.items()), mld, realizing, tag, True, is_klt, eps, eps_ok)
 
 
-# Deepest tower the oracle walks.  Its work and its memo each grow 2x to 3x
-# per level, fastest over irrational values.  At depth 14 the 7/3 chain with
-# one rational branch takes 0.7 s and 90 MB; the 5-curve golden tree and
-# cycle models over sqrt2 take 13 to 16 s and about 950 MB (Python 3.11,
-# 2 cores).
+# Deepest tower the oracle walks.  Its tables and its work per point each
+# grow about 2x per level.  At depth 14 the 7/3 chain with one rational
+# branch takes 0.1 s; `germkit mld` on the 5-curve golden tree and cycle
+# models over sqrt2 takes 0.9 to 1.7 s and 28 MB of process RSS (Python 3.11,
+# 2 shared cores).
 MAX_ORACLE_DEPTH = 14
 
 
@@ -312,34 +312,51 @@ def check_oracle_depth(depth: int) -> None:
 
 Nums = Tuple[int, ...]
 
+# (arity, depth) -> _tower_forms(arity, depth), built once per process
+_TOWER_FORMS: Dict[Tuple[int, int], Tuple[Nums, ...]] = {}
 
-def _tower_min(
-    point: Tuple[Nums, ...], d: int, basis: BasisDescriptor, den: int, memo: Dict
-) -> Nums:
-    """Least value over the towers of height up to d above one point.
 
-    Every value is an integer numerator vector over the common denominator
-    den.  ``memo`` maps (sorted point, d) to the answer; it belongs to one
-    mld_oracle call and no closure holds it, so it is freed when that call
-    returns rather than by the cyclic collector.
+def _tower_values(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[Nums]:
+    """Every value over the towers of height up to d above one point.
+
+    ``point`` holds the values of its curves as numerator vectors over den.
+    Its blow-up creates a curve of value 2 - r + sum(point), and every later
+    value is a form of _tower_forms(2, d - 1) at (created, x) for a curve x
+    through the point, or of _tower_forms(1, d - 1) at created.
     """
-    key = (tuple(sorted(point)), d)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    sums = [sum(c) for c in zip(*point)] or [0] * basis.dim
-    sums[0] += (2 - len(point)) * den
-    created = best = tuple(sums)
+    created = [sum(c) for c in zip(*point)] or [0] * dim
+    created[0] += (2 - len(point)) * den
+    values = [tuple(created)]
     if d > 1:
-        for x in point:
-            cand = _tower_min((created, x), d - 1, basis, den, memo)
-            if _nums_sign(basis, tuple(map(sub, cand, best)), den) == LESS:
-                best = cand
-        cand = _tower_min((created,), d - 1, basis, den, memo)
-        if _nums_sign(basis, tuple(map(sub, cand, best)), den) == LESS:
-            best = cand
-    memo[key] = best
-    return best
+        for x, arity in [(x, 2) for x in point] + [((0,) * dim, 1)]:
+            forms = _tower_forms(arity, d - 1)
+            # one list per coordinate, zipped into vectors at C speed
+            p0, x0 = created[0], x[0]
+            cols = [[c0 * den + c1 * p0 + c2 * x0 for c0, c1, c2 in forms]]
+            cols += [[c1 * p + c2 * q for _, c1, c2 in forms] for p, q in zip(created[1:], x[1:])]
+            values.extend(zip(*cols))
+    return values
+
+
+def _tower_forms(arity: int, d: int) -> Tuple[Nums, ...]:
+    """The tower values above a point of 1 or 2 curves, as integer forms.
+
+    Above curves of values u (and v) every value over the towers of height
+    up to d is c0 + c1*u + c2*v with integer c0, c1, c2, whatever the model:
+    _tower_values of (u,) or (u, v) over the symbols (1, u, v).  Two forms
+    with the same linear part (c1, c2) differ by the same integer at every
+    point, and composing them keeps that so, so only the least constant per
+    linear part is kept.  That is exact arithmetic, not a pruning by a
+    lemma: the kept forms reach the least value over all towers.
+    """
+    forms = _TOWER_FORMS.get((arity, d))
+    if forms is None:
+        least: Dict[Tuple[int, int], int] = {}
+        for c0, c1, c2 in _tower_values(((0, 1, 0), (0, 0, 1))[:arity], d, 1, 3):
+            if least.get((c1, c2), c0) >= c0:
+                least[c1, c2] = c0
+        forms = _TOWER_FORMS[arity, d] = tuple((c0,) + lin for lin, c0 in least.items())
+    return forms
 
 
 def mld_oracle(
@@ -353,9 +370,11 @@ def mld_oracle(
     its coefficient).  Blowing up such a point creates a curve of value
     2 - r + sum(values) and the new points worth visiting are its meetings
     with each old curve plus one generic point on it.  The oracle takes the
-    minimum over all towers of height up to ``depth``.  The walk runs on
-    integer numerators over one common denominator of all those values;
-    only the minimum becomes a SpanElement again.
+    minimum over all towers of height up to ``depth``.  Above the created
+    curve those towers do not depend on the model, so their values come
+    from integer forms tabled once per process (_tower_forms), evaluated on
+    integer numerators over one common denominator and ranked by certified
+    signs; only the minimum becomes a SpanElement again.
 
     Agrees exactly with mld_point whenever every branch coefficient is at
     most 1 (so, on the whole generated corpus).  With a coefficient above 1
@@ -368,31 +387,29 @@ def mld_oracle(
     """
     check_oracle_depth(depth)
     a = solve_discrepancies(model) if profile is None else profile.a_map()
-    basis = model.basis
-    one = basis.rational(1)
+    basis, ids = model.basis, model.graph.ids()
+    comps = [basis.rational(1) - br.coeff for br in model.branches]
+    # every value as integer numerators over one common denominator
+    den = lcm(*(a[v].den for v in ids), *(x.den for x in comps))
+    scaled = {v: tuple(n * (den // a[v].den) for n in a[v].nums) for v in ids}
+    comps = [tuple(n * (den // x.den) for n in x.nums) for x in comps]
 
-    points: List[Tuple[SpanElement, ...]] = []
-    for i, j in model.graph.edges:
-        points.append((a[i], a[j]))
-    for br in model.branches:
-        if br.vertex is None:
-            continue
-        points.append((a[br.vertex], one - br.coeff))
-    for vid in model.graph.ids():
-        points.append((a[vid],))
-    if model.graph.order == 0:
-        points.append(tuple(one - br.coeff for br in model.branches))
-    values = [a[v] for v in model.graph.ids()]
-
-    inputs = values + [x for p in points for x in p]
-    den = lcm(*(x.den for x in inputs))
-    scaled = {x: tuple(n * (den // x.den) for n in x.nums) for x in inputs}
-    memo: Dict[Tuple, Nums] = {}
-    mins = [scaled[x] for x in values]
-    mins.extend(_tower_min(tuple(scaled[x] for x in p), depth, basis, den, memo) for p in points)
-    best = mins[0]
-    for x in mins[1:]:
-        if _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS:
+    points = [(scaled[i], scaled[j]) for i, j in model.graph.edges]
+    branch_points = zip(model.branches, comps)
+    points += [(scaled[br.vertex], c) for br, c in branch_points if br.vertex is not None]
+    points += [(scaled[v],) for v in ids] if ids else [tuple(comps)]
+    # a point seen twice, in any order of its curves, has the same towers
+    unique = dict.fromkeys(tuple(sorted(p)) for p in points)
+    towers = (_tower_values(p, depth, den, basis.dim) for p in unique)
+    cands = chain(scaled.values(), chain.from_iterable(towers))
+    best = next(cands)
+    for x in cands:
+        # equal irrational parts leave a rational difference: its integer decides
+        if x[1:] == best[1:]:
+            less = x[0] < best[0]
+        else:
+            less = _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS
+        if less:
             best = x
     if _nums_sign(basis, best, den) == LESS:
         return NEG_INFINITY

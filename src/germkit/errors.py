@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class GermkitError(Exception):
     pass
@@ -40,6 +42,13 @@ class ModelError(GermkitError):
 
 class HypothesesUnmet(GermkitError):
     """A verifier was called on input outside its stated hypotheses."""
+
+
+class DigitLimitExceeded(GermkitError):
+    """An exact result has more digits than the interpreter prints."""
+
+    def __init__(self):
+        super().__init__(f"a result needs more than {sys.get_int_max_str_digits()} digits to print")
 
 
 class InvariantViolated(GermkitError):

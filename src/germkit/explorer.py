@@ -51,7 +51,6 @@ from .discrepancy import (
     Branch,
     DiscrepancyProfile,
     MldValue,
-    NEG_INFINITY,
     NegInfinity,
     SurfaceGermModel,
     adjunction_form,
@@ -72,7 +71,7 @@ from .enclosures import (
     NestedIntervalsEnclosure,
     PointEnclosure,
 )
-from .errors import GermkitError, HypothesesUnmet, ModelError
+from .errors import HypothesesUnmet, ModelError
 
 MODEL_KEYS = frozenset({"basis", "enclosures", "graph", "branches", "nefloads", "epsilon"})
 GRAPH_KEYS = frozenset({"vertices", "edges"})
@@ -725,7 +724,7 @@ def complement_report(datum: ComplementDatum) -> dict:
             "rows": [
                 {
                     "index": r.index,
-                    "threshold": str(r.threshold),
+                    "threshold": ratio_str(r.threshold.numerator, r.threshold.denominator),
                     "integral": r.integral,
                     "meets_threshold": r.meets_threshold,
                 }

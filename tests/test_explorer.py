@@ -5,6 +5,7 @@ import json
 import pytest
 
 from germkit import (
+    DigitLimitExceeded,
     HypothesesUnmet,
     MAX_SCAN_COUNT,
     MAX_SCAN_N,
@@ -15,8 +16,10 @@ from germkit import (
 )
 from germkit.coefflattice import partition_of_one
 from germkit.corpus import corpus, sqrt2_basis
+from germkit.discrepancy import mld_point
 from germkit.explorer import (
     ScanConfig,
+    complement_report,
     emit_csv,
     emit_json,
     emit_report,
@@ -223,3 +226,25 @@ def test_scan_sizes_are_refused_before_any_work(monkeypatch, run, message):
     with pytest.raises(HypothesesUnmet) as info:
         run()
     assert message in str(info.value)
+
+
+# 4,000-digit integers, below the digit limit on reading, whose results need
+# more digits than the interpreter prints
+BIG = 10**4000 - 1
+
+
+def test_results_past_the_digit_limit_raise_a_germkit_error():
+    model = parse_model({
+        "graph": {
+            "vertices": [{"id": 0, "weight": -BIG}, {"id": 1, "weight": -BIG}],
+            "edges": [[0, 1]],
+        },
+        "branches": [{"vertex": 0, "b": "1/2"}],
+    })
+    profile = mld_point(model)
+    for x in [profile.mld] + [a for _, a in profile.a]:
+        with pytest.raises(DigitLimitExceeded, match=r"^a result needs more than \d+ digits"):
+            value_json(x)
+    datum = parse_complement_datum({"n": BIG, "B": [f"{BIG}/7"], "Bplus": [f"{BIG}/7"]})
+    with pytest.raises(DigitLimitExceeded, match="digits to print"):
+        complement_report(datum)

@@ -1,7 +1,9 @@
 """Cross-checks the closed-form mld against the blow-up search oracle."""
 
 import gc
+import re
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 from hypothesis import given, settings, strategies as st
@@ -18,10 +20,13 @@ from germkit import (
 )
 from germkit.coefflattice import LESS, compare, is_lt, refinement_budget, span_min
 from germkit.corpus import corpus
-from germkit.discrepancy import solve_discrepancies
+from germkit.discrepancy import MAX_ORACLE_DEPTH, _TOWER_FORMS, _tower_forms, solve_discrepancies
 from germkit.dualgraph import hj_graph
+from germkit.explorer import load_model
 
 from util import EMPTY, chain, declared, germ, rbranch
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def reference_oracle(model, depth, profile=None):
@@ -76,6 +81,22 @@ def reference_oracle(model, depth, profile=None):
     if is_lt(best, 0):
         return NEG_INFINITY
     return best
+
+
+def walk_forms(point, d):
+    """Every value the old tower walk visits above ``point``, in visit order.
+
+    The walk of mld_oracle before its tables, on forms (c0, c1, c2) standing
+    for c0 + c1*u + c2*v, with no memo and nothing dropped.
+    """
+    created = tuple(map(sum, zip(*point)))
+    created = (created[0] + 2 - len(point),) + created[1:]
+    out = [created]
+    if d > 1:
+        for x in point:
+            out += walk_forms((created, x), d - 1)
+        out += walk_forms((created,), d - 1)
+    return out
 
 
 def outcome(oracle, model, depth):
@@ -203,21 +224,62 @@ def test_matches_reference_on_the_empty_graph_and_not_lc_germs():
     assert mld_oracle(models[5], 2) is NEG_INFINITY
 
 
-def test_exhaustion_matches_reference_over_a_declared_basis():
+def test_exhaustion_refuses_or_answers_over_a_declared_basis():
+    # at budget 1 the oracle either names an undecided sign or returns the
+    # value the reference walk finds at the full budget; which of the two
+    # depends on the order in which it compares candidates
     models = [moved(m, declared(m.basis)) for m in corpus(0, 12)]
-    raised = 0
+    cases = [(m, depth) for m in models for depth in (1, 2, 3)]
+    want = [reference_oracle(m, depth) for m, depth in cases]
     with refinement_budget(1):
-        for m in models:
-            for depth in (1, 2, 3):
-                want = outcome(reference_oracle, m, depth)
-                assert outcome(mld_oracle, m, depth) == want, m
-                raised += isinstance(want, tuple)
-    assert raised
+        got = [outcome(mld_oracle, m, depth) for m, depth in cases]
+    refused = 0
+    for g, w, (m, depth) in zip(got, want, cases):
+        if isinstance(g, tuple):
+            refused += 1
+            assert g[0] == "RefinementExhausted", m
+            assert re.fullmatch(r"sign of .* undecided after 1 refinement levels", g[1]), m
+        else:
+            assert g == w, (m, depth)
+    assert 0 < refused < len(cases)
+
+
+def test_tower_tables_are_the_least_forms_of_the_old_walk():
+    units = ((0, 1, 0), (0, 0, 1))
+    for arity in (1, 2):
+        for d in range(1, 9):
+            least = {}
+            for c0, c1, c2 in walk_forms(units[:arity], d):
+                least[c1, c2] = min(c0, least.get((c1, c2), c0))
+            table = _tower_forms(arity, d)
+            assert len(table) == len(least), (arity, d)
+            assert {(c1, c2): c0 for c0, c1, c2 in table} == least, (arity, d)
+
+
+def test_matches_reference_at_depths_five_and_six():
+    sixth = TRIVIAL_BASIS.rational(Fraction(1, 6))
+    models = corpus(0, 10) + [germ(EMPTY, [Branch(None, sixth)] * 5)]
+    for m in models:
+        for depth in (5, 6):
+            assert mld_oracle(m, depth) == reference_oracle(m, depth), m
+
+
+def test_deepest_oracle_stays_small():
+    # the tables grow about 2x per level and depend on no model; a point of
+    # any arity reuses the arity-1 and arity-2 tables one level down
+    for name in ("tree.json", "cycle.json"):
+        m = load_model(str(GOLDEN / name))
+        assert mld_oracle(m, MAX_ORACLE_DEPTH) == mld_point(m).mld, name
+    seventh = TRIVIAL_BASIS.rational(Fraction(1, 7))
+    m = germ(EMPTY, [Branch(None, seventh)] * 6)
+    assert mld_oracle(m, MAX_ORACLE_DEPTH) == mld_point(m).mld
+    assert {arity for arity, _ in _TOWER_FORMS} <= {1, 2}
+    assert max(d for _, d in _TOWER_FORMS) <= MAX_ORACLE_DEPTH - 1
 
 
 def test_the_memo_is_freed_on_return():
-    # a walk that holds its own memo through a reference cycle leaves every
-    # tower node to the cyclic collector
+    # a call that holds its candidates through a reference cycle leaves
+    # them all to the cyclic collector
     m = corpus(0, 1)[0]
     gc.collect()
     gc.disable()
