@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for invalid input or model data, 2 when a run
-finds violations (an oracle mismatch, a failed scan check, a strong-auto
+Each subcommand returns its report, a JSON-ready dict or CSV text, with an
+exit code; ``main`` writes the report to stdout or to ``--out``.  Exit
+codes: 0 on success, 1 for invalid input or model data, 2 when a run finds
+violations (an oracle mismatch, a failed scan check, a strong-auto
 contradiction).  All reports are deterministic for a fixed seed.
 """
 
@@ -31,11 +33,10 @@ from .explorer import (
     ScanConfig,
     canonical_model_doc,
     complement_report,
+    emit_csv,
     emit_json,
-    emit_report,
     load_doc,
     load_model,
-    mld_equal,
     model_digest,
     parse_coefficient,
     parse_complement_datum,
@@ -89,26 +90,17 @@ def _verify_depth_arg(text: str) -> int:
     return depth
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[dict | str, int]:
     model = load_model(args.model)
     a = solve_discrepancies(model)
     doc = {
         "digest": model_digest(model),
         "a": {str(v): value_json(a[v]) for v in sorted(a)},
     }
-    _write(emit_json(doc), args.out)
-    return 0
+    return doc, 0
 
 
-def cmd_mld(args) -> int:
+def cmd_mld(args) -> tuple[dict | str, int]:
     model = load_model(args.model)
     profile = mld_point(model)
     doc = {
@@ -124,7 +116,7 @@ def cmd_mld(args) -> int:
     code = 0
     if args.oracle_depth >= 1:
         got = mld_oracle(model, args.oracle_depth, profile)
-        agrees = mld_equal(got, profile.mld)
+        agrees = got == profile.mld
         doc["oracle"] = {
             "depth": args.oracle_depth,
             "mld": value_json(got),
@@ -132,11 +124,10 @@ def cmd_mld(args) -> int:
         }
         if not agrees:
             code = VIOLATIONS_EXIT
-    _write(emit_json(doc), args.out)
-    return code
+    return doc, code
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[dict | str, int]:
     config = ScanConfig(
         family=args.family,
         n_min=args.n_min,
@@ -152,18 +143,17 @@ def cmd_scan(args) -> int:
     if config.family == "files" and not config.paths:
         raise ModelError("--family files needs at least one model path")
     report = run_scan(config)
-    _write(emit_report(report, args.format), args.out)
-    return VIOLATIONS_EXIT if report.aggregate["violations_total"] else 0
+    code = VIOLATIONS_EXIT if report.aggregate["violations_total"] else 0
+    return (emit_csv(report) if args.format == "csv" else report.to_json_dict()), code
 
 
-def cmd_perturb(args) -> int:
+def cmd_perturb(args) -> tuple[dict | str, int]:
     models = [load_model(p) for p in args.models]
     report = run_perturb_harness(models, args.delta)
-    _write(emit_json(report), args.out)
-    return VIOLATIONS_EXIT if report["violations_total"] else 0
+    return report, VIOLATIONS_EXIT if report["violations_total"] else 0
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args) -> tuple[dict | str, int]:
     if args.model:
         basis = load_model(args.model).basis
     else:
@@ -184,18 +174,14 @@ def cmd_partition(args) -> int:
         "entries": entries,
         "checks": part.checks,
     }
-    _write(emit_json(doc), args.out)
-    return 0
+    return doc, 0
 
 
-def cmd_check_complement(args) -> int:
+def cmd_check_complement(args) -> tuple[dict | str, int]:
     datum = parse_complement_datum(load_doc(args.data))
     doc = complement_report(datum)
-    _write(emit_json(doc), args.out)
     strong = doc["strong_auto"]
-    if strong["hypothesis_ok"] and not strong["coeffs_ok"]:
-        return VIOLATIONS_EXIT
-    return 0
+    return doc, VIOLATIONS_EXIT if strong["hypothesis_ok"] and not strong["coeffs_ok"] else 0
 
 
 def _pair_args(pairs, basis, label):
@@ -212,7 +198,7 @@ def _pair_args(pairs, basis, label):
     return out
 
 
-def cmd_gen_hj(args) -> int:
+def cmd_gen_hj(args) -> tuple[dict | str, int]:
     from .coefflattice import TRIVIAL_BASIS
 
     try:
@@ -227,22 +213,20 @@ def cmd_gen_hj(args) -> int:
     if args.epsilon is not None:
         eps = TRIVIAL_BASIS.rational(parse_rational(args.epsilon, "--epsilon"))
     model = SurfaceGermModel(g, branches, loads, eps, TRIVIAL_BASIS)
-    _write(emit_json(canonical_model_doc(model)), args.out)
-    return 0
+    return canonical_model_doc(model), 0
 
 
-def cmd_verify_lemmas(args) -> int:
+def cmd_verify_lemmas(args) -> tuple[dict | str, int]:
     report = run_verification(
         seed=args.seed,
         count=args.count,
         oracle_depth=args.oracle_depth,
         delta=args.delta,
     )
-    _write(emit_json(report), args.out)
-    return 0 if report["ok"] else VIOLATIONS_EXIT
+    return report, 0 if report["ok"] else VIOLATIONS_EXIT
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> tuple[dict | str, int]:
     model = load_model(args.model)
     step = resolution_model(model)
     doc = {
@@ -254,11 +238,10 @@ def cmd_resolve(args) -> int:
         "vertices": [[v, w] for v, w in step.model.graph.vertices],
         "edges": [[a, b] for a, b in step.model.graph.edges],
     }
-    _write(emit_json(doc), args.out)
-    return 0
+    return doc, 0
 
 
-def cmd_computing_path(args) -> int:
+def cmd_computing_path(args) -> tuple[dict | str, int]:
     model = load_model(args.model)
     report = find_computing_path(model)
     doc = {
@@ -270,11 +253,10 @@ def cmd_computing_path(args) -> int:
         "moreover_applicable": report.moreover_applicable,
         "moreover": report.moreover,
     }
-    _write(emit_json(doc), args.out)
-    return 0 if all(report.conditions.values()) else VIOLATIONS_EXIT
+    return doc, 0 if all(report.conditions.values()) else VIOLATIONS_EXIT
 
 
-def cmd_epsilon_tag(args) -> int:
+def cmd_epsilon_tag(args) -> tuple[dict | str, int]:
     model = load_model(args.model)
     eps = parse_coefficient(args.epsilon, model.basis, "epsilon")
     classification, profile = epsilon_tag(model, eps)
@@ -284,8 +266,7 @@ def cmd_epsilon_tag(args) -> int:
         "classification": classification,
         "mld": value_json(profile.mld),
     }
-    _write(emit_json(doc), args.out)
-    return 0
+    return doc, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,7 +388,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with refinement_budget(getattr(args, "refine_budget", DEFAULT_BUDGET)):
-            return args.func(args)
+            report, code = args.func(args)
+            text = report if isinstance(report, str) else emit_json(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except HypothesesUnmet as e:
         print(f"hypotheses unmet: {e}", file=sys.stderr)
         return 1

@@ -46,6 +46,8 @@ the level search of a partition of one and the threshold test of
 from __future__ import annotations
 
 import itertools
+import re
+import sys
 from math import gcd, isqrt, lcm
 from operator import add as _add, sub as _sub
 from dataclasses import dataclass, field, replace
@@ -67,7 +69,7 @@ from .enclosures import (
 )
 from .errors import (
     BasisMismatch, DigitLimitExceeded, FloorUndecidable, HypothesesUnmet, InvariantViolated,
-    RefinementExhausted,
+    LiteralTooLong, RefinementExhausted,
 )
 from .linalg import row_space_coordinates, rref
 
@@ -78,12 +80,27 @@ EQUAL = 0
 GREATER = 1
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _fraction(q) -> Fraction:
-    """q as an exact Fraction; a float is refused, not read as its binary value."""
+    """q as an exact Fraction; a float is refused, not read as its binary value.
+
+    A decimal string is refused with LiteralTooLong, a ValueError, before it
+    is built when its numerator or denominator could need more digits than
+    ``sys.get_int_max_str_digits``: its length before the exponent plus the
+    exponent bounds both.  int() keeps each side of a ratio to that limit
+    itself.
+    """
     if isinstance(q, Fraction):
         return q
     if isinstance(q, float):
         raise TypeError(f"{q!r} is a float; give an int, a Fraction or a string")
+    if isinstance(q, str):
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        m = _EXPONENT.search(q)
+        if "/" not in q and (m.start() + abs(int(m[1])) if m else len(q)) > limit:
+            raise LiteralTooLong(f"rational literal {q!r} needs more than {limit} digits")
     return Fraction(q)
 
 
@@ -1035,38 +1052,29 @@ def shrink_delta(
     delta = _fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not old and not new:
-        return delta
-    basis = (old[0] if old else new[0]).basis
-    width = basis.dim
-    e0 = [Fraction(1)] + [Fraction(0)] * (width - 1)
-    rows = [e0] + [list(x.coords) for x in old]
-    reduced = rref(rows)
-    if reduced[0] != e0:
-        raise InvariantViolated("reduction must keep the constant generator first")
     worst = Fraction(0)
     for x in new:
-        if x.basis != basis:
+        if x.basis != (old or new)[0].basis:
             raise BasisMismatch("old and new coefficients over different bases")
-        coords = row_space_coordinates(reduced, list(x.coords))
+        coords = span_coordinates_over(old, x)
         if coords is None:
             raise ValueError(
                 f"{render_exact(x)} is not in the rational span of the old coefficients and 1"
             )
-        total = Fraction(0)
-        for c in coords[1:]:
-            total += abs(c)
-        if total > worst:
-            worst = total
+        worst = max(worst, sum(map(abs, coords[1:]), Fraction(0)))
     return delta / max(Fraction(1), worst)
 
 
 def span_coordinates_over(
     generators: Sequence[SpanElement], x: SpanElement
 ) -> List[Fraction] | None:
-    """Coordinates of x over Q-span(1, generators), or None when outside."""
-    basis = x.basis
-    e0 = [Fraction(1)] + [Fraction(0)] * (basis.dim - 1)
-    rows = [e0] + [list(g.coords) for g in generators]
-    reduced = rref(rows)
+    """Coordinates of x over Q-span(1, generators), or None when outside.
+
+    The first coordinate is that of 1; the others are over the rows the
+    elimination keeps of the generators.
+    """
+    e0 = [Fraction(1)] + [Fraction(0)] * (x.basis.dim - 1)
+    reduced = rref([e0] + [list(g.coords) for g in generators])
+    if reduced[0] != e0:
+        raise InvariantViolated("reduction must keep the constant generator first")
     return row_space_coordinates(reduced, list(x.coords))

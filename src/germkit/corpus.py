@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .coefflattice import BasisDescriptor, SpanElement, TRIVIAL_BASIS
 from .discrepancy import Branch, SurfaceGermModel
@@ -140,20 +140,16 @@ def corpus(seed: int, size: int = 200) -> List[SurfaceGermModel]:
     return models
 
 
-def family_an(n_max: int) -> List[SurfaceGermModel]:
-    """Chains of (-2)-curves of every length up to n_max, bare."""
-    return [
-        SurfaceGermModel(hj_graph(k + 1, k), (), (), None, TRIVIAL_BASIS)
-        for k in range(1, n_max + 1)
-    ]
+def family_an(n_max: int) -> Iterator[SurfaceGermModel]:
+    """Chains of (-2)-curves of every length up to n_max, bare, built one at a time."""
+    for k in range(1, n_max + 1):
+        yield SurfaceGermModel(hj_graph(k + 1, k), (), (), None, TRIVIAL_BASIS)
 
 
-def family_cyclic_one_one(n_max: int) -> List[SurfaceGermModel]:
-    """Single vertices of weight -n for n = 2..n_max (the 1/n(1,1) points)."""
-    out = []
+def family_cyclic_one_one(n_max: int) -> Iterator[SurfaceGermModel]:
+    """Single vertices of weight -n for n = 2..n_max (the 1/n(1,1) points), one at a time."""
     for n in range(2, n_max + 1):
-        out.append(SurfaceGermModel(hj_graph(n, 1), (), (), None, TRIVIAL_BASIS))
-    return out
+        yield SurfaceGermModel(hj_graph(n, 1), (), (), None, TRIVIAL_BASIS)
 
 
 def hj_with_reduced_branch(n: int, q: int) -> SurfaceGermModel:

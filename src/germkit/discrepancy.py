@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from operator import sub
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .coefflattice import (
     BasisDescriptor,
@@ -170,16 +170,27 @@ def positive_inputs(model: SurfaceGermModel) -> List[SpanElement]:
 
 @dataclass(frozen=True)
 class DiscrepancyProfile:
-    """Solved log discrepancies plus the point minimum and its classification."""
+    """Solved log discrepancies plus the point minimum and its classification.
+
+    ``classification`` is "not-lc", "lc", "klt" or "eps-lc"; whether the
+    germ is lc or klt is read from it.  ``epsilon_ok`` says whether the mld
+    reaches the model's epsilon, None when the model declares none.
+    """
 
     a: Tuple[Tuple[int, SpanElement], ...]
     mld: MldValue
     realizing: Locus
     classification: str
-    is_lc: bool
-    is_klt: bool
-    epsilon: Optional[SpanElement]
     epsilon_ok: Optional[bool]
+
+    @property
+    def is_lc(self) -> bool:
+        return self.classification != "not-lc"
+
+    @property
+    def is_klt(self) -> bool:
+        # an eps-lc mld reaches an epsilon > 0
+        return self.classification in ("klt", "eps-lc")
 
     def a_map(self) -> Dict[int, SpanElement]:
         return dict(self.a)
@@ -229,9 +240,8 @@ def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
     every b <= 1, so a meeting point gives a_i + a_j >= a_i, a branch point
     1 + a_i - b >= a_i and a general point 1 + a_i, and each new curve again
     has a value >= 0: no point of the fiber beats the curves through it,
-    and a vertex wins every tie.  The vertices are ranked on integer
-    numerators over one common denominator, as mld_oracle ranks, so no
-    SpanElement is built per comparison.
+    and a vertex wins every tie.  The vertices are ranked by _least, as
+    mld_oracle ranks, so no SpanElement is built per comparison.
     """
     a = solve_discrepancies(model)
     basis = model.basis
@@ -256,11 +266,27 @@ def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
     values = [a[vid] for vid in ids]
     den = lcm(*(x.den for x in values))
     scaled = [tuple(n * (den // x.den) for n in x.nums) for x in values]
-    best = 0
-    for k in range(1, len(values)):
-        if _nums_sign(basis, tuple(map(sub, scaled[k], scaled[best])), den) == LESS:
-            best = k
-    return _profile(model, a, values[best], ("vertex", ids[best]))
+    # equal values have equal rows over one denominator: index finds the first
+    k = scaled.index(_least(basis, scaled, den))
+    return _profile(model, a, values[k], ("vertex", ids[k]))
+
+
+def _least(basis: BasisDescriptor, rows: Iterable[Nums], den: int) -> Nums:
+    """The least of nonempty numerator rows over den, the first of equal rows.
+
+    Rows with equal irrational parts differ by a rational, which their
+    integers decide; any other pair is ranked by a certified sign.
+    """
+    rows = iter(rows)
+    best = next(rows)
+    for x in rows:
+        if x[1:] == best[1:]:
+            less = x[0] < best[0]
+        else:
+            less = _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS
+        if less:
+            best = x
+    return best
 
 
 def _profile(
@@ -270,20 +296,17 @@ def _profile(
     realizing: Locus,
 ) -> DiscrepancyProfile:
     eps = model.epsilon
-    if isinstance(mld, NegInfinity):
-        return DiscrepancyProfile(
-            tuple(a.items()), mld, realizing, "not-lc", False, False, eps,
-            False if eps is not None else None,
-        )
-    is_klt = _nums_sign(mld.basis, mld.nums, mld.den) == GREATER
-    eps_ok = None if eps is None else is_ge(mld, eps)
-    if eps is not None and eps_ok and is_gt(eps, 0):
-        tag = "eps-lc"
-    elif is_klt:
-        tag = "klt"
+    if mld is NEG_INFINITY:
+        tag, eps_ok = "not-lc", None if eps is None else False
     else:
-        tag = "lc"
-    return DiscrepancyProfile(tuple(a.items()), mld, realizing, tag, True, is_klt, eps, eps_ok)
+        eps_ok = None if eps is None else is_ge(mld, eps)
+        if eps_ok and is_gt(eps, 0):
+            tag = "eps-lc"
+        elif _nums_sign(mld.basis, mld.nums, mld.den) == GREATER:
+            tag = "klt"
+        else:
+            tag = "lc"
+    return DiscrepancyProfile(tuple(a.items()), mld, realizing, tag, eps_ok)
 
 
 # Deepest tower the oracle walks.  Its tables and its work per point each
@@ -373,8 +396,8 @@ def mld_oracle(
     minimum over all towers of height up to ``depth``.  Above the created
     curve those towers do not depend on the model, so their values come
     from integer forms tabled once per process (_tower_forms), evaluated on
-    integer numerators over one common denominator and ranked by certified
-    signs; only the minimum becomes a SpanElement again.
+    integer numerators over one common denominator and ranked by _least;
+    only the minimum becomes a SpanElement again.
 
     Agrees exactly with mld_point whenever every branch coefficient is at
     most 1 (so, on the whole generated corpus).  With a coefficient above 1
@@ -401,16 +424,7 @@ def mld_oracle(
     # a point seen twice, in any order of its curves, has the same towers
     unique = dict.fromkeys(tuple(sorted(p)) for p in points)
     towers = (_tower_values(p, depth, den, basis.dim) for p in unique)
-    cands = chain(scaled.values(), chain.from_iterable(towers))
-    best = next(cands)
-    for x in cands:
-        # equal irrational parts leave a rational difference: its integer decides
-        if x[1:] == best[1:]:
-            less = x[0] < best[0]
-        else:
-            less = _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS
-        if less:
-            best = x
+    best = _least(basis, chain(scaled.values(), chain.from_iterable(towers)), den)
     if _nums_sign(basis, best, den) == LESS:
         return NEG_INFINITY
     return _reduced(basis, best, den)
@@ -474,8 +488,8 @@ def check_convexity(
             out.append(Violation("weight-bound", (vid,), f"a({vid}) above {bound}"))
     if profile.classification == "eps-lc":
         eps = model.epsilon
-        for vid in model.graph.ids():
-            if model.graph.weight(vid) > -3:
+        for vid, w in model.graph.vertices:
+            if w > -3:
                 continue
             for p, q in combinations(adj[vid], 2):
                 if is_lt(a[p] + a[q] - 2 * a[vid], eps):
@@ -490,9 +504,7 @@ def check_smooth_threshold(
     if profile is None:
         profile = mld_point(model)
     g = model.graph
-    if g.order == 0 or any(w > -2 for _, w in g.vertices):
-        return ()
-    if isinstance(profile.mld, NegInfinity):
+    if g.order == 0 or any(w > -2 for _, w in g.vertices) or not profile.is_lc:
         return ()
     if is_gt(profile.mld, 1):
         return (Violation("smooth-threshold", (), "mld above 1 on an all-(-2-or-below) graph"),)
@@ -516,10 +528,9 @@ def check_empty_graph_value(
         profile = mld_point(model)
     expected = model.basis.rational(2) - total
     out: List[Violation] = []
-    if isinstance(profile.mld, NegInfinity) or profile.mld != expected:
+    if profile.mld != expected:
         out.append(Violation("smooth-center-value", (), "mld differs from 2 - mult"))
-    got = mld_oracle(model, 4, profile)
-    if isinstance(got, NegInfinity) or got != expected:
+    if mld_oracle(model, 4, profile) != expected:
         out.append(Violation("smooth-center-oracle", (), "tower oracle differs from 2 - mult"))
     return tuple(out)
 
@@ -540,7 +551,7 @@ def check_vertex_window(
         return ()
     if profile is None:
         profile = mld_point(model)
-    if not profile.is_lc or isinstance(profile.mld, NegInfinity):
+    if not profile.is_lc:
         return ()
     mld = profile.mld
     if profile.realizing[0] != "vertex":
@@ -685,7 +696,7 @@ def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:
     Every promised inequality is certified exactly and reported.
     """
     profile = mld_point(model)
-    if not profile.is_lc or isinstance(profile.mld, NegInfinity):
+    if not profile.is_lc:
         raise HypothesesUnmet("model must be log canonical")
     mld = profile.mld
     if not (is_gt(mld, 0) and is_lt(mld, 1)):

@@ -51,5 +51,9 @@ class DigitLimitExceeded(GermkitError):
         super().__init__(f"a result needs more than {sys.get_int_max_str_digits()} digits to print")
 
 
+class LiteralTooLong(ValueError):
+    """A rational literal could need more digits than the interpreter reads."""
+
+
 class InvariantViolated(GermkitError):
     """An internal consistency check failed; this is a defect, not bad input."""

@@ -11,14 +11,14 @@ import dataclasses
 import io
 import json
 import csv
-import re
-import sys
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coefflattice import (
     BasisDescriptor,
+    PartitionOfOne,
     SpanElement,
     TRIVIAL_BASIS,
     _fraction,
@@ -41,7 +41,6 @@ from .complements import (
     check_strong_auto,
 )
 from .corpus import (
-    coefficient_pool,
     corpus,
     family_an,
     family_cyclic_one_one,
@@ -49,7 +48,6 @@ from .corpus import (
 )
 from .discrepancy import (
     Branch,
-    DiscrepancyProfile,
     MldValue,
     NegInfinity,
     SurfaceGermModel,
@@ -63,6 +61,7 @@ from .discrepancy import (
     check_vertex_window,
     mld_oracle,
     mld_point,
+    positive_inputs,
 )
 from .dualgraph import WeightedDualGraph, hj_graph
 from .enclosures import (
@@ -71,7 +70,7 @@ from .enclosures import (
     NestedIntervalsEnclosure,
     PointEnclosure,
 )
-from .errors import HypothesesUnmet, ModelError
+from .errors import HypothesesUnmet, LiteralTooLong, ModelError
 
 MODEL_KEYS = frozenset({"basis", "enclosures", "graph", "branches", "nefloads", "epsilon"})
 GRAPH_KEYS = frozenset({"vertices", "edges"})
@@ -115,28 +114,21 @@ def _is_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
 def parse_rational(obj, path: str) -> Fraction:
     """An integer, or a string Fraction reads ("-3/4", "5e-3"), found at ``path``.
 
-    A decimal string is refused before it is built when its numerator or
-    denominator could need more digits than ``sys.get_int_max_str_digits``:
-    its length before the exponent plus the exponent bounds both.  int()
-    keeps each side of a ratio to that limit itself.
+    Strings are read by coefflattice._fraction, which refuses one past the
+    interpreter's digit limit before building it.
     """
     if isinstance(obj, bool):
         raise ModelError("expected a rational literal, got a boolean", path)
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
         try:
-            m = _EXPONENT.search(obj)
-            if "/" not in obj and (m.start() + abs(int(m[1])) if m else len(obj)) > limit:
-                raise ModelError(f"rational literal {obj!r} needs more than {limit} digits", path)
-            return Fraction(obj)
+            return _fraction(obj)
+        except LiteralTooLong as e:
+            raise ModelError(str(e), path) from None
         except (ValueError, ZeroDivisionError) as e:
             raise ModelError(f"bad rational literal {obj!r}: {e}", path) from None
     raise ModelError(f"expected a rational literal, got {type(obj).__name__}", path)
@@ -332,12 +324,6 @@ def value_json(x: MldValue) -> dict:
     return {"exact": render_exact(x), "decimal": decimal_str(x, 12)}
 
 
-def mld_equal(x: MldValue, y: MldValue) -> bool:
-    if isinstance(x, NegInfinity) or isinstance(y, NegInfinity):
-        return isinstance(x, NegInfinity) and isinstance(y, NegInfinity)
-    return x == y
-
-
 def _realizing_str(locus) -> str:
     kind, where = locus
     if kind == "vertex":
@@ -348,10 +334,11 @@ def _realizing_str(locus) -> str:
 
 
 # Most models one scan or verify-lemmas run takes (--count), and the
-# largest n of the n-indexed scan families (--n-max).  The an family holds
-# a chain of every length up to n_max at once: at 1,000, scan takes 27 s
-# and 411 MB.  A corpus of 10,000 models takes 7.4 s and 84 MB under scan
-# and 19 s and 58 MB under verify-lemmas (Python 3.11, 2 cores).
+# largest n of the n-indexed scan families (--n-max).  The an family has a
+# chain of every length up to n_max, built and profiled one at a time: at
+# 1,000, scan takes 24 s and 26 MB.  A corpus of 10,000 models takes 5.2 s
+# and 67 MB under scan and 16 s and 58 MB under verify-lemmas (Python 3.11,
+# 2 cores).
 MAX_SCAN_COUNT = 10_000
 MAX_SCAN_N = 1_000
 
@@ -385,34 +372,30 @@ class ScanConfig:
         return d
 
 
-def build_scan_models(config: ScanConfig) -> List[SurfaceGermModel]:
+def build_scan_models(config: ScanConfig) -> Iterator[SurfaceGermModel]:
+    """The models of the configured family, yielded one at a time."""
     fam = config.family
     if fam == "an":
         models = family_an(config.n_max)
     elif fam == "cyclic":
         models = family_cyclic_one_one(config.n_max)
     elif fam == "hj":
-        import math
-
-        models = []
-        for n in range(max(2, config.n_min), config.n_max + 1):
-            if 0 < config.q < n and math.gcd(n, config.q) == 1:
-                models.append(
-                    SurfaceGermModel(hj_graph(n, config.q), (), (), None, TRIVIAL_BASIS)
-                )
+        models = (
+            SurfaceGermModel(hj_graph(n, config.q), (), (), None, TRIVIAL_BASIS)
+            for n in range(max(2, config.n_min), config.n_max + 1)
+            if 0 < config.q < n and math.gcd(n, config.q) == 1
+        )
     elif fam == "corpus":
         models = corpus(config.seed, config.count)
     elif fam == "files":
-        models = [load_model(p) for p in config.paths]
+        models = map(load_model, config.paths)
     else:
         raise ModelError(f"unknown family {fam!r}")
-    if config.epsilon is not None:
-        out = []
-        for m in models:
+    for m in models:
+        if config.epsilon is not None:
             eps = parse_coefficient(config.epsilon, m.basis, "epsilon")
-            out.append(dataclasses.replace(m, epsilon=eps))
-        models = out
-    return models
+            m = dataclasses.replace(m, epsilon=eps)
+        yield m
 
 
 def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
@@ -442,19 +425,18 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
             record(check_empty_graph_value(model, profile))
     if config.oracle_depth >= 1:
         checks.append("oracle")
-        got = mld_oracle(model, config.oracle_depth, profile)
-        if not mld_equal(got, profile.mld):
+        if mld_oracle(model, config.oracle_depth, profile) != profile.mld:
             violations.append("oracle: tower enumeration disagrees with the closed form")
+    # the solve has an integer matrix, so the mld lies in Q-span(1, inputs)
     generators = (
         [parse_coefficient(c, model.basis, "coeffs") for c in config.coeffs]
         if config.coeffs is not None
-        else coefficient_pool(model.basis)
+        else positive_inputs(model)
     )
-    if not isinstance(profile.mld, NegInfinity):
+    if profile.is_lc:
         checks.append("span-closure")
         if span_coordinates_over(generators, profile.mld) is None:
             violations.append("span-closure: mld outside the declared coefficient span")
-    if profile.is_lc:
         for idx, br in enumerate(model.branches):
             if br.coeff == model.basis.rational(1):
                 checks.append("adjunction-form")
@@ -500,13 +482,12 @@ def run_scan(config: ScanConfig) -> ScanReport:
         check_oracle_depth(config.oracle_depth)
     _check_cap("count", config.count, MAX_SCAN_COUNT)
     _check_cap("n_max", config.n_max, MAX_SCAN_N)
-    models = build_scan_models(config)
-    by_digest: Dict[str, Tuple[dict, DiscrepancyProfile]] = {}
-    for m in models:
+    by_digest: Dict[str, Tuple[dict, MldValue]] = {}
+    for m in build_scan_models(config):
         inst, profile = _scan_instance(m, config)
-        by_digest.setdefault(inst["digest"], (inst, profile))
+        by_digest.setdefault(inst["digest"], (inst, profile.mld))
     instances = [inst for _, (inst, _) in sorted(by_digest.items())]
-    mlds = [profile.mld for _, (_, profile) in sorted(by_digest.items())]
+    mlds = [mld for _, (_, mld) in sorted(by_digest.items())]
     finite = [x for x in mlds if not isinstance(x, NegInfinity)]
     # values hash by value, so fromkeys keeps the first of each
     ordered = sorted(dict.fromkeys(finite), key=span_key)
@@ -539,6 +520,7 @@ def run_perturb_harness(models: Sequence[SurfaceGermModel], delta) -> dict:
     """
     delta = _fraction(delta)
     entries: Dict[str, dict] = {}
+    parts: Dict[BasisDescriptor, PartitionOfOne] = {}
     violations = 0
     for m in models:
         digest = model_digest(m)
@@ -548,7 +530,9 @@ def run_perturb_harness(models: Sequence[SurfaceGermModel], delta) -> dict:
         if not profile.is_lc:
             entries[digest] = {"digest": digest, "status": "skipped-not-lc"}
             continue
-        part = partition_of_one(m.basis, delta)
+        if m.basis not in parts:
+            parts[m.basis] = partition_of_one(m.basis, delta)
+        part = parts[m.basis]
         eps_active = profile.classification == "eps-lc"
         lc_ok = True
         eps_ok: Optional[bool] = True if eps_active else None
@@ -557,10 +541,8 @@ def run_perturb_harness(models: Sequence[SurfaceGermModel], delta) -> dict:
             p2 = mld_point(m2)
             if not p2.is_lc:
                 lc_ok = False
-            if eps_active:
-                target = f.apply(m.epsilon)
-                if isinstance(p2.mld, NegInfinity) or not is_ge(p2.mld, target):
-                    eps_ok = False
+            if eps_active and not (p2.is_lc and is_ge(p2.mld, f.apply(m.epsilon))):
+                eps_ok = False
         if not lc_ok:
             violations += 1
         if eps_active and not eps_ok:
@@ -609,7 +591,7 @@ def run_verification(
     for m in models:
         inst, profile = _scan_instance(m, ScanConfig())
         for d in range(1, oracle_depth + 1):
-            if not mld_equal(mld_oracle(m, d, profile), profile.mld):
+            if mld_oracle(m, d, profile) != profile.mld:
                 mismatches.append({"digest": inst["digest"], "depth": d})
         for v in inst["violations"]:
             suite_violations.append({"digest": inst["digest"], "violation": v})
@@ -632,8 +614,6 @@ def run_verification(
     sections["families"] = {"an_failures": bad_an, "cyclic_failures": bad_cyclic}
 
     sections["suites"] = {"violations": suite_violations}
-
-    import math
 
     adjunction_failures = []
     adjunction_checked = 0
@@ -782,11 +762,3 @@ def emit_csv(report: ScanReport) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def emit_report(report: ScanReport, fmt: str = "json") -> str:
-    if fmt == "json":
-        return emit_json(report.to_json_dict())
-    if fmt == "csv":
-        return emit_csv(report)
-    raise ValueError(f"unknown format {fmt!r}")

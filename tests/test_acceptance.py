@@ -36,7 +36,7 @@ from germkit.corpus import (
     sqrt2_basis,
 )
 from germkit.discrepancy import adjunction_form, check_convexity
-from germkit.explorer import ScanConfig, emit_csv, emit_report, run_perturb_harness, run_scan
+from germkit.explorer import ScanConfig, emit_csv, emit_json, run_perturb_harness, run_scan
 
 
 def report(num, text, ok):
@@ -356,7 +356,7 @@ def test_criterion_10_deterministic_reports():
     cfg = ScanConfig(family="corpus", count=40, seed=9, oracle_depth=1)
     a, b = run_scan(cfg), run_scan(cfg)
     ok = (
-        emit_report(a, "json") == emit_report(b, "json")
+        emit_json(a.to_json_dict()) == emit_json(b.to_json_dict())
         and emit_csv(a) == emit_csv(b)
     )
     report(10, "fixed-seed scans emit byte-identical JSON and CSV reports", ok)

@@ -445,6 +445,30 @@ def test_resolve(model_file, capsys):
     assert parsed["minus_one_unique"] is True
 
 
+def test_scan_checks_span_closure_over_the_model_inputs(model_file, capsys):
+    # the check read the corpus generator's pool, whose only irrational is
+    # sqrt2/2, so this valid germ over sqrt3 was reported as a violation
+    doc = {
+        "basis": ["1", "sqrt2", "sqrt3"],
+        "enclosures": {
+            "sqrt2": {"cf": {"head": [1], "cycle": [2]}},
+            "sqrt3": {"cf": {"head": [1], "cycle": [1, 2]}},
+        },
+        "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
+        "branches": [{"vertex": 0, "b": ["0", "0", "1/4"]}],
+    }
+    code, out, err = run(capsys, "scan", "--family", "files", model_file(doc))
+    assert (code, err) == (0, "")
+    [inst] = json.loads(out)["instances"]
+    assert "span-closure" in inst["checks"]
+    assert inst["violations"] == []
+    # a declared --coeff span still decides: 1/8*sqrt3 needs sqrt3
+    code, out, _ = run(capsys, "scan", "--family", "files", model_file(doc), "--coeff", "1/2")
+    [inst] = json.loads(out)["instances"]
+    assert code == 2
+    assert inst["violations"] == ["span-closure: mld outside the declared coefficient span"]
+
+
 def test_computing_path(model_file, capsys):
     doc = {
         "graph": {

@@ -797,6 +797,28 @@ def test_floats_are_refused():
     assert basis.rational("1/10") == basis.rational(Fraction(1, 10))
 
 
+def test_library_strings_past_the_digit_limit_are_refused_at_once():
+    # partition_of_one(basis, "1e-3000000") used to build its ten-million-bit
+    # denominator and run on; every reader of a literal refuses it first
+    basis = _basis(SQRT2)
+    for call in (
+        lambda: basis.rational("1e999999"),
+        lambda: basis.element(("1e-999999", 0)),
+        lambda: SpanElement(basis, (1, "-1e5000")),
+        lambda: basis.unit(1) / "1e999999",
+        lambda: partition_of_one(basis, "1e-3000000"),
+        lambda: shrink_delta([], [], "1e-3000000"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^rational literal '.*' needs more than \d+ digits$"):
+            call()
+        assert time.perf_counter() - start < 1
+    # a ratio is left to int(), which keeps each side to the limit itself
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        basis.rational("1/" + "9" * 5000)
+    assert basis.rational("25e-2") == basis.rational(Fraction(1, 4))
+
+
 def test_partition_over_the_cap_is_refused_at_once(monkeypatch):
     def fail(*args):
         raise AssertionError("the partition started")

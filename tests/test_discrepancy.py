@@ -745,6 +745,21 @@ def test_convexity_clean_on_klt_chain():
     assert check_convexity(germ(chain(-2, -3, -2), [rbranch(0, "1/3")])) == ()
 
 
+def test_convexity_reads_weights_from_the_vertex_list(monkeypatch):
+    # the gap loop asked graph.weight for each vertex, a scan of the vertex
+    # list per vertex; curves 1 (-4) and 3 (-3) are middle curves it visits
+    m = germ(chain(-2, -4, -2, -3, -2), [rbranch(0, "1/3")], eps=frac("1/20"))
+    profile = mld_point(m)
+    assert profile.classification == "eps-lc"
+    want = check_convexity(m, profile)
+
+    def no_lookup(self, vid):
+        raise AssertionError(f"weight of {vid} looked up by id")
+
+    monkeypatch.setattr(WeightedDualGraph, "weight", no_lookup)
+    assert check_convexity(m, profile) == want
+
+
 def test_convexity_needs_discrepancies_at_most_one():
     with pytest.raises(HypothesesUnmet, match="above 1"):
         check_convexity(germ(chain(-1)))

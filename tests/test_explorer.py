@@ -1,6 +1,8 @@
 """Model document parsing, digests, and deterministic scan reports."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -11,18 +13,18 @@ from germkit import (
     MAX_SCAN_N,
     ModelError,
     NEG_INFINITY,
+    TRIVIAL_BASIS,
     explorer,
     refinement_budget,
 )
 from germkit.coefflattice import partition_of_one
-from germkit.corpus import corpus, sqrt2_basis
+from germkit.corpus import corpus, family_an, sqrt2_basis
 from germkit.discrepancy import mld_point
 from germkit.explorer import (
     ScanConfig,
     complement_report,
     emit_csv,
     emit_json,
-    emit_report,
     model_digest,
     parse_complement_datum,
     parse_model,
@@ -147,8 +149,8 @@ def test_hj_scan_skips_non_coprime():
 
 def test_scan_report_bytes_are_reproducible():
     cfg = ScanConfig(family="corpus", count=25, seed=7, oracle_depth=1)
-    first = emit_report(run_scan(cfg), "json")
-    second = emit_report(run_scan(cfg), "json")
+    first = emit_json(run_scan(cfg).to_json_dict())
+    second = emit_json(run_scan(cfg).to_json_dict())
     assert first == second
     assert first.endswith("\n")
     doc = json.loads(first)
@@ -195,6 +197,52 @@ def test_perturb_harness_refuses_a_float_delta():
     with pytest.raises(TypeError) as info:
         run_perturb_harness(corpus(0, 3), 0.001)
     assert str(info.value) == FLOAT_DELTA
+
+
+def test_harnesses_refuse_a_delta_past_the_digit_limit_before_any_work(monkeypatch):
+    def no_corpus(*args):
+        raise AssertionError("the corpus was built")
+
+    message = r"^rational literal '1e-3000000' needs more than \d+ digits$"
+    with pytest.raises(ValueError, match=message):
+        run_perturb_harness(corpus(0, 3), "1e-3000000")
+    monkeypatch.setattr(explorer, "corpus", no_corpus)
+    with pytest.raises(ValueError, match=message):
+        run_verification(count=3, oracle_depth=1, delta="1e-3000000")
+
+
+def test_perturb_builds_one_partition_per_basis(monkeypatch):
+    built = []
+
+    def counted(basis, delta):
+        built.append(basis)
+        return partition_of_one(basis, delta)
+
+    models = corpus(0, 20) + list(family_an(3))
+    want = run_perturb_harness(models, "1/1000")
+    monkeypatch.setattr(explorer, "partition_of_one", counted)
+    assert run_perturb_harness(models, "1/1000") == want
+    assert built == [sqrt2_basis(), TRIVIAL_BASIS]
+
+
+def test_scan_holds_one_model_at_a_time(monkeypatch):
+    # while the next model is built, the loop still names the last one;
+    # every model before it must be gone
+    build = explorer.build_scan_models
+    refs = []
+
+    def watched(config):
+        for m in build(config):
+            gc.collect()
+            assert [r for r in refs[:-1] if r() is not None] == []
+            refs.append(weakref.ref(m))
+            yield m
+
+    monkeypatch.setattr(explorer, "build_scan_models", watched)
+    for family in ("an", "cyclic", "hj"):
+        refs.clear()
+        run_scan(ScanConfig(family=family, n_max=8, q=3))
+        assert len(refs) >= 4
 
 
 def test_verification_refuses_a_float_delta_before_any_work(monkeypatch):

@@ -5,8 +5,10 @@ form moved to its single cached factorization, so any change in the solved
 log discrepancies, their rendering or the scan aggregation shows up here.
 The partition files were produced before the partition verifier moved to
 integer numerators; they pin the snap values, the weights and the flags.
-To regenerate after an intended change, rerun each argv below with its
-output redirected to the named file.
+The reports of the other subcommands (solve through verify-lemmas) were
+produced before the subcommands handed their reports to ``cli.main`` to
+write.  To regenerate after an intended change, rerun each argv below with
+its output redirected to the named file.
 """
 
 from pathlib import Path
@@ -38,6 +40,19 @@ CASES = [
     (("partition", "--delta", "1/10"), "partition_sqrt2.json"),
     (("partition", "{sqrt2_sqrt3.json}", "--delta", "1/1000"), "partition_sqrt2_sqrt3.json"),
     (("partition", "{pool3.json}", "--delta", "1/1000"), "partition_pool3.json"),
+    # one report per remaining subcommand
+    (("solve", "{chain.json}"), "chain.solve.json"),
+    (("solve", "{cycle.json}"), "cycle.solve.json"),
+    (("resolve", "{chain.json}"), "chain.resolve.json"),
+    (("resolve", "{point.json}"), "point.resolve.json"),
+    (("computing-path", "{path20.json}"), "path20.computing-path.json"),
+    (("epsilon-tag", "{tree.json}", "1/200"), "tree.epsilon-tag.json"),
+    (("perturb", "{chain.json}", "{tree.json}", "{point.json}", "{gen_hj_7_3.json}",
+      "--delta", "1/100"), "perturb.json"),
+    (("check-complement", "{datum.json}"), "datum.check-complement.json"),
+    (("gen-hj", "7", "3", "--branch", "0:1/2", "--branch", "2:1/3", "--load", "1:1/5",
+      "--epsilon", "1/10"), "gen_hj_7_3.json"),
+    (("verify-lemmas", "--count", "20", "--oracle-depth", "2"), "verify_lemmas_20.json"),
 ]
 
 
@@ -46,6 +61,18 @@ def test_report_matches_golden(argv, expected, capsys):
     args = [str(GOLDEN / a[1:-1]) if a.startswith("{") else a for a in argv]
     assert main(args) == 0
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+OUT_CASES = [c for c in CASES if c[1] in {"chain.mld.json", "scan_hj.csv"}]
+
+
+@pytest.mark.parametrize("argv,expected", OUT_CASES, ids=[c[1] for c in OUT_CASES])
+def test_out_writes_the_golden_report(argv, expected, capsys, tmp_path):
+    out = tmp_path / expected
+    args = [str(GOLDEN / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == (GOLDEN / expected).read_text()
 
 
 MLD_CASES = [c for c in CASES if c[0][0] == "mld"]

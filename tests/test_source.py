@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -331,3 +332,112 @@ def test_documents_are_checked_by_one_reader():
             around = [f for f in fns if f.lineno <= node.lineno <= f.end_lineno]
             found.add(max(around, key=lambda f: f.lineno).name if around else "<module>")
     assert found == {"_object"}
+
+
+def _callers(path, named):
+    """Innermost enclosing function of every call to a name or method in ``named``."""
+    return {
+        name
+        for name, call in _innermost_calls(path)
+        if getattr(call.func, "id", None) in named or getattr(call.func, "attr", None) in named
+    }
+
+
+def test_cli_main_alone_writes_a_report():
+    # every subcommand returns its report and exit code; main emits the
+    # report and writes it to stdout or --out
+    path = SRC / "germkit" / "cli.py"
+    assert _callers(path, {"emit_json", "open", "write"}) == {"main"}
+    found = {
+        (p.name, name)
+        for p in sorted(SRC.rglob("*.py"))
+        for name, call in _innermost_calls(p)
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "write"
+    }
+    assert found == {("cli.py", "main")}
+
+
+def test_profile_stores_the_lc_verdict_once():
+    # is_lc and is_klt are read from the classification; the profile keeps
+    # no copy of the model's epsilon
+    from germkit.discrepancy import DiscrepancyProfile
+
+    fields = [f.name for f in dataclasses.fields(DiscrepancyProfile)]
+    assert fields == ["a", "mld", "realizing", "classification", "epsilon_ok"]
+    assert isinstance(DiscrepancyProfile.is_lc, property)
+    assert isinstance(DiscrepancyProfile.is_klt, property)
+    # outside the renderer and the scan aggregate, lc is asked of the profile
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for name, call in _innermost_calls(path):
+            if getattr(call.func, "id", None) == "isinstance" and any(
+                getattr(n, "id", None) == "NegInfinity" for n in ast.walk(call.args[1])
+            ):
+                found.add((path.name, name))
+    assert found == {("explorer.py", "value_json"), ("explorer.py", "run_scan")}
+
+
+def test_mld_values_are_compared_with_equality():
+    names = {
+        node.name
+        for _, node in _nodes()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert "mld_equal" not in names
+
+
+def test_least_row_is_ranked_in_one_place():
+    # mld_point and mld_oracle both rank numerator rows through _least,
+    # the one place that subtracts two rows to take a sign
+    path = SRC / "germkit" / "discrepancy.py"
+    subtracting = {
+        name
+        for name, call in _innermost_calls(path)
+        if getattr(call.func, "id", None) == "map"
+        and getattr(call.args[0], "id", None) == "sub"
+    }
+    assert subtracting == {"_least"}
+    assert {"mld_point", "mld_oracle"} <= _callers(path, {"_least"})
+
+
+def test_span_coordinates_are_eliminated_in_one_place():
+    # shrink_delta and the scan's span-closure check both go through
+    # span_coordinates_over, the one caller of rref outside linalg
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "linalg.py"
+        for name, call in _innermost_calls(path)
+        if getattr(call.func, "id", None) in {"rref", "row_space_coordinates"}
+    }
+    assert found == {("coefflattice.py", "span_coordinates_over")}
+    assert _callers(SRC / "germkit" / "coefflattice.py", {"span_coordinates_over"}) == {
+        "shrink_delta"
+    }
+
+
+def test_rational_literals_are_read_in_one_place():
+    # coefflattice._fraction alone checks a string against the digit limit
+    # (DigitLimitExceeded only names the limit in its message), and
+    # parse_rational hands strings to it
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name, call in _innermost_calls(path)
+        if getattr(call.func, "attr", None) == "get_int_max_str_digits"
+    }
+    assert found == {("coefflattice.py", "_fraction"), ("errors.py", "__init__")}
+    assert "parse_rational" in _callers(SRC / "germkit" / "explorer.py", {"_fraction"})
+
+
+def test_scans_check_span_closure_over_the_model_inputs():
+    # the corpus generator's coefficient pool is not the model's span
+    path = SRC / "germkit" / "explorer.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert "coefficient_pool" not in imported
