@@ -79,6 +79,10 @@ LESS = -1
 EQUAL = 0
 GREATER = 1
 
+# Precision of the integer brackets of a certified basis's symbols, with
+# which discrepancy._least filters the candidates it ranks.
+BRACKET_BITS = 64
+
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -148,6 +152,33 @@ class BasisDescriptor:
     @cached_property
     def _certificate(self) -> Optional[_Certificate]:
         return _certify(self)
+
+    @cached_property
+    def _brackets(self) -> Optional[Tuple[Tuple[int, int], ...]]:
+        """Integers lo <= 2^BRACKET_BITS * r_j <= hi for each symbol r_j.
+
+        None over a declared basis.  Over a certified one, den * r_j is a
+        sum of terms c * sqrt(roots[m]) (see _Certificate).  Times
+        2^BRACKET_BITS the rational term is an integer, and each of the k
+        irrational ones lies strictly between its ``isqrt`` bracket t and
+        t + 1, so the sum lies between an integer s and s + k, and
+        2^BRACKET_BITS * r_j between floor(s / den) and ceil((s + k) / den).
+        """
+        cert = self._certificate
+        if cert is None:
+            return None
+        out = []
+        for form in cert.forms:
+            s = k = 0
+            for m, c in form:
+                if m:
+                    t = isqrt(c * c * cert.roots[m] << 2 * BRACKET_BITS)
+                    s += t if c > 0 else -t - 1
+                    k += 1
+                else:
+                    s += c << BRACKET_BITS
+            out.append((s // cert.den, -(-(s + k) // cert.den)))
+        return tuple(out)
 
     @property
     def certified(self) -> bool:

@@ -274,17 +274,45 @@ def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
 def _least(basis: BasisDescriptor, rows: Iterable[Nums], den: int) -> Nums:
     """The least of nonempty numerator rows over den, the first of equal rows.
 
-    Rows with equal irrational parts differ by a rational, which their
-    integers decide; any other pair is ranked by a certified sign.
+    Group: rows with equal irrational parts differ by a rational, which
+    their integers decide, so one pass keeps the least integer for each
+    irrational part, in order of first appearance.
+
+    Filter, over a certified basis with more than one representative left:
+    the symbol brackets lo_j <= 2^BRACKET_BITS * r_j <= hi_j bound each
+    representative's value times 2^BRACKET_BITS by integers L <= v <= U.
+    Representatives have distinct irrational parts, so, the basis being
+    certified independent, distinct values; the least one has
+    L <= v <= every other value <= that one's U, so it is among those with
+    L <= min U, and only those are ranked.  This is the static filter of
+    exact geometric computation (Fortune and Van Wyk, ACM TOG 15, 1996).
+    Over a declared basis every representative is ranked.
+
+    The ranking keeps a running best and asks each later representative's
+    certified sign against it (_nums_sign).
     """
-    rows = iter(rows)
-    best = next(rows)
+    least: Dict[Nums, int] = {}
     for x in rows:
-        if x[1:] == best[1:]:
-            less = x[0] < best[0]
-        else:
-            less = _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS
-        if less:
+        c, irrational = x[0], x[1:]
+        if least.get(irrational, c) >= c:
+            least[irrational] = c
+    reps = [(c,) + irrational for irrational, c in least.items()]
+    brackets = basis._brackets if len(reps) > 1 else None
+    if brackets is not None:
+        bounds = []
+        for x in reps:
+            lo = hi = 0
+            for n, (l, h) in zip(x, brackets):
+                if n > 0:
+                    lo, hi = lo + n * l, hi + n * h
+                elif n:
+                    lo, hi = lo + n * h, hi + n * l
+            bounds.append((lo, hi))
+        top = min(hi for _, hi in bounds)
+        reps = [x for x, (lo, _) in zip(reps, bounds) if lo <= top]
+    best = reps[0]
+    for x in reps[1:]:
+        if _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS:
             best = x
     return best
 
@@ -311,8 +339,8 @@ def _profile(
 
 # Deepest tower the oracle walks.  Its tables and its work per point each
 # grow about 2x per level.  At depth 14 the 7/3 chain with one rational
-# branch takes 0.1 s; `germkit mld` on the 5-curve golden tree and cycle
-# models over sqrt2 takes 0.9 to 1.7 s and 28 MB of process RSS (Python 3.11,
+# branch takes 0.08 s; `germkit mld` on the 5-curve golden tree and cycle
+# models over sqrt2 takes 0.3 to 0.6 s and 32 MB of process RSS (Python 3.11,
 # 2 shared cores).
 MAX_ORACLE_DEPTH = 14
 
@@ -396,8 +424,10 @@ def mld_oracle(
     minimum over all towers of height up to ``depth``.  Above the created
     curve those towers do not depend on the model, so their values come
     from integer forms tabled once per process (_tower_forms), evaluated on
-    integer numerators over one common denominator and ranked by _least;
-    only the minimum becomes a SpanElement again.
+    integer numerators over one common denominator and ranked by _least,
+    which keeps the least candidate per irrational part and, over a
+    certified basis, signs only those whose integer brackets reach the
+    least upper bound; only the minimum becomes a SpanElement again.
 
     Agrees exactly with mld_point whenever every branch coefficient is at
     most 1 (so, on the whole generated corpus).  With a coefficient above 1
@@ -526,7 +556,7 @@ def check_empty_graph_value(
         return ()
     if profile is None:
         profile = mld_point(model)
-    expected = model.basis.rational(2) - total
+    expected = smooth_point_mld(total)
     out: List[Violation] = []
     if profile.mld != expected:
         out.append(Violation("smooth-center-value", (), "mld differs from 2 - mult"))
@@ -825,12 +855,15 @@ def find_computing_path(model: SurfaceGermModel) -> ComputingPathReport:
     )
 
 
-def adjunction_coefficient(model: SurfaceGermModel, branch_index: int) -> SpanElement:
+def adjunction_coefficient(
+    model: SurfaceGermModel, branch_index: int, profile: DiscrepancyProfile | None = None
+) -> SpanElement:
     """Coefficient the germ induces on a reduced branch through it.
 
     The distinguished branch must carry coefficient exactly 1.  On the
     empty graph the branch is untouched and the answer is 0; otherwise it
-    is 1 - a(E) for the curve E the branch attaches to.
+    is 1 - a(E) for the curve E the branch attaches to.  ``profile``, when
+    given, is ``mld_point(model)``.
     """
     try:
         br = model.branches[branch_index]
@@ -838,7 +871,8 @@ def adjunction_coefficient(model: SurfaceGermModel, branch_index: int) -> SpanEl
         raise ModelError(f"no branch {branch_index}") from None
     if br.coeff != model.basis.rational(1):
         raise HypothesesUnmet("distinguished branch must have coefficient exactly 1")
-    profile = mld_point(model)
+    if profile is None:
+        profile = mld_point(model)
     if not profile.is_lc:
         raise HypothesesUnmet("model must be log canonical")
     if br.vertex is None:
@@ -878,7 +912,9 @@ class AdjunctionForm:
         )
 
 
-def adjunction_form(model: SurfaceGermModel, branch_index: int) -> AdjunctionForm:
+def adjunction_form(
+    model: SurfaceGermModel, branch_index: int, profile: DiscrepancyProfile | None = None
+) -> AdjunctionForm:
     """Certify the arithmetic shape of the adjunction coefficient.
 
     The coefficient is affine in the other branch coefficients and the
@@ -898,8 +934,9 @@ def adjunction_form(model: SurfaceGermModel, branch_index: int) -> AdjunctionFor
     exactly 1 and every input at a nonzero multiplier, branch or nef load
     alike, is zero.  A nef load of a generalized pair enters as one more
     input at its curve, so neither case needs a separate statement for it.
+    ``profile``, when given, is ``mld_point(model)``.
     """
-    value = adjunction_coefficient(model, branch_index)
+    value = adjunction_coefficient(model, branch_index, profile)
     ell = graph_determinant_abs(model.graph)
     basis = model.basis
     g = model.graph

@@ -440,7 +440,7 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
         for idx, br in enumerate(model.branches):
             if br.coeff == model.basis.rational(1):
                 checks.append("adjunction-form")
-                if not adjunction_form(model, idx).ok:
+                if not adjunction_form(model, idx, profile).ok:
                     violations.append(f"adjunction-form@branch:{idx}: decomposition failed")
                 break
     instance = {

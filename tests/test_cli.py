@@ -628,7 +628,7 @@ def test_scan_records_each_kind_of_violation(model_file, capsys, monkeypatch):
     monkeypatch.setattr(explorer, "check_convexity", lambda model, profile: forced)
     monkeypatch.setattr(explorer, "mld_oracle", lambda model, depth, profile: NEG_INFINITY)
     monkeypatch.setattr(explorer, "span_coordinates_over", lambda gens, x: None)
-    monkeypatch.setattr(explorer, "adjunction_form", lambda model, idx: _FailedForm())
+    monkeypatch.setattr(explorer, "adjunction_form", lambda model, idx, profile: _FailedForm())
     path = model_file(REDUCED_CHAIN)
     code, out, err = run(capsys, "scan", "--family", "files", path, "--oracle-depth", "1")
     assert (code, err) == (2, "")

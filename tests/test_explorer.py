@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from germkit import (
+    Branch,
     DigitLimitExceeded,
     HypothesesUnmet,
     MAX_SCAN_COUNT,
@@ -14,6 +15,7 @@ from germkit import (
     ModelError,
     NEG_INFINITY,
     TRIVIAL_BASIS,
+    discrepancy,
     explorer,
     refinement_budget,
 )
@@ -33,6 +35,8 @@ from germkit.explorer import (
     run_verification,
     value_json,
 )
+
+from util import EMPTY, germ
 
 
 GOOD_DOC = {
@@ -155,6 +159,28 @@ def test_scan_report_bytes_are_reproducible():
     assert first.endswith("\n")
     doc = json.loads(first)
     assert doc["aggregate"]["count"] == 25
+
+
+def test_scan_instance_solves_each_model_once(monkeypatch):
+    # the checks, the oracle and the adjunction form all read the profile
+    # that _scan_instance solved
+    solved = []
+    real = discrepancy.solve_discrepancies
+
+    def spy(model):
+        solved.append(model)
+        return real(model)
+
+    monkeypatch.setattr(discrepancy, "solve_discrepancies", spy)
+    half = TRIVIAL_BASIS.rational("1/2")
+    models = corpus(0, 60) + [germ(EMPTY, [Branch(None, half)])]
+    ran = set()
+    for m in models:
+        solved.clear()
+        instance, _ = explorer._scan_instance(m, ScanConfig(oracle_depth=1))
+        ran.update(instance["checks"])
+        assert solved == [m]
+    assert {"adjunction-form", "smooth-center", "convexity", "oracle"} <= ran
 
 
 def test_csv_shape():

@@ -441,3 +441,17 @@ def test_scans_check_span_closure_over_the_model_inputs():
         for a in node.names
     }
     assert "coefficient_pool" not in imported
+
+
+def test_smooth_point_value_has_one_home():
+    # check_empty_graph_value takes 2 - mult from smooth_point_mld; mld_point
+    # writes 2 - sum b itself, since it also answers for sums above 1
+    path = SRC / "germkit" / "discrepancy.py"
+    assert "check_empty_graph_value" in _callers(path, {"smooth_point_mld"})
+    twos = {
+        name
+        for name, call in _innermost_calls(path)
+        if getattr(call.func, "attr", None) == "rational"
+        and [getattr(a, "value", None) for a in call.args] == [2]
+    }
+    assert twos == {"smooth_point_mld", "mld_point"}

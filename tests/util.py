@@ -1,8 +1,10 @@
 """Builders shared across test modules."""
 
 from fractions import Fraction
+from operator import sub
 
 from germkit import BasisDescriptor, Branch, SurfaceGermModel, TRIVIAL_BASIS, WeightedDualGraph
+from germkit.coefflattice import LESS, _nums_sign
 from germkit.enclosures import NestedIntervalsEnclosure
 
 
@@ -37,3 +39,21 @@ def declared(basis, levels=256):
 
 
 EMPTY = WeightedDualGraph((), ())
+
+
+def reference_least(basis, rows, den):
+    """discrepancy._least before its grouping and bracket filter, verbatim.
+
+    Compares each row with the running best only: rows with equal
+    irrational parts by their integers, any other pair by a certified sign.
+    """
+    rows = iter(rows)
+    best = next(rows)
+    for x in rows:
+        if x[1:] == best[1:]:
+            less = x[0] < best[0]
+        else:
+            less = _nums_sign(basis, tuple(map(sub, x, best)), den) == LESS
+        if less:
+            best = x
+    return best
