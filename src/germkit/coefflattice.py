@@ -71,7 +71,7 @@ from .errors import (
     BasisMismatch, DigitLimitExceeded, FloorUndecidable, HypothesesUnmet, InvariantViolated,
     LiteralTooLong, RefinementExhausted,
 )
-from .linalg import row_space_coordinates, rref
+from .linalg import rref
 
 T = TypeVar("T")
 
@@ -699,14 +699,6 @@ def span_min(items: Iterable[SpanElement]) -> SpanElement:
     return best
 
 
-def span_max(items: Iterable[SpanElement]) -> SpanElement:
-    """Greatest item under compare, the first of equals; ValueError when empty."""
-    best = max(items, key=span_key, default=None)
-    if best is None:
-        raise ValueError("span_max of empty sequence")
-    return best
-
-
 def _floor_of(lo: Fraction, hi: Fraction) -> Optional[int]:
     flo = lo.numerator // lo.denominator
     fhi = hi.numerator // hi.denominator
@@ -1069,43 +1061,7 @@ def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
     return checks
 
 
-def shrink_delta(
-    old: Sequence[SpanElement], new: Sequence[SpanElement], delta
-) -> Fraction:
-    """Tolerance transfer between coefficient sets.
-
-    Writes each element of ``new`` over the rational row space spanned by 1
-    and the elements of ``old`` (erroring if it does not lie there), then
-    divides delta by the largest total weight that the non-constant span
-    generators carry in those expressions, floored at 1 so the tolerance
-    never grows.
-    """
-    delta = _fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    worst = Fraction(0)
-    for x in new:
-        if x.basis != (old or new)[0].basis:
-            raise BasisMismatch("old and new coefficients over different bases")
-        coords = span_coordinates_over(old, x)
-        if coords is None:
-            raise ValueError(
-                f"{render_exact(x)} is not in the rational span of the old coefficients and 1"
-            )
-        worst = max(worst, sum(map(abs, coords[1:]), Fraction(0)))
-    return delta / max(Fraction(1), worst)
-
-
-def span_coordinates_over(
-    generators: Sequence[SpanElement], x: SpanElement
-) -> List[Fraction] | None:
-    """Coordinates of x over Q-span(1, generators), or None when outside.
-
-    The first coordinate is that of 1; the others are over the rows the
-    elimination keeps of the generators.
-    """
-    e0 = [Fraction(1)] + [Fraction(0)] * (x.basis.dim - 1)
-    reduced = rref([e0] + [list(g.coords) for g in generators])
-    if reduced[0] != e0:
-        raise InvariantViolated("reduction must keep the constant generator first")
-    return row_space_coordinates(reduced, list(x.coords))
+def in_span(generators: Sequence[SpanElement], x: SpanElement) -> bool:
+    """Whether x lies in Q-span(1, generators): adding it keeps the rank."""
+    rows = [x.basis.rational(1).nums] + [g.nums for g in generators]
+    return len(rref(rows + [x.nums])) == len(rref(rows))

@@ -980,25 +980,3 @@ def adjunction_form(
         recon == value,
     )
 
-
-def generic_point_mld(model: SurfaceGermModel, locus: Locus) -> SpanElement:
-    """Mld at the generic point of a curve through the fiber.
-
-    The value is one minus the curve's coefficient: for an exceptional
-    vertex that is its log discrepancy, for a branch it is 1 - b.  Needs a
-    log canonical model so the coefficient is honest.
-    """
-    profile = mld_point(model)
-    if not profile.is_lc:
-        raise HypothesesUnmet("model must be log canonical")
-    kind, where = locus
-    if kind == "vertex":
-        return profile.a_map()[where]
-    if kind == "branch":
-        return model.basis.rational(1) - model.branches[where].coeff
-    raise ValueError(f"no curve at locus kind {kind!r}")
-
-
-def general_closed_point_mld(model: SurfaceGermModel, locus: Locus) -> SpanElement:
-    """Mld at a general closed point of the curve: the generic value plus 1."""
-    return generic_point_mld(model, locus) + model.basis.rational(1)

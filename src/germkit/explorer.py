@@ -24,12 +24,12 @@ from .coefflattice import (
     _fraction,
     current_budget,
     decimal_str,
+    in_span,
     is_ge,
     is_gt,
     partition_of_one,
     ratio_str,
     render_exact,
-    span_coordinates_over,
     span_key,
 )
 from .complements import (
@@ -61,7 +61,6 @@ from .discrepancy import (
     check_vertex_window,
     mld_oracle,
     mld_point,
-    positive_inputs,
 )
 from .dualgraph import WeightedDualGraph, hj_graph
 from .enclosures import (
@@ -427,16 +426,19 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
         checks.append("oracle")
         if mld_oracle(model, config.oracle_depth, profile) != profile.mld:
             violations.append("oracle: tower enumeration disagrees with the closed form")
-    # the solve has an integer matrix, so the mld lies in Q-span(1, inputs)
+    # span closure runs only on a --coeff span: the solve has an integer
+    # matrix, so an lc mld always lies in Q-span(1, positive inputs).  The
+    # span is read on every model, so a bad literal is refused on any model
     generators = (
-        [parse_coefficient(c, model.basis, "coeffs") for c in config.coeffs]
-        if config.coeffs is not None
-        else positive_inputs(model)
+        None
+        if config.coeffs is None
+        else [parse_coefficient(c, model.basis, "coeffs") for c in config.coeffs]
     )
     if profile.is_lc:
-        checks.append("span-closure")
-        if span_coordinates_over(generators, profile.mld) is None:
-            violations.append("span-closure: mld outside the declared coefficient span")
+        if generators is not None:
+            checks.append("span-closure")
+            if not in_span(generators, profile.mld):
+                violations.append("span-closure: mld outside the declared coefficient span")
         for idx, br in enumerate(model.branches):
             if br.coeff == model.basis.rational(1):
                 checks.append("adjunction-form")

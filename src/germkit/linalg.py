@@ -7,8 +7,8 @@ stopping at the first pivot that is not negative.  The definiteness
 verdict, the determinant and every solve are read from that factor.  A
 solve runs on integers too: each right-hand side row is a tuple of
 numerators over one positive denominator in lowest terms, the form
-``SpanElement`` stores, and stays so through every step.  ``rref`` and
-the row-space helpers serve coefficient spans, over Fraction.
+``SpanElement`` stores, and stays so through every step.  ``rref``, over
+Fraction, serves the span-closure check of ``scan --coeff`` alone.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     for row in mat:
         if len(row) != w:
             raise ValueError("ragged rows")
-    out: List[List[Fraction]] = []
     lead = 0
     r = 0
     nrows = len(mat)
@@ -207,32 +206,5 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
                 mat[i] = [x - g * y for x, y in zip(mat[i], mat[r])]
         r += 1
         lead += 1
-    for row in mat[:r]:
-        out.append(row)
-    return out
+    return mat[:r]
 
-
-def pivot_columns(reduced: Sequence[Sequence[Fraction]]) -> List[int]:
-    cols = []
-    for row in reduced:
-        for j, x in enumerate(row):
-            if x != 0:
-                cols.append(j)
-                break
-    return cols
-
-
-def row_space_coordinates(reduced: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]):
-    """Coordinates of vec over the rows of an RREF matrix, or None.
-
-    In reduced form the coordinate on row i can be read off at that row's
-    pivot column; the residual then certifies membership.
-    """
-    pivots = pivot_columns(reduced)
-    coords = [Fraction(vec[p]) for p in pivots]
-    residual = list(vec)
-    for c, row in zip(coords, reduced):
-        residual = [x - c * y for x, y in zip(residual, row)]
-    if any(x != 0 for x in residual):
-        return None
-    return coords

@@ -392,8 +392,8 @@ def test_scan_files_over_the_empty_graph(model_file, capsys):
     assert doc["config"]["epsilon"] == "1/10"
     got = {i["mld"]["exact"]: (i["checks"], i["violations"]) for i in doc["instances"]}
     assert got == {
-        "7/6": (["convexity", "smooth-center", "span-closure"], []),
-        "3/4": (["convexity", "span-closure"], []),
+        "7/6": (["convexity", "smooth-center"], []),
+        "3/4": (["convexity"], []),
     }
     assert [i["classification"] for i in doc["instances"]] == ["eps-lc", "eps-lc"]
     assert doc["aggregate"]["violations_total"] == 0
@@ -460,13 +460,32 @@ def test_scan_checks_span_closure_over_the_model_inputs(model_file, capsys):
     code, out, err = run(capsys, "scan", "--family", "files", model_file(doc))
     assert (code, err) == (0, "")
     [inst] = json.loads(out)["instances"]
-    assert "span-closure" in inst["checks"]
+    # with no --coeff there is no span to check: the mld of a valid model
+    # always lies in Q-span(1, positive inputs)
+    assert "span-closure" not in inst["checks"]
     assert inst["violations"] == []
-    # a declared --coeff span still decides: 1/8*sqrt3 needs sqrt3
+    # a declared --coeff span decides: 1/8*sqrt3 needs sqrt3
     code, out, _ = run(capsys, "scan", "--family", "files", model_file(doc), "--coeff", "1/2")
     [inst] = json.loads(out)["instances"]
     assert code == 2
+    assert "span-closure" in inst["checks"]
     assert inst["violations"] == ["span-closure: mld outside the declared coefficient span"]
+
+
+def test_scan_refuses_a_bad_coeff_on_a_model_that_is_not_lc(model_file, capsys):
+    # the declared span is read before the lc test, so a malformed --coeff
+    # ends the run even where span closure would not run
+    doc = {
+        "graph": {"vertices": [{"id": 0, "weight": -2}], "edges": []},
+        "branches": [{"vertex": 0, "b": "1"}] * 3,
+    }
+    path = model_file(doc, "nonlc.json")
+    code, out, err = run(capsys, "scan", "--family", "files", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["instances"][0]["classification"] == "not-lc"
+    code, out, err = run(capsys, "scan", "--family", "files", path, "--coeff", "abc")
+    assert (code, out) == (1, "")
+    assert "coeffs: bad rational literal 'abc'" in err
 
 
 def test_computing_path(model_file, capsys):
@@ -627,10 +646,12 @@ def test_scan_records_each_kind_of_violation(model_file, capsys, monkeypatch):
     forced = (Violation("midpoint", (0, 1, 2), "forced"),)
     monkeypatch.setattr(explorer, "check_convexity", lambda model, profile: forced)
     monkeypatch.setattr(explorer, "mld_oracle", lambda model, depth, profile: NEG_INFINITY)
-    monkeypatch.setattr(explorer, "span_coordinates_over", lambda gens, x: None)
+    monkeypatch.setattr(explorer, "in_span", lambda gens, x: False)
     monkeypatch.setattr(explorer, "adjunction_form", lambda model, idx, profile: _FailedForm())
     path = model_file(REDUCED_CHAIN)
-    code, out, err = run(capsys, "scan", "--family", "files", path, "--oracle-depth", "1")
+    code, out, err = run(
+        capsys, "scan", "--family", "files", path, "--oracle-depth", "1", "--coeff", "1"
+    )
     assert (code, err) == (2, "")
     doc = json.loads(out)
     [inst] = doc["instances"]

@@ -26,14 +26,12 @@ from germkit import (
     product_basis,
     refinement_budget,
     render_exact,
-    shrink_delta,
-    span_max,
     span_min,
     span_product,
     verify_partition,
 )
 from germkit import coefflattice
-from germkit.coefflattice import DEFAULT_BUDGET, GREATER, span_coordinates_over
+from germkit.coefflattice import DEFAULT_BUDGET, GREATER, in_span
 from germkit.enclosures import (
     ContinuedFractionEnclosure,
     NestedIntervalsEnclosure,
@@ -144,7 +142,6 @@ def test_ordering_helpers(sq2):
     one = sq2.rational(1)
     assert is_le(one, r) and is_ge(r, one)
     assert span_min([r, one, sq2.rational(2)]) == one
-    assert span_max([r, one, sq2.rational(2)]).as_fraction() == 2
 
 
 def test_floor_span(sq2):
@@ -322,29 +319,58 @@ def test_partition_two_irrationals(sq2_sq3):
             assert is_le(diff, Fraction(1, 1000)) and is_ge(diff, Fraction(-1, 1000))
 
 
-def test_shrink_delta_frozen_values(sq2):
-    r2 = sq2.unit(1)
-    assert shrink_delta([r2], [r2 * 3], Fraction(1, 10)) == Fraction(1, 30)
-    assert shrink_delta([r2], [r2 + sq2.rational(Fraction(1, 2))], Fraction(1, 10)) == Fraction(1, 10)
-    # small coefficients never loosen the tolerance
-    assert shrink_delta([r2], [r2 / 5], Fraction(1, 10)) == Fraction(1, 10)
-    assert shrink_delta([], [], Fraction(1, 3)) == Fraction(1, 3)
-
-
-def test_shrink_delta_outside_span(sq2_sq3):
-    r2 = sq2_sq3.unit(1)
-    r3 = sq2_sq3.unit(2)
-    with pytest.raises(ValueError):
-        shrink_delta([r2], [r3], Fraction(1, 10))
-
-
-def test_span_coordinates_over(sq2):
+def test_in_span(sq2):
     r2 = sq2.unit(1)
     gens = [sq2.rational(Fraction(1, 2)), r2 / 2]
-    x = sq2.element((Fraction(5, 2), Fraction(3, 2)))
-    coords = span_coordinates_over(gens, x)
-    assert coords is not None
-    assert span_coordinates_over([sq2.rational(Fraction(1, 3))], r2) is None
+    assert in_span(gens, sq2.element((Fraction(5, 2), Fraction(3, 2))))
+    assert not in_span([sq2.rational(Fraction(1, 3))], r2)
+
+
+def test_in_span_over_empty_repeated_and_dependent_generators(sq2_sq3):
+    r2, r3 = sq2_sq3.unit(1), sq2_sq3.unit(2)
+    zero = sq2_sq3.rational(0)
+    # no generators span the rationals, and 0 lies in every span
+    assert in_span([], sq2_sq3.rational(Fraction(-7, 3)))
+    assert not in_span([], r2)
+    assert in_span([], zero) and in_span([r2, r3], zero)
+    # a repeated, a dependent and a zero generator add nothing
+    five = sq2_sq3.rational(5)
+    gens = [r2 / 3, r2 / 3, r2 * 2 + five, zero]
+    assert in_span(gens, r2 * Fraction(7, 4) - five)
+    assert not in_span(gens, r3) and not in_span(gens, r2 + r3)
+    assert in_span([r2 + r3, r2 - r3], r3 * 5 + r2)
+
+
+SPAN_BASIS = BasisDescriptor(
+    ("1", "a", "b", "c"),
+    (
+        PointEnclosure(Fraction(1)),
+        ContinuedFractionEnclosure((1,), (2,)),
+        ContinuedFractionEnclosure((1,), (1, 2)),
+        ContinuedFractionEnclosure((2,), (4,)),
+    ),
+)
+
+# up to four generators with no coordinate past index k, for k in 0..2
+small = st.integers(min_value=-6, max_value=6)
+span_generators = st.integers(min_value=0, max_value=2).flatmap(
+    lambda k: st.tuples(
+        st.just(k), st.lists(st.lists(small, min_size=k + 1, max_size=k + 1), max_size=4)
+    )
+)
+
+
+@given(span_generators, st.lists(fractions, min_size=4, max_size=4), fractions)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_in_span_holds_for_built_combinations(drawn, weights, r):
+    k, rows = drawn
+    gens = [SPAN_BASIS.element(row + [0] * (3 - k)) for row in rows]
+    x = SPAN_BASIS.rational(r)
+    for g, w in zip(gens, weights):
+        x = x + g * w
+    assert in_span(gens, x)
+    # every generator is zero on unit k + 1, so no combination reaches it
+    assert not in_span(gens, x + SPAN_BASIS.unit(k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -787,13 +813,11 @@ def test_floats_are_refused():
         lambda: x / 0.5,
         lambda: x * 0.5,
         lambda: partition_of_one(basis, 0.001),
-        lambda: shrink_delta([], [], 0.25),
     ):
         with pytest.raises(TypeError, match="float"):
             call()
     # exact inputs, strings among them, still work
     assert partition_of_one(basis, "1/1000").delta == Fraction(1, 1000)
-    assert shrink_delta([], [], "1/4") == Fraction(1, 4)
     assert basis.rational("1/10") == basis.rational(Fraction(1, 10))
 
 
@@ -807,7 +831,6 @@ def test_library_strings_past_the_digit_limit_are_refused_at_once():
         lambda: SpanElement(basis, (1, "-1e5000")),
         lambda: basis.unit(1) / "1e999999",
         lambda: partition_of_one(basis, "1e-3000000"),
-        lambda: shrink_delta([], [], "1e-3000000"),
     ):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"^rational literal '.*' needs more than \d+ digits$"):

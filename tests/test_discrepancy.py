@@ -44,8 +44,6 @@ from germkit.discrepancy import (
     check_smooth_threshold,
     check_vertex_window,
     find_computing_path,
-    general_closed_point_mld,
-    generic_point_mld,
     resolution_model,
     smooth_point_mld,
     solve_discrepancies,
@@ -791,12 +789,3 @@ def test_smooth_point_mld():
     with pytest.raises(HypothesesUnmet):
         smooth_point_mld(frac("-1/4"))
 
-
-def test_generic_and_closed_point_mld():
-    m = germ(chain(-2, -2), [rbranch(1, "1/3")])
-    assert generic_point_mld(m, ("vertex", 0)).as_fraction() == Fraction(8, 9)
-    assert generic_point_mld(m, ("branch", 0)).as_fraction() == Fraction(2, 3)
-    assert general_closed_point_mld(m, ("vertex", 0)).as_fraction() == Fraction(17, 9)
-    assert general_closed_point_mld(m, ("branch", 0)).as_fraction() == Fraction(5, 3)
-    with pytest.raises(ValueError):
-        generic_point_mld(m, ("point", None))

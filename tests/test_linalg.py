@@ -26,8 +26,6 @@ from germkit.linalg import (
     determinant,
     factor_form,
     is_negative_definite,
-    pivot_columns,
-    row_space_coordinates,
     rref,
     solve_exact,
 )
@@ -234,22 +232,25 @@ def test_not_negative_definite_cases():
 def test_rref_is_idempotent_and_certifies_membership(m):
     reduced = rref([row[:] for row in m])
     assert rref([row[:] for row in reduced]) == reduced
-    pivots = pivot_columns(reduced)
-    assert len(pivots) == len(reduced)
-    # every original row lies in the row space and reconstructs exactly
+    want, pivots = sympy.Matrix(m).rref()
+    assert reduced == [[Fraction(str(x)) for x in want.row(i)] for i in range(len(pivots))]
+    # membership is a rank test: a row of the span keeps the rank, and a
+    # unit vector keeps it exactly when it is a row of the reduced form
+    rank = len(reduced)
     for row in m:
-        coords = row_space_coordinates(reduced, row[:])
-        assert coords is not None
-        rebuilt = [Fraction(0)] * len(row)
-        for c, rrow in zip(coords, reduced):
-            for j, v in enumerate(rrow):
-                rebuilt[j] += c * v
-        assert rebuilt == [Fraction(x) for x in row]
+        assert len(rref(reduced + [row[:]])) == rank
+    width = len(m[0])
+    for j in range(width):
+        unit = [Fraction(int(i == j)) for i in range(width)]
+        inside = any(r == unit for r in reduced)
+        assert (len(rref(reduced + [unit])) == rank) == inside
 
 
 def test_row_space_coordinates_outside():
+    # a vector outside the row space raises the rank of the reduced form
     reduced = rref([[Fraction(1), Fraction(0)]])
-    assert row_space_coordinates(reduced, [Fraction(0), Fraction(1)]) is None
+    assert len(rref(reduced + [[Fraction(0), Fraction(1)]])) == len(reduced) + 1
+    assert len(rref(reduced + [[Fraction(3), Fraction(0)]])) == len(reduced)
 
 
 def test_solve_multiple_columns():

@@ -2,10 +2,13 @@
 
 import ast
 import dataclasses
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import germkit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -228,7 +231,7 @@ def test_point_minimum_ranks_without_compare():
     # mld_point decides every sign with coefflattice._nums_sign on integer
     # numerators; compare and its wrappers build a SpanElement difference
     # and reduce it by a gcd on each call
-    spans = {"compare", "is_lt", "is_le", "is_gt", "is_ge", "span_min", "span_max"}
+    spans = {"compare", "is_lt", "is_le", "is_gt", "is_ge", "span_min"}
     fns = [
         fn
         for path, fn in _nodes()
@@ -401,19 +404,17 @@ def test_least_row_is_ranked_in_one_place():
 
 
 def test_span_coordinates_are_eliminated_in_one_place():
-    # shrink_delta and the scan's span-closure check both go through
-    # span_coordinates_over, the one caller of rref outside linalg
+    # the span-closure check of scan --coeff goes through in_span, the one
+    # caller of rref outside linalg
     found = {
         (path.name, name)
         for path in sorted(SRC.rglob("*.py"))
         if path.name != "linalg.py"
         for name, call in _innermost_calls(path)
-        if getattr(call.func, "id", None) in {"rref", "row_space_coordinates"}
+        if getattr(call.func, "id", None) == "rref"
     }
-    assert found == {("coefflattice.py", "span_coordinates_over")}
-    assert _callers(SRC / "germkit" / "coefflattice.py", {"span_coordinates_over"}) == {
-        "shrink_delta"
-    }
+    assert found == {("coefflattice.py", "in_span")}
+    assert _callers(SRC / "germkit" / "explorer.py", {"in_span"}) == {"_scan_instance"}
 
 
 def test_rational_literals_are_read_in_one_place():
@@ -455,3 +456,39 @@ def test_smooth_point_value_has_one_home():
         and [getattr(a, "value", None) for a in call.args] == [2]
     }
     assert twos == {"smooth_point_mld", "mld_point"}
+
+
+def test_unreached_names_stay_deleted():
+    # nothing in the program called these; the values LSC compares are
+    # read off the profile a check already holds
+    gone = {
+        "coefflattice": {"shrink_delta", "span_max", "span_coordinates_over"},
+        "discrepancy": {"generic_point_mld", "general_closed_point_mld"},
+        "linalg": {"pivot_columns", "row_space_coordinates"},
+    }
+    for module, names in gone.items():
+        mod = importlib.import_module(f"germkit.{module}")
+        assert {n for n in names if hasattr(mod, n)} == set()
+        assert names.isdisjoint(germkit.__all__)
+
+
+def test_bench_traced_names_resolve():
+    # bench/tracing.py patches each (module, attribute) of TRACED with
+    # getattr, so a name deleted here would break only a traced bench run
+    path = SRC.parent / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    [traced] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED"
+    ]
+    entries = ast.literal_eval(traced)
+    assert entries
+    missing = []
+    for module, attr, *_ in entries:
+        owner = importlib.import_module(f"germkit.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
