@@ -49,7 +49,7 @@ import itertools
 import re
 import sys
 from math import gcd, isqrt, lcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, attrgetter, sub as _sub
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -601,17 +601,17 @@ def _coerce(basis: BasisDescriptor, v) -> SpanElement:
 
 def _refine(
     x: SpanElement, decide: Callable[[Fraction, Fraction], Optional[T]],
-    refusal: Callable[[int], Exception], scale: int = 1,
+    refusal: Callable[[int], Exception], scale: int = 1, start: int = 0,
 ) -> T:
     """First decision of ``decide(lo, hi)`` on the enclosures of x.
 
-    Asks the levels 0, 1, ..., scale * budget - 1 in turn, each once, and
-    stops at the first where ``decide`` returns something other than None;
-    when none does, raises ``refusal(budget)``.  This is the only walk over
-    enclosure levels in the library.
+    Asks the levels start, start + 1, ..., scale * budget - 1 in turn, each
+    once, and stops at the first where ``decide`` returns something other
+    than None; when none does, raises ``refusal(budget)``.  This is the only
+    walk over enclosure levels in the library.
     """
     budget = current_budget()
-    for k in range(scale * budget):
+    for k in range(start, scale * budget):
         got = decide(*x.enclosure(k))
         if got is not None:
             return got
@@ -626,18 +626,18 @@ def _sign(lo: Fraction, hi: Fraction) -> Optional[int]:
     return None
 
 
-def _nums_sign(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> int:
+def _nums_sign(basis: BasisDescriptor, nums: Tuple[int, ...], den: int, start: int = 0) -> int:
     """Certified sign (LESS, EQUAL or GREATER) of the element nums/den, den > 0.
 
     A rational vector is decided by the sign of its integer.  Over a
     certified basis any other vector is too, from its closed form by
     ``_poly_sign``, with no budget; a zero there would contradict the
     certificate and raises InvariantViolated.  Over a declared basis
-    enclosures of the element are refined level by level until its sign is
-    certified; if level budget - 1 leaves it open, RefinementExhausted is
-    raised rather than guessing.  Under the declared independence a nonzero
-    element always has a sign, so exhaustion signals either a too-small
-    budget or a hidden relation.
+    enclosures of the element are refined level by level from ``start``
+    until its sign is certified; if level budget - 1 leaves it open,
+    RefinementExhausted is raised rather than guessing.  Under the declared
+    independence a nonzero element always has a sign, so exhaustion signals
+    either a too-small budget or a hidden relation.
     """
     if not any(nums[1:]):
         c = nums[0]
@@ -654,7 +654,7 @@ def _nums_sign(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> int:
     x = _reduced(basis, nums, den)
     return _refine(x, _sign, lambda levels: RefinementExhausted(
         f"sign of {render_exact(x)} undecided after {levels} refinement levels"
-    ))
+    ), start=start)
 
 
 def compare(x: SpanElement, y) -> int:
@@ -814,16 +814,7 @@ class QLinearMap:
 
     @property
     def is_rational_valued(self) -> bool:
-        return all(all(c == 0 for c in row) for row in self.matrix[1:])
-
-    @classmethod
-    def identity(cls, basis: BasisDescriptor) -> "QLinearMap":
-        n = basis.dim
-        m = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-            for i in range(n)
-        )
-        return cls(basis, basis, m)
+        return not any(map(any, self.matrix[1:]))
 
 
 def _monomial_subsets(n: int) -> List[Tuple[int, ...]]:
@@ -922,20 +913,14 @@ class PartitionOfOne:
     delta: Fraction
     checks: Optional[Dict[str, bool]] = field(default=None, compare=False, repr=False)
 
-    def weight_total(self) -> SpanElement:
-        total = self.weights_basis.zero()
-        for w, _ in self.entries:
-            total = total + w
-        return total
-
 
 # Most irrational symbols a partition of one takes, and most radicands a
 # certificate admits.  A partition's 2^n entries each carry a weight over
 # the 2^n product symbols, and a certificate holds the 2^r products of r
 # radicands and checks each for a square.  Over the square roots of the
-# first n primes at delta 1/1000, 5 symbols take 0.015-0.023 s, 6 take
-# 0.04-0.07 s and 7 (128 entries) 0.14-0.21 s and 20 MB of peak RSS
-# (Python 3.11, 2 shared cores).
+# first n primes at delta 1/1000, 5 symbols take 6-7 ms, 6 take 19-22 ms
+# and 7 (128 entries) 70-77 ms and 21 MB of peak process RSS (Python
+# 3.11, 2 shared cores).
 MAX_PARTITION_SYMBOLS = 7
 
 
@@ -970,9 +955,14 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     uppers: List[SpanElement] = []
     for i in range(1, basis.dim):
         r = basis.unit(i)
+        levels = itertools.count()  # _refine asks the levels 0, 1, ... in turn
 
         def within(lo: Fraction, hi: Fraction) -> Optional[Interval]:
-            if is_le(r - basis.rational(lo), delta) and is_le(basis.rational(hi) - r, delta):
+            # r - lo <= delta and hi - r <= delta, refined from this level k
+            # on: levels are nested, so a level below k that decides, k does
+            k = next(levels)
+            a, b = r - basis.rational(lo + delta), basis.rational(hi - delta) - r
+            if all(_nums_sign(basis, x.nums, x.den, k) != GREATER for x in (a, b)):
                 return lo, hi
             return None
 
@@ -1016,47 +1006,53 @@ def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
     Returns a flag per invariant so callers can report which one broke;
     partition_of_one treats any False as a construction failure.  Nothing
     is taken from the construction: every flag is decided again, on integer
-    numerators.  The weighted sum of the images of 1 and the symbols is
-    formed over the lcm of the weight denominators times that of the image
-    denominators, and each distinct displacement of a symbol is decided once.
+    rows over an lcm of denominators, once each weight is checked to lie over
+    the weights basis and each map to send the basis to itself (BasisMismatch
+    otherwise).  The image of symbol i under a map is column i of its matrix,
+    so each distinct (symbol, column) pair is decided once: column - e_i
+    against delta, then against -delta.
     """
     basis, pb, entries = part.basis, part.weights_basis, part.entries
-    checks: Dict[str, bool] = {}
-    checks["weights_sum_to_one"] = part.weight_total() == pb.rational(1)
-    checks["weights_positive"] = all(
-        _nums_sign(pb, w.nums, w.den) == GREATER for w, _ in entries
-    )
-    checks["maps_fix_one"] = all(f.fixes_one and f.is_rational_valued for _, f in entries)
-    # sum over the entries of weight i times the image of symbol j, scaled
-    # by wden * vden, against the embedding of the basis in the product basis
+    if any(w.basis != pb or f.source != basis or f.target != basis for w, f in entries):
+        raise BasisMismatch("partition entry not over the partition's bases")
+    # weights over wden, images over vden: total sums the weights, and
+    # combined[i][j], the sum of weight i times image j, is to be scale * [i == j]
     wden = lcm(*(w.den for w, _ in entries))
     images = [f.matrix[0] for _, f in entries]
     vden = lcm(*(v.denominator for row in images for v in row))
+    total = [0] * pb.dim
     combined = [[0] * basis.dim for _ in range(pb.dim)]
     for (w, _), row in zip(entries, images):
-        a = [n * (wden // w.den) for n in w.nums]
-        b = [v.numerator * (vden // v.denominator) for v in row]
-        for i, ai in enumerate(a):
-            if ai:
-                out = combined[i]
-                for j, bj in enumerate(b):
-                    out[j] += ai * bj
+        s = wden // w.den
+        b = [v.numerator * (vden // v.denominator) * s for v in row]
+        for i, n in enumerate(w.nums):
+            if n:
+                total[i] += n * s
+                combined[i] = [c + n * bj for c, bj in zip(combined[i], b)]
     scale = wden * vden
+    checks: Dict[str, bool] = {}
+    checks["weights_sum_to_one"] = total == [wden] + [0] * (pb.dim - 1)
+    checks["weights_positive"] = all(_nums_sign(pb, w.nums, w.den) == GREATER for w, _ in entries)
+    checks["maps_fix_one"] = all(f.fixes_one and f.is_rational_valued for _, f in entries)
     checks["combination_is_identity"] = all(
         c == (scale if i == j else 0)
         for i, out in enumerate(combined) for j, c in enumerate(out)
     )
+    # d = column - e_i, delta = p/q: sign(d - delta) <= 0, then sign(d + delta)
+    # >= 0; all columns are decided, so one whose sign stays open is refused
+    p, q = part.delta.numerator, part.delta.denominator
+    ratio = attrgetter("numerator", "denominator")
     disp = True
-    dl = basis.rational(part.delta)
-    seen = set()
-    for _, f in entries:
-        for i in range(1, basis.dim):
-            diff = f.apply(basis.unit(i)) - basis.unit(i)
-            if diff in seen:
-                continue
-            seen.add(diff)
-            if not (is_le(diff, dl) and is_ge(diff, -1 * dl)):
-                disp = False
+    for i, column in dict.fromkeys(
+        (i, tuple(map(ratio, col)))
+        for _, f in entries for i, col in enumerate(zip(*f.matrix)) if i
+    ):
+        den = lcm(*(b for _, b in column)) * q
+        d = [a * (den // b) for a, b in column]
+        d[i] -= den
+        shift = p * (den // q)
+        minus, plus = (d[0] - shift, *d[1:]), (d[0] + shift, *d[1:])
+        disp &= _nums_sign(basis, minus, den) != GREATER and _nums_sign(basis, plus, den) != LESS
     checks["displacement_within_delta"] = disp
     return checks
 

@@ -69,7 +69,7 @@ from .enclosures import (
     NestedIntervalsEnclosure,
     PointEnclosure,
 )
-from .errors import HypothesesUnmet, LiteralTooLong, ModelError
+from .errors import BasisMismatch, HypothesesUnmet, LiteralTooLong, ModelError
 
 MODEL_KEYS = frozenset({"basis", "enclosures", "graph", "branches", "nefloads", "epsilon"})
 GRAPH_KEYS = frozenset({"vertices", "edges"})
@@ -488,17 +488,21 @@ def run_scan(config: ScanConfig) -> ScanReport:
     for m in build_scan_models(config):
         inst, profile = _scan_instance(m, config)
         by_digest.setdefault(inst["digest"], (inst, profile.mld))
-    instances = [inst for _, (inst, _) in sorted(by_digest.items())]
-    mlds = [mld for _, (_, mld) in sorted(by_digest.items())]
-    finite = [x for x in mlds if not isinstance(x, NegInfinity)]
+    rows = sorted(by_digest.items())
+    instances = [inst for _, (inst, _) in rows]
+    finite = {d: x for d, (_, x) in rows if not isinstance(x, NegInfinity)}
+    over = {x.basis: d for d, x in finite.items()}
+    if len(over) > 1:
+        a, b, *_ = over.values()
+        raise BasisMismatch(f"scan aggregate: models {a} and {b} are over different bases")
     # values hash by value, so fromkeys keeps the first of each
-    ordered = sorted(dict.fromkeys(finite), key=span_key)
+    ordered = sorted(dict.fromkeys(finite.values()), key=span_key)
     gaps = (y - x for x, y in zip(ordered, ordered[1:]))
     min_gap = min(gaps, key=span_key, default=None)
     violations_total = sum(len(inst["violations"]) for inst in instances)
     aggregate = {
         "count": len(instances),
-        "not_lc": len(mlds) - len(finite),
+        "not_lc": len(rows) - len(finite),
         "values": [value_json(v) for v in ordered],
         "min_gap": None if min_gap is None else value_json(min_gap),
         "violations_total": violations_total,

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -371,6 +372,18 @@ def test_scan_files_family_requires_paths(capsys):
     code, _, err = run(capsys, "scan", "--family", "files")
     assert code == 1
     assert "needs at least one model path" in err
+
+
+def test_scan_refuses_to_aggregate_models_over_different_bases(capsys):
+    # each model scans alone; their mld values cannot be ordered together
+    golden = Path(__file__).parent / "golden"
+    paths = [str(golden / "tree.json"), str(golden / "sqrt2_sqrt3.json")]
+    a, b = sorted(explorer.model_digest(explorer.load_model(p)) for p in paths)
+    code, out, err = run(capsys, "scan", "--family", "files", *paths)
+    assert (code, out) == (1, "")
+    assert err == f"error: scan aggregate: models {a} and {b} are over different bases\n"
+    for p in paths:
+        assert run(capsys, "scan", "--family", "files", p)[0] == 0
 
 
 def test_scan_files_over_the_empty_graph(model_file, capsys):

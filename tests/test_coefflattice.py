@@ -45,7 +45,7 @@ from germkit.errors import (
     InvariantViolated,
     RefinementExhausted,
 )
-from util import declared
+from util import declared, identity_map, weight_total
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
@@ -223,7 +223,7 @@ def test_floor_agrees_with_fraction_floor(p):
 
 
 def test_qlinear_identity(sq2):
-    f = QLinearMap.identity(sq2)
+    f = identity_map(sq2)
     x = sq2.element((Fraction(1, 2), Fraction(-3)))
     assert f.apply(x) == x
     assert f.fixes_one
@@ -285,7 +285,7 @@ def test_partition_of_one_sqrt2_tenth(sq2):
     assert f2.apply(sq2.unit(1)).as_fraction() == Fraction(3, 2)
     assert w1.coords == (Fraction(15), Fraction(-10))
     assert w2.coords == (Fraction(-14), Fraction(10))
-    assert part.weight_total() == sq2.rational(1)
+    assert weight_total(part) == sq2.rational(1)
     assert all(verify_partition(part).values())
 
 
@@ -907,7 +907,7 @@ def reference_verify(part):
     """verify_partition as it was on Fractions, kept as an independent oracle."""
     one = part.weights_basis.rational(1)
     checks = {}
-    checks["weights_sum_to_one"] = part.weight_total() == one
+    checks["weights_sum_to_one"] = weight_total(part) == one
     pos = True
     for w, _ in part.entries:
         if compare(w, 0) != GREATER:
@@ -1022,7 +1022,7 @@ def test_verify_partition_reads_no_recorded_checks(sq2_sq3):
 def test_verify_partition_refuses_maps_over_another_basis(sq2, sq2_sq3):
     part = partition_of_one(sq2_sq3, Fraction(1, 10))
     w, f = part.entries[0]
-    other = QLinearMap.identity(sq2)
+    other = identity_map(sq2)
     for bad in (
         dataclasses.replace(part, entries=((w, other),) + part.entries[1:]),
         dataclasses.replace(part, entries=((sq2.rational(1), f),) + part.entries[1:]),
@@ -1031,6 +1031,71 @@ def test_verify_partition_refuses_maps_over_another_basis(sq2, sq2_sq3):
             reference_verify(bad)
         with pytest.raises(BasisMismatch):
             verify_partition(bad)
+
+
+def test_verify_partition_refuses_a_foreign_map_behind_an_identical_column(sq2_sq3):
+    # entry 1's columns repeat entry 0's, so no displacement of it is decided
+    # again; the basis of its map is checked all the same
+    part = partition_of_one(sq2_sq3, Fraction(1, 10))
+    other = declared(sq2_sq3)
+    matrix = part.entries[0][1].matrix
+    w = part.entries[1][0]
+    for f in (
+        QLinearMap(other, other, matrix),
+        QLinearMap(sq2_sq3, other, matrix),
+        QLinearMap(other, sq2_sq3, matrix),
+    ):
+        bad = dataclasses.replace(part, entries=part.entries[:1] + ((w, f),) + part.entries[2:])
+        with pytest.raises(BasisMismatch):
+            reference_verify(bad)
+        with pytest.raises(BasisMismatch):
+            verify_partition(bad)
+
+
+def test_verify_partition_decides_each_distinct_column_once(monkeypatch):
+    # over sqrt2, sqrt3, sqrt5: 8 entries but 2 snaps per symbol, so 6
+    # distinct (symbol, column) pairs of 2 signs each, and one sign per weight
+    part = partition_of_one(_basis(SQRT2, SQRT3, SQRT5), Fraction(1, 1000))
+    signs = []
+    nums_sign = coefflattice._nums_sign
+
+    def spy(basis, nums, den, *rest):
+        signs.append(basis)
+        return nums_sign(basis, nums, den, *rest)
+
+    def refuse(*args):
+        raise AssertionError("verify_partition applied a map")
+
+    monkeypatch.setattr(coefflattice, "_nums_sign", spy)
+    monkeypatch.setattr(QLinearMap, "apply", refuse)
+    assert all(verify_partition(part).values())
+    assert signs == [part.weights_basis] * 8 + [part.basis] * 12
+
+
+def test_partition_level_search_refines_each_level_from_itself(sq2, monkeypatch):
+    # each level's two tests refine from that level on, as the levels are
+    # nested; the counts cover the whole partition, verification included,
+    # where tests refined from level 0 at every level would read 35, 78 and
+    # 158 intervals for the same snaps
+    asked = []
+    interval = NestedIntervalsEnclosure.interval
+
+    def spy(self, k):
+        asked.append(k)
+        return interval(self, k)
+
+    monkeypatch.setattr(NestedIntervalsEnclosure, "interval", spy)
+    basis = declared(sq2, 40)
+    for delta, reads, deepest in (
+        (Fraction(1, 10), 33, 3),
+        (Fraction(1, 1000), 62, 6),
+        (Fraction(1, 10**6), 108, 10),
+    ):
+        asked.clear()
+        part = partition_of_one(basis, delta)
+        assert (len(asked), max(asked)) == (reads, deepest)
+        snaps = [f.matrix for _, f in partition_of_one(sq2, delta).entries]
+        assert [f.matrix for _, f in part.entries] == snaps
 
 
 # continued fractions from the pool acceptance criterion 6 draws from

@@ -213,6 +213,13 @@ def test_partition_verifier_stays_on_integers():
                 found.add(f"{name}:{node.lineno} Fraction(")
             if isinstance(node, ast.Attribute) and node.attr == "coords":
                 found.add(f"{name}:{node.lineno} .coords")
+    # the verifier reads the image of symbol i as column i of a snap matrix
+    # and decides its signs with _nums_sign, on integer rows
+    for node in ast.walk(fns["verify_partition"]):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in {"apply", "is_le", "is_ge", "weight_total"}:
+                found.add(f"verify_partition:{node.lineno} {called}(")
     assert found == set()
 
 

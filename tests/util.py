@@ -3,7 +3,9 @@
 from fractions import Fraction
 from operator import sub
 
-from germkit import BasisDescriptor, Branch, SurfaceGermModel, TRIVIAL_BASIS, WeightedDualGraph
+from germkit import (
+    BasisDescriptor, Branch, QLinearMap, SurfaceGermModel, TRIVIAL_BASIS, WeightedDualGraph,
+)
 from germkit.coefflattice import LESS, _nums_sign
 from germkit.enclosures import NestedIntervalsEnclosure
 
@@ -57,3 +59,19 @@ def reference_least(basis, rows, den):
         if less:
             best = x
     return best
+
+
+def identity_map(basis):
+    """The identity of the span over ``basis``, as a QLinearMap."""
+    n = basis.dim
+    return QLinearMap(basis, basis, tuple(
+        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
+    ))
+
+
+def weight_total(part):
+    """The sum of a partition's weights, by span addition."""
+    total = part.weights_basis.zero()
+    for w, _ in part.entries:
+        total = total + w
+    return total
