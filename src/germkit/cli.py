@@ -142,6 +142,10 @@ def cmd_scan(args) -> tuple[dict | str, int]:
     )
     if config.family == "files" and not config.paths:
         raise ModelError("--family files needs at least one model path")
+    if config.family != "files" and config.paths:
+        raise ModelError(
+            f"model paths are read only by --family files, not by --family {config.family}"
+        )
     report = run_scan(config)
     code = VIOLATIONS_EXIT if report.aggregate["violations_total"] else 0
     return (emit_csv(report) if args.format == "csv" else report.to_json_dict()), code

@@ -158,38 +158,21 @@ class BasisDescriptor:
         """Integers lo <= 2^BRACKET_BITS * r_j <= hi for each symbol r_j.
 
         None over a declared basis.  Over a certified one, den * r_j is a
-        sum of terms c * sqrt(roots[m]) (see _Certificate).  Times
-        2^BRACKET_BITS the rational term is an integer, and each of the k
-        irrational ones lies strictly between its ``isqrt`` bracket t and
-        t + 1, so the sum lies between an integer s and s + k, and
-        2^BRACKET_BITS * r_j between floor(s / den) and ceil((s + k) / den).
+        sum of terms c * sqrt(roots[m]) (see _Certificate), which times
+        2^BRACKET_BITS lies between the integers s and s + k of ``_bracket``,
+        so 2^BRACKET_BITS * r_j lies between floor(s / den) and
+        ceil((s + k) / den).
         """
         cert = self._certificate
         if cert is None:
             return None
-        out = []
-        for form in cert.forms:
-            s = k = 0
-            for m, c in form:
-                if m:
-                    t = isqrt(c * c * cert.roots[m] << 2 * BRACKET_BITS)
-                    s += t if c > 0 else -t - 1
-                    k += 1
-                else:
-                    s += c << BRACKET_BITS
-            out.append((s // cert.den, -(-(s + k) // cert.den)))
-        return tuple(out)
+        brackets = (_bracket(form, cert.roots, BRACKET_BITS) for form in cert.forms)
+        return tuple((s // cert.den, -(-(s + k) // cert.den)) for s, k in brackets)
 
     @property
     def certified(self) -> bool:
         """Whether the closed forms of the symbols prove them independent."""
         return self._certificate is not None
-
-    def index(self, name: str) -> int:
-        try:
-            return self.symbols.index(name)
-        except ValueError:
-            raise KeyError(f"unknown basis symbol {name!r}") from None
 
     def rational(self, q) -> "SpanElement":
         if isinstance(q, int):
@@ -507,15 +490,34 @@ def _inside(v: List[int], den: int, interval: Interval, roots: Sequence[int]) ->
     return _poly_sign(above, roots) >= 0 and _poly_sign(below, roots) >= 0
 
 
+def _bracket(terms: Iterable[Tuple[int, int]], roots: Sequence[int], bits: int) -> Tuple[int, int]:
+    """(s, k) with s <= 2^bits * alpha <= s + k, alpha = the sum of c * sqrt(roots[m]).
+
+    ``terms`` holds the pairs (m, c), roots[0] = 1, and k counts those with
+    m > 0 and c != 0.  Times 2^bits the rational term is an integer, and
+    each irrational one lies strictly between its ``isqrt`` bracket t and
+    t + 1, since no roots[m] past the first is a perfect square; so both
+    bounds are strict when k > 0, and s = 2^bits * alpha when k = 0.
+    """
+    s = k = 0
+    for m, c in terms:
+        if not m:
+            s += c << bits
+        elif c:
+            t = isqrt(c * c * roots[m] << 2 * bits)
+            s += t if c > 0 else -t - 1
+            k += 1
+    return s, k
+
+
 def _poly_sign(p: Sequence[int], roots: Sequence[int]) -> int:
     """Exact sign of alpha = the sum of p[m] * sqrt(roots[m]), roots[0] = 1.
 
     One irrational term: a + b*sqrt(d) has the sign of b unless a has the
     other sign, and then the sign of a exactly when a^2 > b^2 * d.  k >= 2
-    terms: no roots[m] past the first is a square, so at precision P each
-    term times 2^P lies strictly between its ``isqrt`` bracket t and t + 1,
-    and 2^P * alpha in (s, s + k) for s the sum of the brackets; P doubles
-    until s >= 0 or s + k <= 0 decides.  A nonzero alpha is an algebraic
+    terms: 2^P * alpha lies strictly between the s and s + k that
+    ``_bracket`` gives at precision P, and P = 64, 128, ... doubles until
+    s >= 0 or s + k <= 0 decides.  A nonzero alpha is an algebraic
     integer of degree at most len(roots), its conjugates are at most
     H = sum of |p[m]| * sqrt(roots[m]) and its norm is a nonzero integer, so
     |alpha| >= H^-(len(roots) - 1) (the separation bound of Burnikel,
@@ -534,14 +536,9 @@ def _poly_sign(p: Sequence[int], roots: Sequence[int]) -> int:
         return sa * ((t > 0) - (t < 0))
     if not irrational:
         return (a > 0) - (a < 0)
-    k = len(irrational)
     precision, bound = 64, None
     while True:
-        s = a << precision
-        for m in irrational:
-            c = p[m]
-            t = isqrt(c * c * roots[m] << 2 * precision)
-            s += t if c > 0 else -t - 1
+        s, k = _bracket(enumerate(p), roots, precision)
         if s >= 0:
             return GREATER
         if s + k <= 0:
@@ -561,23 +558,17 @@ def _poly_sign(p: Sequence[int], roots: Sequence[int]) -> int:
 def _exact_floor(x: SpanElement, scale: int = 1) -> Optional[int]:
     """floor(scale * x) for irrational x over a certified basis, else None.
 
-    Write scale * x * R = sum of p[m] * sqrt(roots[m]) with R > 0.  Each
-    of the k irrational terms lies strictly between its ``isqrt`` floor and
-    that plus one, since roots[m] is never a perfect square, so the sum lies
-    strictly between an integer s and s + k.  The floor of the sum over R is
-    then one of a few integers, and a bisection on exact signs picks it.
+    Write scale * x * R = sum of p[m] * sqrt(roots[m]) with R > 0; the sum
+    lies strictly between the s and s + k that ``_bracket`` gives at
+    precision 0.  The floor of the sum over R is then one of a few
+    integers, and a bisection on exact signs picks it.
     """
     cert = x.basis._certificate
     if cert is None:
         return None
     p = [scale * c for c in cert.poly(x.nums)]
     roots, r = cert.roots, cert.den * x.den
-    s, k = p[0], 0
-    for c, d in zip(p[1:], roots[1:]):
-        if c:
-            t = isqrt(c * c * d)
-            s += t if c > 0 else -t - 1
-            k += 1
+    s, k = _bracket(enumerate(p), roots, 0)
     if not k:
         raise InvariantViolated(
             f"{render_exact(x)} has irrational coordinates but a rational closed form"
@@ -939,6 +930,12 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
     the endpoints of the *first* level within delta, found by ``_refine``.
     A basis of more than MAX_PARTITION_SYMBOLS irrationals is refused with
     HypothesesUnmet before any work starts.
+
+    No factor's sign is decided here, since the weights are positive
+    exactly when every factor is: a product of positive factors is
+    positive, and a factor u <= 0 of symbol i times a positive factor of
+    every other symbol (one of its two is, as they sum to 1) is a weight
+    that is not.  ``verify_partition`` decides the weights' signs.
     """
     delta = _fraction(delta)
     if delta <= 0:
@@ -970,16 +967,9 @@ def partition_of_one(basis: BasisDescriptor, delta) -> PartitionOfOne:
             f"no enclosure of {basis.symbols[i]} within {delta} in {levels} levels"
         ))
         w = q2 - q1
-        # (q2 - r)/w and (r - q1)/w, both strictly between 0 and 1
-        u1 = (basis.rational(q2) - r) / w
-        u2 = (r - basis.rational(q1)) / w
-        if compare(u1, 0) != GREATER or compare(u2, 0) != GREATER:
-            raise RefinementExhausted(
-                f"interpolation factors for {basis.symbols[i]} not certified positive"
-            )
         snaps.append((q1, q2))
-        lowers.append(u1)
-        uppers.append(u2)
+        lowers.append((basis.rational(q2) - r) / w)
+        uppers.append((r - basis.rational(q1)) / w)
     entries: List[Tuple[SpanElement, QLinearMap]] = []
     for sigma in itertools.product((0, 1), repeat=n):
         factors = [uppers[i] if s else lowers[i] for i, s in enumerate(sigma)]

@@ -108,20 +108,6 @@ class MarkedVertexPath:
         if len(set(self.vertex_ids)) != len(self.vertex_ids):
             raise ValueError("path revisits a vertex")
 
-    @property
-    def length(self) -> int:
-        return len(self.vertex_ids) - 1
-
-    def is_path_in(self, g: WeightedDualGraph) -> bool:
-        if not self.vertex_ids:
-            return False
-        idset = set(g.ids())
-        if any(v not in idset for v in self.vertex_ids):
-            return False
-        return all(
-            g.has_edge(a, b) for a, b in zip(self.vertex_ids, self.vertex_ids[1:])
-        )
-
 
 def intersection_matrix(g: WeightedDualGraph) -> List[List[int]]:
     """Symmetric matrix with weights on the diagonal, 1 per edge, 0 otherwise.

@@ -126,10 +126,6 @@ class PointEnclosure(Enclosure):
 def _cf_coefficient(head: tuple, cycle: tuple, i: int) -> int:
     if i < len(head):
         return head[i]
-    if not cycle:
-        raise RefinementExhausted(
-            f"continued fraction has only {len(head)} coefficients, wanted index {i}"
-        )
     return cycle[(i - len(head)) % len(cycle)]
 
 
@@ -167,11 +163,11 @@ def _periodic_closed_form(head: Tuple[int, ...], cycle: Tuple[int, ...]) -> Clos
 class ContinuedFractionEnclosure(Enclosure):
     """Enclosure from continued fraction coefficients.
 
-    ``head`` is the initial coefficient list and ``cycle``, when nonempty,
+    ``head`` is the initial coefficient list and ``cycle``, never empty,
     repeats forever after it (so sqrt(2) is head=(1,), cycle=(2,)).  Level k
     is the interval spanned by convergents k and k+1; consecutive convergents
     straddle the value, so the levels nest and the widths 1/(q_k q_{k+1})
-    strictly decrease.  A periodic one has a closed form (u + v*sqrt(D))/w.
+    strictly decrease.  The value has a closed form (u + v*sqrt(D))/w.
     Convergents, levels and closed form are built on first use and kept
     outside the fields, so equality, hashing and repr ignore them.
     """
@@ -190,6 +186,10 @@ class ContinuedFractionEnclosure(Enclosure):
         rest = list(self.head[1:]) + list(self.cycle)
         if any(a < 1 for a in rest):
             raise ValueError("continued fraction coefficients past the first must be >= 1")
+        if not self.cycle:
+            raise ValueError(
+                "a finite continued fraction is rational, not a basis symbol; give a cycle"
+            )
 
     @cached_property
     def _convergents(self) -> List[Tuple[int, int]]:
@@ -201,9 +201,9 @@ class ContinuedFractionEnclosure(Enclosure):
         return {}
 
     @cached_property
-    def closed_form(self) -> Optional[ClosedForm]:
-        """(u + v*sqrt(D))/w when the fraction has a cycle; None when it is finite."""
-        return _periodic_closed_form(self.head, self.cycle) if self.cycle else None
+    def closed_form(self) -> ClosedForm:
+        """(u + v*sqrt(D))/w, from the head and the cycle."""
+        return _periodic_closed_form(self.head, self.cycle)
 
     def interval(self, k: int) -> Interval:
         hit = self._levels.get(k)

@@ -158,15 +158,9 @@ def _parse_enclosure(obj, path: str) -> Enclosure:
             head = _list(cf.get("head", []), f"{path}.cf.head")
             cycle = _list(cf.get("cycle", []), f"{path}.cf.cycle")
         try:
-            enc = ContinuedFractionEnclosure(tuple(head), tuple(cycle))
+            return ContinuedFractionEnclosure(tuple(head), tuple(cycle))
         except (ValueError, TypeError) as e:
             raise ModelError(str(e), path) from None
-        if not enc.cycle:
-            raise ModelError(
-                "a finite continued fraction is rational, not a basis symbol; give a cycle",
-                path,
-            )
-        return enc
     ivs = []
     for i, pair in enumerate(_list(obj["intervals"], f"{path}.intervals")):
         if not (isinstance(pair, list) and len(pair) == 2):
@@ -628,11 +622,12 @@ def run_verification(
             if math.gcd(n, q) != 1:
                 continue
             m = hj_with_reduced_branch(n, q)
-            if not mld_point(m).is_lc:
+            profile = mld_point(m)
+            if not profile.is_lc:
                 adjunction_failures.append({"n": n, "q": q, "violation": "not lc"})
                 continue
             adjunction_checked += 1
-            if not adjunction_form(m, 0).ok:
+            if not adjunction_form(m, 0, profile).ok:
                 adjunction_failures.append({"n": n, "q": q, "violation": "form"})
     sections["adjunction"] = {
         "checked": adjunction_checked,

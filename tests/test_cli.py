@@ -374,6 +374,19 @@ def test_scan_files_family_requires_paths(capsys):
     assert "needs at least one model path" in err
 
 
+def test_scan_refuses_model_paths_outside_the_files_family(capsys):
+    # a path given with another family would be listed under config.paths
+    # and never read
+    path = str(Path(__file__).parent / "golden" / "tree.json")
+    for family in ([], ["--family", "an"]):
+        code, out, err = run(capsys, "scan", *family, path)
+        assert (code, out) == (1, "")
+        name = family[-1] if family else "corpus"
+        assert err == (
+            f"error: model paths are read only by --family files, not by --family {name}\n"
+        )
+
+
 def test_scan_refuses_to_aggregate_models_over_different_bases(capsys):
     # each model scans alone; their mld values cannot be ordered together
     golden = Path(__file__).parent / "golden"

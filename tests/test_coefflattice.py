@@ -95,23 +95,23 @@ def test_render_exact(sq2):
     assert render_exact(sq2.element((Fraction(-2), Fraction(3)))) == "-2 + 3*sqrt2"
 
 
-def test_compare_rational_fast_path_never_refines():
-    # a finite enclosure that would run dry if consulted
-    fin = ContinuedFractionEnclosure((0, 2))
-
-    class Boom(ContinuedFractionEnclosure):
-        pass
-
-    basis = BasisDescriptor(
-        ("1", "r"),
-        (PointEnclosure(Fraction(1)), ContinuedFractionEnclosure((1,), (2,))),
+def test_compare_rational_fast_path_never_refines(monkeypatch):
+    # the shortest interval list a basis takes (it reads levels 0 and 1),
+    # with no closed form, and a source that fails once it is read
+    source = NestedIntervalsEnclosure(
+        ((Fraction(1), Fraction(2)), (Fraction(5, 4), Fraction(3, 2)))
     )
+    basis = BasisDescriptor(("1", "r"), (PointEnclosure(Fraction(1)), source))
+
+    def never(self, k):
+        raise AssertionError(f"level {k} was read")
+
+    monkeypatch.setattr(NestedIntervalsEnclosure, "interval", never)
     x = basis.rational(Fraction(3, 7))
     y = basis.rational(Fraction(2, 7))
     assert compare(x, y) == 1
     assert compare(y, x) == -1
     assert compare(x, x) == 0
-    del fin, Boom
 
 
 def test_compare_certifies_sqrt2(sq2):
@@ -1074,9 +1074,10 @@ def test_verify_partition_decides_each_distinct_column_once(monkeypatch):
 
 def test_partition_level_search_refines_each_level_from_itself(sq2, monkeypatch):
     # each level's two tests refine from that level on, as the levels are
-    # nested; the counts cover the whole partition, verification included,
-    # where tests refined from level 0 at every level would read 35, 78 and
-    # 158 intervals for the same snaps
+    # nested, and no factor sign is asked outside the verifier; the counts
+    # cover the whole partition, verification included, where tests refined
+    # from level 0 at every level would read 35, 78 and 158 intervals for the
+    # same snaps, and factor signs refined from level 0 7, 13 and 21 more
     asked = []
     interval = NestedIntervalsEnclosure.interval
 
@@ -1087,15 +1088,27 @@ def test_partition_level_search_refines_each_level_from_itself(sq2, monkeypatch)
     monkeypatch.setattr(NestedIntervalsEnclosure, "interval", spy)
     basis = declared(sq2, 40)
     for delta, reads, deepest in (
-        (Fraction(1, 10), 33, 3),
-        (Fraction(1, 1000), 62, 6),
-        (Fraction(1, 10**6), 108, 10),
+        (Fraction(1, 10), 26, 3),
+        (Fraction(1, 1000), 49, 6),
+        (Fraction(1, 10**6), 87, 10),
     ):
         asked.clear()
         part = partition_of_one(basis, delta)
         assert (len(asked), max(asked)) == (reads, deepest)
         snaps = [f.matrix for _, f in partition_of_one(sq2, delta).entries]
         assert [f.matrix for _, f in part.entries] == snaps
+
+
+def test_partition_factor_signs_are_refused_as_weight_signs():
+    # at a budget of 4 levels the snaps are found but not every factor's
+    # sign; the verifier meets that sign as the sign of a weight over the
+    # product basis, and names the weight
+    basis = declared(_basis(SQRT2, SQRT3), 40)
+    with refinement_budget(4), pytest.raises(RefinementExhausted) as info:
+        partition_of_one(basis, Fraction(1, 10))
+    assert str(info.value) == (
+        "sign of 315 - 210*r1 - 180*r2 + 120*r1*r2 undecided after 4 refinement levels"
+    )
 
 
 # continued fractions from the pool acceptance criterion 6 draws from

@@ -51,10 +51,13 @@ def test_cf_levels_nest_and_shrink():
 
 
 def test_finite_cf_runs_dry():
-    e = ContinuedFractionEnclosure((0, 2))  # the rational 1/2
-    e.interval(0)
-    with pytest.raises(RefinementExhausted):
-        e.interval(1)
+    # a finite continued fraction is a rational, which the symbol 1 spans;
+    # it has no level past its last coefficient, so it is refused when built
+    finite = "a finite continued fraction is rational, not a basis symbol; give a cycle"
+    for args in (((0, 2),), ((1, 2, 2),), ((1, 2, 2), ())):
+        with pytest.raises(ValueError) as info:
+            ContinuedFractionEnclosure(*args)
+        assert str(info.value) == finite
 
 
 def test_cf_validation():
@@ -173,7 +176,6 @@ def test_closed_forms():
     )
     assert square.closed_form == ClosedForm((((), 2),), 1)
     assert PointEnclosure(Fraction(3, 4)).closed_form == ClosedForm((((), 3),), 4)
-    assert ContinuedFractionEnclosure((1, 2, 2)).closed_form is None
     assert NestedIntervalsEnclosure(((Fraction(1), Fraction(2)),)).closed_form is None
     partial = ProductEnclosure(
         ContinuedFractionEnclosure((1,), (2,)),

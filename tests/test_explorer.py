@@ -183,6 +183,32 @@ def test_scan_instance_solves_each_model_once(monkeypatch):
     assert {"adjunction-form", "smooth-center", "convexity", "oracle"} <= ran
 
 
+def test_verification_solves_each_adjunction_chain_once(monkeypatch):
+    # the adjunction section hands mld_point's profile to adjunction_form,
+    # so each of the 71 coprime n/q chains, 2 <= n <= 15, is solved once
+    chains = []
+    real_chain = explorer.hj_with_reduced_branch
+
+    def built(n, q):
+        chains.append(real_chain(n, q))
+        return chains[-1]
+
+    solved = []
+    real_solve = discrepancy.solve_discrepancies
+
+    def spy(model):
+        solved.append(model)
+        return real_solve(model)
+
+    monkeypatch.setattr(explorer, "hj_with_reduced_branch", built)
+    monkeypatch.setattr(discrepancy, "solve_discrepancies", spy)
+    doc = run_verification(count=0, oracle_depth=1)
+    assert doc["sections"]["adjunction"] == {"checked": 71, "failures": []}
+    ids = {id(m) for m in chains}
+    assert len(chains) == 71
+    assert sum(id(m) in ids for m in solved) == 71
+
+
 def test_csv_shape():
     rep = run_scan(ScanConfig(family="an", n_max=3))
     lines = emit_csv(rep).strip().splitlines()

@@ -465,17 +465,27 @@ def test_smooth_point_value_has_one_home():
     assert twos == {"smooth_point_mld", "mld_point"}
 
 
+def _resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        owner = getattr(owner, part, None)
+    return owner is not None
+
+
 def test_unreached_names_stay_deleted():
     # nothing in the program called these; the values LSC compares are
-    # read off the profile a check already holds
+    # read off the profile a check already holds, and the path helpers the
+    # tests read live in tests/util.py
     gone = {
-        "coefflattice": {"shrink_delta", "span_max", "span_coordinates_over"},
+        "coefflattice": {
+            "shrink_delta", "span_max", "span_coordinates_over", "BasisDescriptor.index",
+        },
         "discrepancy": {"generic_point_mld", "general_closed_point_mld"},
+        "dualgraph": {"MarkedVertexPath.length", "MarkedVertexPath.is_path_in"},
         "linalg": {"pivot_columns", "row_space_coordinates"},
     }
     for module, names in gone.items():
         mod = importlib.import_module(f"germkit.{module}")
-        assert {n for n in names if hasattr(mod, n)} == set()
+        assert {n for n in names if _resolves(mod, n)} == set()
         assert names.isdisjoint(germkit.__all__)
 
 
@@ -499,3 +509,31 @@ def test_bench_traced_names_resolve():
         if owner is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_isqrt_brackets_are_summed_in_one_place():
+    # _brackets, _poly_sign and _exact_floor take their brackets from
+    # _bracket; _certify asks isqrt for squares and _poly_sign for its bound
+    path = SRC / "germkit" / "coefflattice.py"
+    assert _callers(path, {"isqrt"}) == {"_bracket", "_certify", "_poly_sign"}
+    assert {"_brackets", "_poly_sign", "_exact_floor"} <= _callers(path, {"_bracket"})
+
+
+def test_partition_decides_signs_in_its_level_search_alone():
+    # a weight is positive exactly when each of its factors is, so the
+    # factor signs are left to verify_partition's weight signs
+    path = SRC / "germkit" / "coefflattice.py"
+    signs = {"compare", "is_lt", "is_le", "is_gt", "is_ge", "span_min", "_nums_sign"}
+    found = _callers(path, signs)
+    assert "within" in found
+    assert "partition_of_one" not in found
+
+
+def test_finite_continued_fractions_are_refused_in_one_place():
+    # ContinuedFractionEnclosure refuses an empty cycle; no reader checks it
+    found = [
+        path.name
+        for path in sorted(SRC.rglob("*.py"))
+        if "finite continued fraction" in path.read_text().lower()
+    ]
+    assert found == ["enclosures.py"]

@@ -75,3 +75,16 @@ def weight_total(part):
     for w, _ in part.entries:
         total = total + w
     return total
+
+
+def path_length(path):
+    """The number of edges of a MarkedVertexPath."""
+    return len(path.vertex_ids) - 1
+
+
+def is_path_in(path, g):
+    """Whether a MarkedVertexPath walks existing edges of g between its vertices."""
+    ids = path.vertex_ids
+    if not ids or not set(ids) <= set(g.ids()):
+        return False
+    return all(g.has_edge(a, b) for a, b in zip(ids, ids[1:]))
