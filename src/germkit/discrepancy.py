@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
 from operator import sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .coefflattice import (
     BasisDescriptor,
@@ -53,7 +53,7 @@ from .errors import (
     NotNegativeDefinite,
     RefinementExhausted,
 )
-from .linalg import solve_exact
+from .linalg import Row, _lowest, solve_exact
 
 
 class NegInfinity:
@@ -207,19 +207,36 @@ def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
     denominator the elements store.  1 - x needs no reduction: when
     x = (n_0, n_1, ...)/d is in lowest terms, so is (d - n_0, -n_1, ...)/d.
     """
-    g = model.graph
     basis = model.basis
-    pos = {vid: i for i, vid in enumerate(g.ids())}
-    rhs = [basis.rational(w + 2) for _, w in g.vertices]
-    inputs = [(br.vertex, br.coeff) for br in model.branches if br.vertex is not None]
-    for vid, x in inputs + list(model.nef_loads):
-        rhs[pos[vid]] -= x
-    sols = solve_exact(g.factor, [(x.nums, x.den) for x in rhs])
+    sols = solve_exact(model.graph.factor, _rhs_rows(model))
     out = {}
-    for vid, i in pos.items():
-        nums, den = sols[i]
+    for vid, (nums, den) in zip(model.graph.ids(), sols):
         out[vid] = _span(basis, (den - nums[0],) + tuple([-n for n in nums[1:]]), den)
     return out
+
+
+def _rhs_rows(model: SurfaceGermModel) -> List[Row]:
+    """The right-hand side at each vertex, as integer numerators over a denominator.
+
+    Each row is (w + 2) minus the inputs at the vertex, over the lcm of
+    their denominators, in lowest terms.
+    """
+    pos = {vid: i for i, vid in enumerate(model.graph.ids())}
+    zeros = [0] * (model.basis.dim - 1)
+    rows = [((w + 2, *zeros), 1) for _, w in model.graph.vertices]
+    inputs: Dict[int, List[SpanElement]] = {}
+    for vid, x in [(br.vertex, br.coeff) for br in model.branches] + list(model.nef_loads):
+        if vid is not None:
+            inputs.setdefault(vid, []).append(x)
+    for vid, xs in inputs.items():
+        i = pos[vid]
+        den = lcm(*(x.den for x in xs))
+        nums = [rows[i][0][0] * den, *zeros]
+        for x in xs:
+            scale = den // x.den
+            nums = [n - scale * m for n, m in zip(nums, x.nums)]
+        rows[i] = _lowest(tuple(nums), den)
+    return rows
 
 
 def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
@@ -337,11 +354,12 @@ def _profile(
     return DiscrepancyProfile(tuple(a.items()), mld, realizing, tag, eps_ok)
 
 
-# Deepest tower the oracle walks.  Its tables and its work per point each
-# grow about 2x per level.  At depth 14 the 7/3 chain with one rational
-# branch takes 0.08 s; `germkit mld` on the 5-curve golden tree and cycle
-# models over sqrt2 takes 0.3 to 0.6 s and 32 MB of process RSS (Python 3.11,
-# 2 shared cores).
+# Deepest tower the oracle walks.  Its tables, and its work per point with
+# them, grow by at most two forms per level.  At depth 14 the 7/3 chain with
+# one rational branch takes 5 ms, building every table, and 0.1 ms once they
+# are built; `germkit mld` on the 5-curve golden tree and cycle models over
+# sqrt2 takes 0.13 to 0.17 s and 22 MB of process RSS, as at depth 1
+# (Python 3.11, 2 shared cores).
 MAX_ORACLE_DEPTH = 14
 
 
@@ -362,15 +380,29 @@ def check_oracle_depth(depth: int) -> None:
 
 
 Nums = Tuple[int, ...]
+Point2 = Tuple[int, int]
 
 # (arity, depth) -> _tower_forms(arity, depth), built once per process
 _TOWER_FORMS: Dict[Tuple[int, int], Tuple[Nums, ...]] = {}
 
 
 def _tower_values(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[Nums]:
-    """Every value over the towers of height up to d above one point.
+    """Values over the towers of height up to d above one point, their least included.
 
     ``point`` holds the values of its curves as numerator vectors over den.
+    A point of 1 or 2 curves evaluates its own table, _tower_forms(r, d);
+    any other point (the centre of the empty graph) is composed from the
+    tables one level down.
+    """
+    if len(point) in (1, 2):
+        u, v = (point + ((0,) * dim,))[:2]
+        return _evaluate(_tower_forms(len(point), d), u, v, den)
+    return _composed(point, d, den, dim)
+
+
+def _composed(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[Nums]:
+    """Values over the towers above one point, from the tables one level down.
+
     Its blow-up creates a curve of value 2 - r + sum(point), and every later
     value is a form of _tower_forms(2, d - 1) at (created, x) for a curve x
     through the point, or of _tower_forms(1, d - 1) at created.
@@ -380,34 +412,104 @@ def _tower_values(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[N
     values = [tuple(created)]
     if d > 1:
         for x, arity in [(x, 2) for x in point] + [((0,) * dim, 1)]:
-            forms = _tower_forms(arity, d - 1)
-            # one list per coordinate, zipped into vectors at C speed
-            p0, x0 = created[0], x[0]
-            cols = [[c0 * den + c1 * p0 + c2 * x0 for c0, c1, c2 in forms]]
-            cols += [[c1 * p + c2 * q for _, c1, c2 in forms] for p, q in zip(created[1:], x[1:])]
-            values.extend(zip(*cols))
+            values += _evaluate(_tower_forms(arity, d - 1), created, x, den)
     return values
 
 
+def _evaluate(forms: Sequence[Nums], u: Sequence[int], v: Sequence[int], den: int) -> List[Nums]:
+    """Each form (c0, c1, c2) at the numerator vectors u and v over den."""
+    # one list per coordinate, zipped into vectors at C speed
+    u0, v0 = u[0], v[0]
+    cols = [[c0 * den + c1 * u0 + c2 * v0 for c0, c1, c2 in forms]]
+    cols += [[c1 * p + c2 * q for _, c1, c2 in forms] for p, q in zip(u[1:], v[1:])]
+    return list(zip(*cols))
+
+
 def _tower_forms(arity: int, d: int) -> Tuple[Nums, ...]:
-    """The tower values above a point of 1 or 2 curves, as integer forms.
+    """The tower values above a point of 1 or 2 curves that can be least, as forms.
 
     Above curves of values u (and v) every value over the towers of height
     up to d is c0 + c1*u + c2*v with integer c0, c1, c2, whatever the model:
-    _tower_values of (u,) or (u, v) over the symbols (1, u, v).  Two forms
-    with the same linear part (c1, c2) differ by the same integer at every
-    point, and composing them keeps that so, so only the least constant per
-    linear part is kept.  That is exact arithmetic, not a pruning by a
-    lemma: the kept forms reach the least value over all towers.
+    _composed of (u,) or (u, v) over the symbols (1, u, v).  Two forms with
+    the same linear part (c1, c2) differ by the same integer at every point,
+    so only the least constant per linear part is kept.
+
+    Of those, only the lower envelope is kept.  A form q is dropped when its
+    linear part is sum(l_i * (a1_i, a2_i)) for kept forms a_i and weights
+    l_i >= 0 of sum 1, and q0 >= sum(l_i * a0_i).  Then at every real (u, v)
+        q(u, v) >= sum(l_i * a_i(u, v)) >= min_i a_i(u, v),
+    so q is never below every kept form and the least value at each point
+    is unchanged; composing a table into the next keeps that so.  This is
+    linear programming, not a lemma about mlds: no sign of a, and no b <= 1,
+    is assumed, so the oracle stays independent of mld_point.
+
+    Arity 1 keeps the lower convex chain of the points (c1, c0): a dropped
+    point lies on or above the chain segment over its c1.  Arity 2 keeps
+    what _fan_envelope keeps.  The forms stay in the order the composition
+    first made them, which is the order a declared basis ranks them in.
     """
     forms = _TOWER_FORMS.get((arity, d))
     if forms is None:
-        least: Dict[Tuple[int, int], int] = {}
-        for c0, c1, c2 in _tower_values(((0, 1, 0), (0, 0, 1))[:arity], d, 1, 3):
+        least: Dict[Point2, int] = {}
+        for c0, c1, c2 in _composed(((0, 1, 0), (0, 0, 1))[:arity], d, 1, 3):
             if least.get((c1, c2), c0) >= c0:
                 least[c1, c2] = c0
-        forms = _TOWER_FORMS[arity, d] = tuple((c0,) + lin for lin, c0 in least.items())
+        if arity == 1:
+            chain = _lower_chain(sorted((c1, c0) for (c1, _), c0 in least.items()))
+            kept = {(c1, 0) for c1, _ in chain}
+        else:
+            kept = _fan_envelope(least)
+        forms = tuple((c0,) + lin for lin, c0 in least.items() if lin in kept)
+        _TOWER_FORMS[arity, d] = forms
     return forms
+
+
+def _cross(o: Point2, a: Point2, b: Point2) -> int:
+    """(a - o) x (b - o), positive when o, a, b turn counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _lower_chain(points: Sequence[Point2]) -> List[Point2]:
+    """The vertices of the lower convex chain of sorted distinct points, in order.
+
+    The monotone chain of A. M. Andrew (Inf. Process. Lett. 9(5), 1979); a
+    point inside a segment of the chain is not a vertex.
+    """
+    chain: List[Point2] = []
+    for p in points:
+        while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _fan_envelope(least: Dict[Point2, int]) -> Set[Point2]:
+    """The linear parts (c1, c2) of ``least``, mapped to c0, that _tower_forms keeps.
+
+    Each form whose (c1, c2) is a vertex of the convex hull of the linear
+    parts is kept: no two forms share a linear part, so it is a vertex of
+    the lower hull.  The hull vertices, counter-clockwise, are the lower
+    chain of the sorted parts and then that of the reversed ones; the fan
+    triangles join the first vertex to each later edge.  A part p in the
+    triangle (a, b, c) is (la*a + lb*b + lc*c) / det for integers
+    la, lb, lc >= 0 of sum det = 2 * its area, and its form is dropped when
+    la*a0 + lb*b0 + lc*c0 <= det * p0.  A form that no fan triangle
+    certifies is kept.
+    """
+    points = sorted(least)
+    hull = _lower_chain(points)[:-1] + _lower_chain(points[::-1])[:-1]
+    fan = [(hull[0], b, c) for b, c in zip(hull[1:-1], hull[2:])]
+
+    def certified(p: Point2) -> bool:
+        for a, b, c in fan:
+            det, lb, lc = _cross(a, b, c), _cross(a, p, c), _cross(a, b, p)
+            la = det - lb - lc
+            if min(la, lb, lc) >= 0:
+                if la * least[a] + lb * least[b] + lc * least[c] <= det * least[p]:
+                    return True
+        return False
+
+    return set(hull) | {p for p in points if not certified(p)}
 
 
 def mld_oracle(
@@ -421,9 +523,9 @@ def mld_oracle(
     its coefficient).  Blowing up such a point creates a curve of value
     2 - r + sum(values) and the new points worth visiting are its meetings
     with each old curve plus one generic point on it.  The oracle takes the
-    minimum over all towers of height up to ``depth``.  Above the created
-    curve those towers do not depend on the model, so their values come
-    from integer forms tabled once per process (_tower_forms), evaluated on
+    minimum over all towers of height up to ``depth``.  Those towers do not
+    depend on the model, so their values come from the integer forms that
+    can be least, tabled once per process (_tower_forms), evaluated on
     integer numerators over one common denominator and ranked by _least,
     which keeps the least candidate per irrational part and, over a
     certified basis, signs only those whose integer brackets reach the

@@ -229,16 +229,19 @@ class ContinuedFractionEnclosure(Enclosure):
 class NestedIntervalsEnclosure(Enclosure):
     """Enclosure from an explicit finite list of intervals.
 
-    The list is validated up front: each interval must sit inside the
-    previous one and be strictly narrower.  Queries past the end raise
-    RefinementExhausted.
+    The list is validated up front: it holds at least two levels, since a
+    basis checks that level 1 shrinks level 0, and each interval must sit
+    inside the previous one and be strictly narrower.  Queries past the end
+    raise RefinementExhausted.
     """
 
     intervals: Tuple[Interval, ...]
 
     def __post_init__(self):
-        if not self.intervals:
-            raise ValueError("need at least one interval")
+        if len(self.intervals) < 2:
+            raise ValueError(
+                f"an enclosure needs at least two levels, got {len(self.intervals)}"
+            )
         prev = None
         for i, (lo, hi) in enumerate(self.intervals):
             if lo >= hi:

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line interface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +127,12 @@ BOOLEAN_EDGE = (
     ' "edges": [[true, false]]}}'
 )
 ONE_CURVE = {"vertices": [{"id": 0, "weight": -2}], "edges": []}
+# one interval is a level 0 with no level 1 to shrink it
+ONE_LEVEL_INTERVALS = json.dumps({
+    "basis": ["1", "r"],
+    "enclosures": {"r": {"intervals": [["1", "2"]]}},
+    "graph": ONE_CURVE,
+})
 
 
 def _with(doc, path, value):
@@ -241,6 +250,8 @@ NON_LIST_CASES = [
          "enclosures.r: unknown keys ['typo']"),
         (["mld", "{doc}"], _with(SQRT2_MODEL, "enclosures.r.intervals", [["1", "2"]]),
          "enclosures.r: enclosure needs exactly one of cf or intervals"),
+        (["mld", "{doc}"], ONE_LEVEL_INTERVALS,
+         "enclosures.r: an enclosure needs at least two levels, got 1"),
         *NEFLOAD_CASES,
         (["gen-hj", "1000000000", "999999999"], None,
          "quotient chain exceeds the cap of 10000 curves"),
@@ -262,7 +273,7 @@ NON_LIST_CASES = [
          "delta-exponent-past-digit-limit", "partition-positive-level-past-budget",
          "mld-past-digit-limit", "complement-past-digit-limit", "partition-past-digit-limit",
          *(f"non-list-{key}" for _, _, key, _ in NON_LISTS),
-         "enclosure-unknown-key", "enclosure-cf-and-intervals",
+         "enclosure-unknown-key", "enclosure-cf-and-intervals", "enclosure-one-level",
          "nefloads-key-underscore", "nefloads-key-spaces", "nefloads-key-plus",
          "nefloads-key-arabic-indic", "gen-hj-billion-curves", "gen-hj-one-past-cap",
          "scan-count-over-cap", "scan-n-max-over-cap", "verify-count-over-cap"],
@@ -741,3 +752,18 @@ def test_perturb_records_a_snap_that_breaks_the_germ(
     assert (entry["lc_preserved"], entry["epsilon_preserved"]) == (lc, eps)
     assert entry["note"] == "no irrational symbols; the family is the identity map"
     assert report["violations_total"] == (0 if lc else 1) + (0 if eps else 1)
+
+
+def test_scan_bytes_do_not_depend_on_the_hash_seed():
+    # one process running a scan twice shares its hash seed; two processes
+    # with different seeds would tell set or dict order leaking into a report
+    src = Path(__file__).resolve().parent.parent / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "germkit.cli", "scan", "--count", "40", "--oracle-depth", "3"],
+            env=env, capture_output=True, check=True,
+        )
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]

@@ -38,6 +38,7 @@ from germkit.discrepancy import (
     MAX_ORACLE_DEPTH,
     Locus,
     _min_coeff_exceeds_16_over_nprime,
+    _rhs_rows,
     adjunction_form,
     check_convexity,
     check_empty_graph_value,
@@ -361,6 +362,24 @@ def test_resolution_keeps_every_lc_germ_on_a_nonempty_graph():
     for model in lc:
         step = resolution_model(model)
         assert (step.kind, step.model) == ("existing-vertex", model)
+
+
+def span_rows(model):
+    """The solve's right-hand side built with SpanElement arithmetic, as it was."""
+    basis = model.basis
+    pos = {vid: i for i, vid in enumerate(model.graph.ids())}
+    rhs = [basis.rational(w + 2) for _, w in model.graph.vertices]
+    inputs = [(br.vertex, br.coeff) for br in model.branches if br.vertex is not None]
+    for vid, x in inputs + list(model.nef_loads):
+        rhs[pos[vid]] -= x
+    return [(x.nums, x.den) for x in rhs]
+
+
+def test_integer_rhs_rows_equal_the_span_element_rows():
+    names = GOLDEN_MODELS + ("gen_hj_7_3", "path20", "point", "pool3", "sqrt2_sqrt3")
+    goldens = [load_model(str(GOLDEN / f"{n}.json")) for n in names]
+    for model in _corpus(0) + _corpus(1) + goldens:
+        assert _rhs_rows(model) == span_rows(model), model
 
 
 def test_point_minimum_of_a_long_chain_makes_no_compare(monkeypatch):

@@ -73,10 +73,12 @@ def test_cf_validation():
 
 def test_nested_intervals_validation():
     NestedIntervalsEnclosure(((Fraction(1), Fraction(2)), (Fraction(5, 4), Fraction(3, 2))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least two levels, got 0"):
         NestedIntervalsEnclosure(())
-    with pytest.raises(ValueError):
-        NestedIntervalsEnclosure(((Fraction(2), Fraction(1)),))
+    with pytest.raises(ValueError, match="at least two levels, got 1"):
+        NestedIntervalsEnclosure(((Fraction(1), Fraction(2)),))
+    with pytest.raises(ValueError, match="interval 0 is empty"):
+        NestedIntervalsEnclosure(((Fraction(2), Fraction(1)), (Fraction(3, 2), Fraction(5, 4))))
     with pytest.raises(ValueError):
         # second interval escapes the first
         NestedIntervalsEnclosure(((Fraction(1), Fraction(2)), (Fraction(0), Fraction(3, 2))))
@@ -176,7 +178,9 @@ def test_closed_forms():
     )
     assert square.closed_form == ClosedForm((((), 2),), 1)
     assert PointEnclosure(Fraction(3, 4)).closed_form == ClosedForm((((), 3),), 4)
-    assert NestedIntervalsEnclosure(((Fraction(1), Fraction(2)),)).closed_form is None
+    assert NestedIntervalsEnclosure(
+        ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(3, 2)))
+    ).closed_form is None
     partial = ProductEnclosure(
         ContinuedFractionEnclosure((1,), (2,)),
         NestedIntervalsEnclosure(((Fraction(1), Fraction(2)), (Fraction(1), Fraction(3, 2)))),

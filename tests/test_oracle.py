@@ -3,6 +3,7 @@
 import gc
 import re
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -244,7 +245,49 @@ def test_exhaustion_refuses_or_answers_over_a_declared_basis():
     assert 0 < refused < len(cases)
 
 
-def test_tower_tables_are_the_least_forms_of_the_old_walk():
+def _certificate(q, forms):
+    """Up to three forms whose weighted mean has q's linear part and a constant <= q's.
+
+    A point, a segment or a triangle of ``forms``, found by brute force;
+    None when there is none.
+    """
+    q0, q1, q2 = q
+    for k in (1, 2, 3):
+        for picked in combinations(forms, k):
+            weights = _barycentric([f[1:] for f in picked], (q1, q2))
+            if weights and sum(w * f[0] for w, f in zip(weights, picked)) <= sum(weights) * q0:
+                return picked
+    return None
+
+
+def _barycentric(points, q):
+    """Integer weights l_i >= 0 of positive sum with sum l_i * points_i = sum l_i * q.
+
+    For one, two or three affinely independent ``points`` whose hull holds
+    q (Cramer's rule); None otherwise.
+    """
+    x, y = q
+    if len(points) == 1:
+        return (1,) if points[0] == q else None
+    if len(points) == 2:
+        (ax, ay), (bx, by) = points
+        # q on the segment: collinear, and both signed lengths >= 0
+        if (bx - ax) * (y - ay) != (by - ay) * (x - ax):
+            return None
+        la = (bx - x) * (bx - ax) + (by - y) * (by - ay)
+        lb = (x - ax) * (bx - ax) + (y - ay) * (by - ay)
+        return (la, lb) if la >= 0 and lb >= 0 and la + lb > 0 else None
+    (ax, ay), (bx, by), (cx, cy) = points
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    lb = (x - ax) * (cy - ay) - (y - ay) * (cx - ax)
+    lc = (bx - ax) * (y - ay) - (by - ay) * (x - ax)
+    if det < 0:
+        det, lb, lc = -det, -lb, -lc
+    la = det - lb - lc
+    return (la, lb, lc) if det and min(la, lb, lc) >= 0 else None
+
+
+def test_tower_tables_are_the_lower_envelope_of_the_old_walk():
     units = ((0, 1, 0), (0, 0, 1))
     for arity in (1, 2):
         for d in range(1, 9):
@@ -252,8 +295,16 @@ def test_tower_tables_are_the_least_forms_of_the_old_walk():
             for c0, c1, c2 in walk_forms(units[:arity], d):
                 least[c1, c2] = min(c0, least.get((c1, c2), c0))
             table = _tower_forms(arity, d)
-            assert len(table) == len(least), (arity, d)
-            assert {(c1, c2): c0 for c0, c1, c2 in table} == least, (arity, d)
+            assert len(table) <= 2 * d - 1, (arity, d)
+            assert {(c1, c2): c0 for c0, c1, c2 in table}.items() <= least.items(), (arity, d)
+            # every dropped form lies on or above a point, segment or
+            # triangle of kept forms, so it is never the least
+            for (c1, c2), c0 in least.items():
+                if (c0, c1, c2) not in table:
+                    assert _certificate((c0, c1, c2), table), (arity, d, c0, c1, c2)
+            # and no kept form is so certified by the others
+            for f in table:
+                assert _certificate(f, [g for g in table if g != f]) is None, (arity, d, f)
 
 
 def test_matches_reference_at_depths_five_and_six():
@@ -265,8 +316,9 @@ def test_matches_reference_at_depths_five_and_six():
 
 
 def test_deepest_oracle_stays_small():
-    # the tables grow about 2x per level and depend on no model; a point of
-    # any arity reuses the arity-1 and arity-2 tables one level down
+    # the tables depend on no model and grow by at most two forms per
+    # level; a point of 1 or 2 curves reads its own table, any other point
+    # composes the tables one level down
     for name in ("tree.json", "cycle.json"):
         m = load_model(str(GOLDEN / name))
         assert mld_oracle(m, MAX_ORACLE_DEPTH) == mld_point(m).mld, name
@@ -274,7 +326,10 @@ def test_deepest_oracle_stays_small():
     m = germ(EMPTY, [Branch(None, seventh)] * 6)
     assert mld_oracle(m, MAX_ORACLE_DEPTH) == mld_point(m).mld
     assert {arity for arity, _ in _TOWER_FORMS} <= {1, 2}
-    assert max(d for _, d in _TOWER_FORMS) <= MAX_ORACLE_DEPTH - 1
+    assert max(d for _, d in _TOWER_FORMS) <= MAX_ORACLE_DEPTH
+    depths = range(1, MAX_ORACLE_DEPTH + 1)
+    assert [len(_tower_forms(1, d)) for d in depths] == [1, 2] + list(range(2, MAX_ORACLE_DEPTH))
+    assert [len(_tower_forms(2, d)) for d in depths] == [2 * d - 1 for d in depths]
 
 
 def test_the_memo_is_freed_on_return():
