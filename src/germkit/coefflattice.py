@@ -311,11 +311,11 @@ class SpanElement:
     def enclosure(self, level: int) -> Interval:
         """Exact interval bound at the given refinement level.
 
-        Each endpoint is summed as an integer numerator over a running
-        integer denominator, and the two Fractions are built once at the
-        end.  Symbols with zero coefficient are never queried, so unused
-        finite sources cannot exhaust a computation that does not involve
-        them.
+        Each endpoint is summed as an integer numerator over the lcm of the
+        endpoint denominators seen so far, and the two Fractions are built
+        once at the end.  Symbols with zero coefficient are never queried,
+        so unused finite sources cannot exhaust a computation that does not
+        involve them.
         """
         nums = self.nums
         lo = hi = nums[0]
@@ -326,12 +326,10 @@ class SpanElement:
             a, b = enc.interval(level)
             if c < 0:
                 a, b = b, a
-            q = a.denominator
-            lo = lo * q + c * a.numerator * lo_d
-            lo_d *= q
-            q = b.denominator
-            hi = hi * q + c * b.numerator * hi_d
-            hi_d *= q
+            m = lcm(lo_d, a.denominator)
+            lo, lo_d = lo * (m // lo_d) + c * a.numerator * (m // a.denominator), m
+            m = lcm(hi_d, b.denominator)
+            hi, hi_d = hi * (m // hi_d) + c * b.numerator * (m // b.denominator), m
         return (Fraction(lo, lo_d * self.den), Fraction(hi, hi_d * self.den))
 
     def __str__(self) -> str:
@@ -364,6 +362,12 @@ def _reduced(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> SpanEle
         nums = tuple(n // g for n in nums)
         den //= g
     return _span(basis, nums, den)
+
+
+def _over_lcm(xs: Sequence[SpanElement]) -> Tuple[List[Tuple[int, ...]], int]:
+    """(rows, den): the values xs as integer numerator rows over the lcm of their denominators."""
+    den = lcm(*(x.den for x in xs))
+    return [x.nums if x.den == den else tuple(n * (den // x.den) for n in x.nums) for x in xs], den
 
 
 def ratio_str(n: int, den: int) -> str:
@@ -1007,17 +1011,16 @@ def verify_partition(part: PartitionOfOne) -> Dict[str, bool]:
         raise BasisMismatch("partition entry not over the partition's bases")
     # weights over wden, images over vden: total sums the weights, and
     # combined[i][j], the sum of weight i times image j, is to be scale * [i == j]
-    wden = lcm(*(w.den for w, _ in entries))
+    weights, wden = _over_lcm([w for w, _ in entries])
     images = [f.matrix[0] for _, f in entries]
     vden = lcm(*(v.denominator for row in images for v in row))
     total = [0] * pb.dim
     combined = [[0] * basis.dim for _ in range(pb.dim)]
-    for (w, _), row in zip(entries, images):
-        s = wden // w.den
-        b = [v.numerator * (vden // v.denominator) * s for v in row]
-        for i, n in enumerate(w.nums):
+    for w, row in zip(weights, images):
+        b = [v.numerator * (vden // v.denominator) for v in row]
+        for i, n in enumerate(w):
             if n:
-                total[i] += n * s
+                total[i] += n
                 combined[i] = [c + n * bj for c, bj in zip(combined[i], b)]
     scale = wden * vden
     checks: Dict[str, bool] = {}

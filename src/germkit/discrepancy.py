@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
-from math import lcm
-from operator import sub
+from operator import add, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .coefflattice import (
@@ -33,6 +33,7 @@ from .coefflattice import (
     render_exact,
     span_min,
     _nums_sign,
+    _over_lcm,
     _reduced,
     _refine,
     _span,
@@ -165,7 +166,7 @@ def branch_total(model: SurfaceGermModel) -> SpanElement:
 def positive_inputs(model: SurfaceGermModel) -> List[SpanElement]:
     """The positive branch coefficients, then the positive nef loads, in model order."""
     inputs = [br.coeff for br in model.branches] + [mu for _, mu in model.nef_loads]
-    return [x for x in inputs if is_gt(x, 0)]
+    return [x for x in inputs if _nums_sign(x.basis, x.nums, x.den) == GREATER]
 
 
 @dataclass(frozen=True)
@@ -192,8 +193,19 @@ class DiscrepancyProfile:
         # an eps-lc mld reaches an epsilon > 0
         return self.classification in ("klt", "eps-lc")
 
+    @cached_property
+    def above_one(self) -> Optional[int]:
+        """The first vertex by id whose log discrepancy is above 1, None when every a <= 1."""
+        above = (v for v, x in self.a if _nums_sign(x.basis, _one_minus(x.nums, x.den), x.den) < 0)
+        return next(above, None)
+
     def a_map(self) -> Dict[int, SpanElement]:
         return dict(self.a)
+
+
+def _one_minus(nums: Nums, den: int) -> Nums:
+    """The numerators of 1 - nums/den over den, in lowest terms when nums/den is."""
+    return (den - nums[0],) + tuple([-n for n in nums[1:]])
 
 
 def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
@@ -204,15 +216,11 @@ def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
     and negative definiteness, certified when the model was built, makes it
     uniquely solvable.  One substitution on the graph's factor solves every
     basis coordinate at once, on the integer numerators and common
-    denominator the elements store.  1 - x needs no reduction: when
-    x = (n_0, n_1, ...)/d is in lowest terms, so is (d - n_0, -n_1, ...)/d.
+    denominator the elements store.
     """
     basis = model.basis
     sols = solve_exact(model.graph.factor, _rhs_rows(model))
-    out = {}
-    for vid, (nums, den) in zip(model.graph.ids(), sols):
-        out[vid] = _span(basis, (den - nums[0],) + tuple([-n for n in nums[1:]]), den)
-    return out
+    return {v: _span(basis, _one_minus(n, d), d) for v, (n, d) in zip(model.graph.ids(), sols)}
 
 
 def _rhs_rows(model: SurfaceGermModel) -> List[Row]:
@@ -230,12 +238,9 @@ def _rhs_rows(model: SurfaceGermModel) -> List[Row]:
             inputs.setdefault(vid, []).append(x)
     for vid, xs in inputs.items():
         i = pos[vid]
-        den = lcm(*(x.den for x in xs))
-        nums = [rows[i][0][0] * den, *zeros]
-        for x in xs:
-            scale = den // x.den
-            nums = [n - scale * m for n, m in zip(nums, x.nums)]
-        rows[i] = _lowest(tuple(nums), den)
+        scaled, den = _over_lcm(xs)
+        total = [sum(c) for c in zip(*scaled)]
+        rows[i] = _lowest((rows[i][0][0] * den - total[0], *[-t for t in total[1:]]), den)
     return rows
 
 
@@ -269,9 +274,7 @@ def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
         if _nums_sign(basis, x.nums, x.den) == LESS:
             return _profile(model, a, NEG_INFINITY, ("vertex", vid))
     for idx, br in enumerate(model.branches):
-        b = br.coeff
-        # b - 1 is in lowest terms over b's own denominator
-        if _nums_sign(basis, (b.nums[0] - b.den,) + b.nums[1:], b.den) == GREATER:
+        if _nums_sign(basis, _one_minus(br.coeff.nums, br.coeff.den), br.coeff.den) == LESS:
             return _profile(model, a, NEG_INFINITY, ("branch", idx))
 
     if not ids:
@@ -281,8 +284,7 @@ def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
         return _profile(model, a, value, ("point", None))
 
     values = [a[vid] for vid in ids]
-    den = lcm(*(x.den for x in values))
-    scaled = [tuple(n * (den // x.den) for n in x.nums) for x in values]
+    scaled, den = _over_lcm(values)
     # equal values have equal rows over one denominator: index finds the first
     k = scaled.index(_least(basis, scaled, den))
     return _profile(model, a, values[k], ("vertex", ids[k]))
@@ -543,11 +545,11 @@ def mld_oracle(
     check_oracle_depth(depth)
     a = solve_discrepancies(model) if profile is None else profile.a_map()
     basis, ids = model.basis, model.graph.ids()
-    comps = [basis.rational(1) - br.coeff for br in model.branches]
+    coeffs = [br.coeff for br in model.branches]
+    comps = [_span(basis, _one_minus(b.nums, b.den), b.den) for b in coeffs]
     # every value as integer numerators over one common denominator
-    den = lcm(*(a[v].den for v in ids), *(x.den for x in comps))
-    scaled = {v: tuple(n * (den // a[v].den) for n in a[v].nums) for v in ids}
-    comps = [tuple(n * (den // x.den) for n in x.nums) for x in comps]
+    rows, den = _over_lcm([a[v] for v in ids] + comps)
+    scaled, comps = dict(zip(ids, rows)), rows[len(ids):]
 
     points = [(scaled[i], scaled[j]) for i, j in model.graph.edges]
     branch_points = zip(model.branches, comps)
@@ -601,30 +603,30 @@ def check_convexity(
         profile = mld_point(model)
     if not profile.is_lc:
         raise HypothesesUnmet("convexity checks need a log canonical model")
-    a = profile.a_map()
-    for vid, av in a.items():
-        if is_gt(av, 1):
-            raise HypothesesUnmet(f"vertex {vid} has log discrepancy above 1")
+    if profile.above_one is not None:
+        raise HypothesesUnmet(f"vertex {profile.above_one} has log discrepancy above 1")
+    basis = model.basis
+    gap = profile.classification == "eps-lc"
+    rows, den = _over_lcm([x for _, x in profile.a] + ([model.epsilon] if gap else []))
+    a = {vid: row for (vid, _), row in zip(profile.a, rows)}
     adj = model.graph.adjacency()
     out: List[Violation] = []
-    half = Fraction(1, 2)
     for vid, w in model.graph.vertices:
+        x = a[vid]
         if w <= -2:
             for p, q in combinations(adj[vid], 2):
-                if is_gt(a[vid], (a[p] + a[q]) * half):
-                    out.append(
-                        Violation("midpoint", (p, vid, q), f"a({vid}) above neighbor mean")
-                    )
-        bound = Fraction(2, -w)
-        if is_gt(a[vid], bound):
-            out.append(Violation("weight-bound", (vid,), f"a({vid}) above {bound}"))
-    if profile.classification == "eps-lc":
-        eps = model.epsilon
+                mid = tuple([2 * i - j - k for i, j, k in zip(x, a[p], a[q])])
+                if _nums_sign(basis, mid, den) == GREATER:
+                    out.append(Violation("midpoint", (p, vid, q), f"a({vid}) above neighbor mean"))
+        if _nums_sign(basis, (-w * x[0] - 2 * den, *[-w * n for n in x[1:]]), den) == GREATER:
+            out.append(Violation("weight-bound", (vid,), f"a({vid}) above {Fraction(2, -w)}"))
+    if gap:
         for vid, w in model.graph.vertices:
             if w > -3:
                 continue
             for p, q in combinations(adj[vid], 2):
-                if is_lt(a[p] + a[q] - 2 * a[vid], eps):
+                second = [j + k - 2 * i - e for i, j, k, e in zip(a[vid], a[p], a[q], rows[-1])]
+                if _nums_sign(basis, tuple(second), den) == LESS:
                     out.append(Violation("gap", (p, vid, q), "second difference below epsilon"))
     return tuple(out)
 
@@ -638,7 +640,8 @@ def check_smooth_threshold(
     g = model.graph
     if g.order == 0 or any(w > -2 for _, w in g.vertices) or not profile.is_lc:
         return ()
-    if is_gt(profile.mld, 1):
+    mld = profile.mld
+    if _nums_sign(mld.basis, _one_minus(mld.nums, mld.den), mld.den) == LESS:
         return (Violation("smooth-threshold", (), "mld above 1 on an all-(-2-or-below) graph"),)
     return ()
 
@@ -648,17 +651,17 @@ def check_empty_graph_value(
 ) -> Tuple[Violation, ...]:
     """Empty-graph models with multiplicity <= 1: mld must equal 2 - mult.
 
-    The multiplicity is branch_total.  The value is cross-checked against
-    the tower oracle at depth 4.
+    The multiplicity is branch_total, which smooth_point_mld refuses above
+    1.  The value is cross-checked against the tower oracle at depth 4.
     """
     if model.graph.order != 0:
         return ()
-    total = branch_total(model)
-    if is_gt(total, 1):
+    try:
+        expected = smooth_point_mld(branch_total(model))
+    except HypothesesUnmet:
         return ()
     if profile is None:
         profile = mld_point(model)
-    expected = smooth_point_mld(total)
     out: List[Violation] = []
     if profile.mld != expected:
         out.append(Violation("smooth-center-value", (), "mld differs from 2 - mult"))
@@ -676,33 +679,26 @@ def check_vertex_window(
     most -2, a vertex-realized mld strictly between max(2/3, 1 - d/2) and 1
     is impossible, where d is the smallest positive branch coefficient or
     load (absent coefficients leave only the 2/3 floor).  Finding one is
-    reported as a violation.
+    reported as a violation; mld > 1 - d/2 for the least d is 2 mld - 2 + d > 0 for every d.
     """
     g = model.graph
     if g.order == 0 or any(w > -2 for _, w in g.vertices):
         return ()
     if profile is None:
         profile = mld_point(model)
-    if not profile.is_lc:
+    if not profile.is_lc or profile.realizing[0] != "vertex":
         return ()
     mld = profile.mld
-    if profile.realizing[0] != "vertex":
+    basis, n, den = model.basis, mld.nums, mld.den
+    third = (3 * n[0] - 2 * den, *[3 * c for c in n[1:]])
+    if _nums_sign(basis, third, den) <= 0 or _nums_sign(basis, _one_minus(n, den), den) <= 0:
         return ()
-    if not (is_gt(mld, Fraction(2, 3)) and is_lt(mld, 1)):
+    (m, *ds), den = _over_lcm([mld] + positive_inputs(model))
+    low = (2 * m[0] - 2 * den, *[2 * c for c in m[1:]])
+    if any(_nums_sign(basis, tuple(map(add, low, d)), den) != GREATER for d in ds):
         return ()
-    positives = positive_inputs(model)
-    if positives:
-        d = span_min(positives)
-        floor = model.basis.rational(1) - d / 2
-        if not is_gt(mld, floor):
-            return ()
-    return (
-        Violation(
-            "vertex-window",
-            (profile.realizing[1],),
-            "vertex-realized mld inside the excluded window",
-        ),
-    )
+    where = (profile.realizing[1],)
+    return (Violation("vertex-window", where, "vertex-realized mld inside the excluded window"),)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from .coefflattice import (
     SpanElement,
     TRIVIAL_BASIS,
     _fraction,
+    _nums_sign,
     current_budget,
     decimal_str,
     in_span,
     is_ge,
-    is_gt,
     partition_of_one,
     ratio_str,
     render_exact,
@@ -51,9 +51,9 @@ from .discrepancy import (
     MldValue,
     NegInfinity,
     SurfaceGermModel,
+    _one_minus,
     adjunction_form,
     apply_to_coefficients,
-    branch_total,
     check_convexity,
     check_empty_graph_value,
     check_oracle_depth,
@@ -329,9 +329,9 @@ def _realizing_str(locus) -> str:
 # Most models one scan or verify-lemmas run takes (--count), and the
 # largest n of the n-indexed scan families (--n-max).  The an family has a
 # chain of every length up to n_max, built and profiled one at a time: at
-# 1,000, scan takes 24 s and 26 MB.  A corpus of 10,000 models takes 5.2 s
-# and 67 MB under scan and 16 s and 58 MB under verify-lemmas (Python 3.11,
-# 2 cores).
+# 1,000, scan takes 6.2-7.6 s and 26 MB.  A corpus of 10,000 models takes
+# 2.8 s and 68 MB under scan and 6.5 s and 59 MB under verify-lemmas
+# (Python 3.11, 2 shared cores).
 MAX_SCAN_COUNT = 10_000
 MAX_SCAN_N = 1_000
 
@@ -394,7 +394,6 @@ def build_scan_models(config: ScanConfig) -> Iterator[SurfaceGermModel]:
 def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
     profile = mld_point(model)
     g = model.graph
-    a = profile.a_map()
     checks: List[str] = []
     violations: List[str] = []
 
@@ -403,7 +402,7 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
             violations.append(f"{v.check}@{v.where}: {v.detail}")
 
     all_deep = g.order > 0 and all(w <= -2 for _, w in g.vertices)
-    if profile.is_lc and all(not is_gt(av, 1) for av in a.values()):
+    if profile.is_lc and profile.above_one is None:
         checks.append("convexity")
         record(check_convexity(model, profile))
     if all_deep:
@@ -412,8 +411,10 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
         if profile.is_lc:
             checks.append("vertex-window")
             record(check_vertex_window(model, profile))
-    if g.order == 0:
-        if not is_gt(branch_total(model), 1):
+    if g.order == 0 and profile.is_lc:
+        # an lc mld on the empty graph is 2 - mult, so mult <= 1 exactly when mld >= 1
+        mld = profile.mld
+        if _nums_sign(model.basis, _one_minus(mld.nums, mld.den), mld.den) <= 0:
             checks.append("smooth-center")
             record(check_empty_graph_value(model, profile))
     if config.oracle_depth >= 1:

@@ -1,6 +1,7 @@
 """Span arithmetic, certified comparison and the perturbation constructions."""
 
 import dataclasses
+import random
 import time
 from fractions import Fraction
 from math import isqrt
@@ -647,6 +648,24 @@ MANY_ROOTS = (
     product_basis(_basis(SQRT2, SQRT3, SQRT5)),
 )
 MANY_PAIRS = tuple((b, declared(b)) for b in MANY_ROOTS)
+
+
+def test_enclosure_equals_the_fraction_sum_over_a_declared_product_basis():
+    # the endpoints are summed as integers over the lcm of the endpoint
+    # denominators; the interval is the sum of c * endpoint per symbol, the
+    # lower endpoint of a symbol for c > 0 and its upper one for c < 0
+    basis = product_basis(declared(_basis(*PRIME_ROOTS[:5])))
+    assert basis.dim == 32 and not basis.certified
+    rng = random.Random(5)
+    for _ in range(30):
+        den = rng.randrange(1, 60)
+        x = basis.element([Fraction(rng.choice((0, rng.randrange(-9, 10))), den) for _ in range(32)])
+        for level in range(6):
+            lo = hi = x.coords[0]
+            for c, enc in zip(x.coords[1:], basis.enclosures[1:]):
+                a, b = enc.interval(level)
+                lo, hi = (lo + c * a, hi + c * b) if c > 0 else (lo + c * b, hi + c * a)
+            assert x.enclosure(level) == (lo, hi)
 
 
 @given(st.data())

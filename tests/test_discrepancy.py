@@ -53,7 +53,7 @@ from germkit.dualgraph import is_negative_definite
 from germkit.errors import GermkitError, RefinementExhausted
 from germkit.explorer import load_model
 
-from util import EMPTY, chain, declared, germ, rbranch
+from util import EMPTY, chain, declared, germ, moved, rbranch
 
 
 def frac(x):
@@ -275,21 +275,6 @@ DECLARED_SQ2 = declared(SQ2)
 POOL = coefficient_pool(SQ2) + [SQ2.rational(Fraction(5, 4)), SQ2.element((1, Fraction(1, 8)))]
 
 
-def over(model, basis):
-    """The same germ with every coefficient moved to a basis of the same dimension."""
-
-    def move(x):
-        return basis.element(x.coords)
-
-    return SurfaceGermModel(
-        model.graph,
-        tuple(Branch(b.vertex, move(b.coeff)) for b in model.branches),
-        tuple((v, move(mu)) for v, mu in model.nef_loads),
-        None if model.epsilon is None else move(model.epsilon),
-        basis,
-    )
-
-
 @lru_cache(maxsize=None)
 def _corpus(seed):
     return corpus(seed, 200)
@@ -299,7 +284,7 @@ def _corpus(seed):
 @settings(max_examples=80, deadline=None)
 def test_vertex_minimum_matches_candidates_on_the_corpus(seed, index, declare):
     model = _corpus(seed)[index]
-    assert_matches_reference(over(model, DECLARED_SQ2) if declare else model)
+    assert_matches_reference(moved(model, DECLARED_SQ2) if declare else model)
 
 
 @st.composite
@@ -326,7 +311,7 @@ def drawn_germs(draw):
 @given(drawn_germs(), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_vertex_minimum_matches_candidates_on_drawn_germs(model, declare):
-    assert_matches_reference(over(model, DECLARED_SQ2) if declare else model)
+    assert_matches_reference(moved(model, DECLARED_SQ2) if declare else model)
 
 
 def test_vertex_minimum_matches_candidates_on_germs_that_are_not_lc():
@@ -340,7 +325,7 @@ def test_vertex_minimum_matches_candidates_on_germs_that_are_not_lc():
         germ(EMPTY, [Branch(None, sq2_third)], basis=SQ2),
     ]
     for model in cases:
-        for m in (model, over(model, declared(model.basis))):
+        for m in (model, moved(model, declared(model.basis))):
             assert assert_matches_reference(m)[2] == "not-lc"
 
 

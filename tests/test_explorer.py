@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from functools import cached_property
 
 import pytest
 
@@ -21,7 +22,7 @@ from germkit import (
 )
 from germkit.coefflattice import partition_of_one
 from germkit.corpus import corpus, family_an, sqrt2_basis
-from germkit.discrepancy import mld_point
+from germkit.discrepancy import DiscrepancyProfile, mld_point
 from germkit.explorer import (
     ScanConfig,
     complement_report,
@@ -181,6 +182,28 @@ def test_scan_instance_solves_each_model_once(monkeypatch):
         ran.update(instance["checks"])
         assert solved == [m]
     assert {"adjunction-form", "smooth-center", "convexity", "oracle"} <= ran
+
+
+@pytest.mark.parametrize(
+    "config", [ScanConfig(count=200), ScanConfig(family="an", n_max=30)], ids=["corpus", "an"]
+)
+def test_scan_decides_every_a_at_most_one_once_per_model(monkeypatch, config):
+    # the convexity gate of _scan_instance and the refusal of check_convexity
+    # both read DiscrepancyProfile.above_one, computed on its first read
+    asked = []
+    real = DiscrepancyProfile.above_one.func
+
+    def spy(profile):
+        asked.append(profile)
+        return real(profile)
+
+    counted = cached_property(spy)
+    counted.__set_name__(DiscrepancyProfile, "above_one")
+    monkeypatch.setattr(DiscrepancyProfile, "above_one", counted)
+    instances = run_scan(config).instances
+    lc = [i for i in instances if i["classification"] != "not-lc"]
+    assert lc and len(asked) == len(lc)
+    assert len({id(p) for p in asked}) == len(asked)
 
 
 def test_verification_solves_each_adjunction_chain_once(monkeypatch):

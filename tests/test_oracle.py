@@ -14,7 +14,6 @@ from germkit import (
     Branch,
     RefinementExhausted,
     SpanElement,
-    SurfaceGermModel,
     TRIVIAL_BASIS,
     mld_oracle,
     mld_point,
@@ -25,7 +24,7 @@ from germkit.discrepancy import MAX_ORACLE_DEPTH, _TOWER_FORMS, _tower_forms, so
 from germkit.dualgraph import hj_graph
 from germkit.explorer import load_model
 
-from util import EMPTY, chain, declared, germ, rbranch
+from util import EMPTY, chain, declared, germ, moved, rbranch
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,20 +105,6 @@ def outcome(oracle, model, depth):
         return oracle(model, depth)
     except RefinementExhausted as e:
         return ("RefinementExhausted", str(e))
-
-
-def moved(model, basis):
-    """The same germ with every value written over ``basis`` (same symbols)."""
-    def move(x):
-        return basis.element(x.coords)
-
-    return SurfaceGermModel(
-        model.graph,
-        tuple(Branch(br.vertex, move(br.coeff)) for br in model.branches),
-        tuple((v, move(mu)) for v, mu in model.nef_loads),
-        None if model.epsilon is None else move(model.epsilon),
-        basis,
-    )
 
 
 def agree(model, depth):

@@ -537,3 +537,64 @@ def test_finite_continued_fractions_are_refused_in_one_place():
         if "finite continued fraction" in path.read_text().lower()
     ]
     assert found == ["enclosures.py"]
+
+
+def _functions(watched):
+    """The FunctionDef of every (file name, function name) in ``watched``."""
+    found = {
+        (path.name, fn.name): fn
+        for path, fn in _nodes()
+        if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in watched
+    }
+    assert set(found) == set(watched)
+    return found
+
+
+CHECKERS = {
+    ("discrepancy.py", name)
+    for name in (
+        "check_convexity", "check_smooth_threshold", "check_vertex_window",
+        "check_empty_graph_value",
+    )
+}
+
+
+def test_lemma_checks_decide_signs_on_integer_rows():
+    # each inequality of the checkers, and the scan's gates, is one
+    # _nums_sign of an integer row; compare and its wrappers build a
+    # SpanElement difference per inequality
+    spans = {"compare", "is_lt", "is_le", "is_gt", "is_ge", "span_min"}
+    found = {
+        f"{name}:{node.lineno} {node.func.id}"
+        for (_, name), fn in _functions(CHECKERS | {("explorer.py", "_scan_instance")}).items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in spans
+    }
+    assert found == set()
+
+
+def test_span_values_are_put_over_one_denominator_in_one_place():
+    # _over_lcm is the one loop that scales span values to the lcm of their
+    # denominators; an lcm of .den reads, or a division by one, is that loop
+    # written again
+    users = {
+        ("discrepancy.py", "mld_point"), ("discrepancy.py", "mld_oracle"),
+        ("coefflattice.py", "verify_partition"),
+    } | CHECKERS
+    found = set()
+    for (_, name), fn in _functions(users).items():
+        for node in ast.walk(fn):
+            dens = []
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lcm":
+                dens = [n for a in node.args for n in ast.walk(a)]
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv):
+                dens = [node.right]
+            if any(isinstance(n, ast.Attribute) and n.attr == "den" for n in dens):
+                found.add(f"{name}:{node.lineno}")
+    assert found == set()
+    scaling = set()
+    for path in (SRC / "germkit" / "discrepancy.py", SRC / "germkit" / "coefflattice.py"):
+        scaling |= _callers(path, {"_over_lcm"})
+    assert {name for _, name in users} - scaling == {
+        "check_smooth_threshold", "check_empty_graph_value"
+    }

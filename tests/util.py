@@ -1,12 +1,15 @@
 """Builders shared across test modules."""
 
 from fractions import Fraction
+from itertools import combinations
 from operator import sub
 
 from germkit import (
-    BasisDescriptor, Branch, QLinearMap, SurfaceGermModel, TRIVIAL_BASIS, WeightedDualGraph,
+    BasisDescriptor, Branch, HypothesesUnmet, QLinearMap, SurfaceGermModel, TRIVIAL_BASIS,
+    WeightedDualGraph, is_gt, is_lt, mld_oracle, mld_point, span_min,
 )
 from germkit.coefflattice import LESS, _nums_sign
+from germkit.discrepancy import Violation, branch_total, smooth_point_mld
 from germkit.enclosures import NestedIntervalsEnclosure
 
 
@@ -88,3 +91,113 @@ def is_path_in(path, g):
     if not ids or not set(ids) <= set(g.ids()):
         return False
     return all(g.has_edge(a, b) for a, b in zip(ids, ids[1:]))
+
+
+def moved(model, basis):
+    """The same germ with every value written over ``basis`` (same dimension)."""
+    def move(x):
+        return basis.element(x.coords)
+
+    return SurfaceGermModel(
+        model.graph,
+        tuple(Branch(br.vertex, move(br.coeff)) for br in model.branches),
+        tuple((v, move(mu)) for v, mu in model.nef_loads),
+        None if model.epsilon is None else move(model.epsilon),
+        basis,
+    )
+
+
+# The four lemma checkers as they were written on span arithmetic, before
+# they moved to integer rows over one denominator: each inequality is one
+# is_gt or is_lt of SpanElements, and the vertex window takes span_min of
+# the positive inputs.
+
+
+def reference_convexity(model, profile=None):
+    if profile is None:
+        profile = mld_point(model)
+    if not profile.is_lc:
+        raise HypothesesUnmet("convexity checks need a log canonical model")
+    a = profile.a_map()
+    for vid, av in a.items():
+        if is_gt(av, 1):
+            raise HypothesesUnmet(f"vertex {vid} has log discrepancy above 1")
+    adj = model.graph.adjacency()
+    out = []
+    half = Fraction(1, 2)
+    for vid, w in model.graph.vertices:
+        if w <= -2:
+            for p, q in combinations(adj[vid], 2):
+                if is_gt(a[vid], (a[p] + a[q]) * half):
+                    out.append(
+                        Violation("midpoint", (p, vid, q), f"a({vid}) above neighbor mean")
+                    )
+        bound = Fraction(2, -w)
+        if is_gt(a[vid], bound):
+            out.append(Violation("weight-bound", (vid,), f"a({vid}) above {bound}"))
+    if profile.classification == "eps-lc":
+        eps = model.epsilon
+        for vid, w in model.graph.vertices:
+            if w > -3:
+                continue
+            for p, q in combinations(adj[vid], 2):
+                if is_lt(a[p] + a[q] - 2 * a[vid], eps):
+                    out.append(Violation("gap", (p, vid, q), "second difference below epsilon"))
+    return tuple(out)
+
+
+def reference_smooth_threshold(model, profile=None):
+    if profile is None:
+        profile = mld_point(model)
+    g = model.graph
+    if g.order == 0 or any(w > -2 for _, w in g.vertices) or not profile.is_lc:
+        return ()
+    if is_gt(profile.mld, 1):
+        return (Violation("smooth-threshold", (), "mld above 1 on an all-(-2-or-below) graph"),)
+    return ()
+
+
+def reference_empty_graph_value(model, profile=None):
+    if model.graph.order != 0:
+        return ()
+    total = branch_total(model)
+    if is_gt(total, 1):
+        return ()
+    if profile is None:
+        profile = mld_point(model)
+    expected = smooth_point_mld(total)
+    out = []
+    if profile.mld != expected:
+        out.append(Violation("smooth-center-value", (), "mld differs from 2 - mult"))
+    if mld_oracle(model, 4, profile) != expected:
+        out.append(Violation("smooth-center-oracle", (), "tower oracle differs from 2 - mult"))
+    return tuple(out)
+
+
+def reference_vertex_window(model, profile=None):
+    g = model.graph
+    if g.order == 0 or any(w > -2 for _, w in g.vertices):
+        return ()
+    if profile is None:
+        profile = mld_point(model)
+    if not profile.is_lc:
+        return ()
+    mld = profile.mld
+    if profile.realizing[0] != "vertex":
+        return ()
+    if not (is_gt(mld, Fraction(2, 3)) and is_lt(mld, 1)):
+        return ()
+    inputs = [br.coeff for br in model.branches] + [mu for _, mu in model.nef_loads]
+    positives = [x for x in inputs if is_gt(x, 0)]
+    if positives:
+        d = span_min(positives)
+        floor = model.basis.rational(1) - d / 2
+        if not is_gt(mld, floor):
+            return ()
+    return (
+        Violation(
+            "vertex-window",
+            (profile.realizing[1],),
+            "vertex-realized mld inside the excluded window",
+        ),
+    )
