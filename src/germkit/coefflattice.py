@@ -311,11 +311,11 @@ class SpanElement:
     def enclosure(self, level: int) -> Interval:
         """Exact interval bound at the given refinement level.
 
-        Each endpoint is summed as an integer numerator over the lcm of the
-        endpoint denominators seen so far, and the two Fractions are built
-        once at the end.  Symbols with zero coefficient are never queried,
-        so unused finite sources cannot exhaust a computation that does not
-        involve them.
+        Each endpoint is summed as an integer numerator over a running
+        integer denominator, and the two Fractions are built once at the
+        end.  Symbols with zero coefficient are never queried, so unused
+        finite sources cannot exhaust a computation that does not involve
+        them.
         """
         nums = self.nums
         lo = hi = nums[0]
@@ -326,10 +326,12 @@ class SpanElement:
             a, b = enc.interval(level)
             if c < 0:
                 a, b = b, a
-            m = lcm(lo_d, a.denominator)
-            lo, lo_d = lo * (m // lo_d) + c * a.numerator * (m // a.denominator), m
-            m = lcm(hi_d, b.denominator)
-            hi, hi_d = hi * (m // hi_d) + c * b.numerator * (m // b.denominator), m
+            q = a.denominator
+            lo = lo * q + c * a.numerator * lo_d
+            lo_d *= q
+            q = b.denominator
+            hi = hi * q + c * b.numerator * hi_d
+            hi_d *= q
         return (Fraction(lo, lo_d * self.den), Fraction(hi, hi_d * self.den))
 
     def __str__(self) -> str:
@@ -366,6 +368,8 @@ def _reduced(basis: BasisDescriptor, nums: Tuple[int, ...], den: int) -> SpanEle
 
 def _over_lcm(xs: Sequence[SpanElement]) -> Tuple[List[Tuple[int, ...]], int]:
     """(rows, den): the values xs as integer numerator rows over the lcm of their denominators."""
+    if any(x.basis is not xs[0].basis and x.basis != xs[0].basis for x in xs):
+        raise BasisMismatch("operands declared over different bases")
     den = lcm(*(x.den for x in xs))
     return [x.nums if x.den == den else tuple(n * (den // x.den) for n in x.nums) for x in xs], den
 

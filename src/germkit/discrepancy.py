@@ -196,16 +196,18 @@ class DiscrepancyProfile:
     @cached_property
     def above_one(self) -> Optional[int]:
         """The first vertex by id whose log discrepancy is above 1, None when every a <= 1."""
-        above = (v for v, x in self.a if _nums_sign(x.basis, _one_minus(x.nums, x.den), x.den) < 0)
+        above = (
+            v for v, x in self.a if _nums_sign(x.basis, _affine(1, -1, x.nums, x.den), x.den) < 0
+        )
         return next(above, None)
 
     def a_map(self) -> Dict[int, SpanElement]:
         return dict(self.a)
 
 
-def _one_minus(nums: Nums, den: int) -> Nums:
-    """The numerators of 1 - nums/den over den, in lowest terms when nums/den is."""
-    return (den - nums[0],) + tuple([-n for n in nums[1:]])
+def _affine(c: int, k: int, nums: Nums, den: int) -> Nums:
+    """The numerators of c + k x over den, for x = nums/den; 1 - x is in lowest terms when x is."""
+    return (c * den + k * nums[0],) + tuple([k * n for n in nums[1:]])
 
 
 def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
@@ -220,7 +222,7 @@ def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
     """
     basis = model.basis
     sols = solve_exact(model.graph.factor, _rhs_rows(model))
-    return {v: _span(basis, _one_minus(n, d), d) for v, (n, d) in zip(model.graph.ids(), sols)}
+    return {v: _span(basis, _affine(1, -1, n, d), d) for v, (n, d) in zip(model.graph.ids(), sols)}
 
 
 def _rhs_rows(model: SurfaceGermModel) -> List[Row]:
@@ -235,12 +237,10 @@ def _rhs_rows(model: SurfaceGermModel) -> List[Row]:
     inputs: Dict[int, List[SpanElement]] = {}
     for vid, x in [(br.vertex, br.coeff) for br in model.branches] + list(model.nef_loads):
         if vid is not None:
-            inputs.setdefault(vid, []).append(x)
-    for vid, xs in inputs.items():
-        i = pos[vid]
+            inputs.setdefault(pos[vid], []).append(x)
+    for i, xs in inputs.items():
         scaled, den = _over_lcm(xs)
-        total = [sum(c) for c in zip(*scaled)]
-        rows[i] = _lowest((rows[i][0][0] * den - total[0], *[-t for t in total[1:]]), den)
+        rows[i] = _lowest(_affine(rows[i][0][0], -1, [sum(c) for c in zip(*scaled)], den), den)
     return rows
 
 
@@ -274,7 +274,7 @@ def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
         if _nums_sign(basis, x.nums, x.den) == LESS:
             return _profile(model, a, NEG_INFINITY, ("vertex", vid))
     for idx, br in enumerate(model.branches):
-        if _nums_sign(basis, _one_minus(br.coeff.nums, br.coeff.den), br.coeff.den) == LESS:
+        if _nums_sign(basis, _affine(1, -1, br.coeff.nums, br.coeff.den), br.coeff.den) == LESS:
             return _profile(model, a, NEG_INFINITY, ("branch", idx))
 
     if not ids:
@@ -545,11 +545,9 @@ def mld_oracle(
     check_oracle_depth(depth)
     a = solve_discrepancies(model) if profile is None else profile.a_map()
     basis, ids = model.basis, model.graph.ids()
-    coeffs = [br.coeff for br in model.branches]
-    comps = [_span(basis, _one_minus(b.nums, b.den), b.den) for b in coeffs]
-    # every value as integer numerators over one common denominator
-    rows, den = _over_lcm([a[v] for v in ids] + comps)
-    scaled, comps = dict(zip(ids, rows)), rows[len(ids):]
+    # every value as integer numerators over one denominator, each branch as 1 - b
+    rows, den = _over_lcm([a[v] for v in ids] + [br.coeff for br in model.branches])
+    scaled, comps = dict(zip(ids, rows)), [_affine(1, -1, b, den) for b in rows[len(ids):]]
 
     points = [(scaled[i], scaled[j]) for i, j in model.graph.edges]
     branch_points = zip(model.branches, comps)
@@ -605,20 +603,19 @@ def check_convexity(
         raise HypothesesUnmet("convexity checks need a log canonical model")
     if profile.above_one is not None:
         raise HypothesesUnmet(f"vertex {profile.above_one} has log discrepancy above 1")
-    basis = model.basis
     gap = profile.classification == "eps-lc"
-    rows, den = _over_lcm([x for _, x in profile.a] + ([model.epsilon] if gap else []))
+    values = [x for _, x in profile.a] + ([model.epsilon] if gap else [])
+    rows, den = _over_lcm(values)
     a = {vid: row for (vid, _), row in zip(profile.a, rows)}
     adj = model.graph.adjacency()
     out: List[Violation] = []
     for vid, w in model.graph.vertices:
-        x = a[vid]
         if w <= -2:
             for p, q in combinations(adj[vid], 2):
-                mid = tuple([2 * i - j - k for i, j, k in zip(x, a[p], a[q])])
-                if _nums_sign(basis, mid, den) == GREATER:
+                mid = tuple([2 * i - j - k for i, j, k in zip(a[vid], a[p], a[q])])
+                if _nums_sign(values[0].basis, mid, den) == GREATER:
                     out.append(Violation("midpoint", (p, vid, q), f"a({vid}) above neighbor mean"))
-        if _nums_sign(basis, (-w * x[0] - 2 * den, *[-w * n for n in x[1:]]), den) == GREATER:
+        if _nums_sign(values[0].basis, _affine(-2, -w, a[vid], den), den) == GREATER:
             out.append(Violation("weight-bound", (vid,), f"a({vid}) above {Fraction(2, -w)}"))
     if gap:
         for vid, w in model.graph.vertices:
@@ -626,7 +623,7 @@ def check_convexity(
                 continue
             for p, q in combinations(adj[vid], 2):
                 second = [j + k - 2 * i - e for i, j, k, e in zip(a[vid], a[p], a[q], rows[-1])]
-                if _nums_sign(basis, tuple(second), den) == LESS:
+                if _nums_sign(values[0].basis, tuple(second), den) == LESS:
                     out.append(Violation("gap", (p, vid, q), "second difference below epsilon"))
     return tuple(out)
 
@@ -641,7 +638,7 @@ def check_smooth_threshold(
     if g.order == 0 or any(w > -2 for _, w in g.vertices) or not profile.is_lc:
         return ()
     mld = profile.mld
-    if _nums_sign(mld.basis, _one_minus(mld.nums, mld.den), mld.den) == LESS:
+    if _nums_sign(mld.basis, _affine(1, -1, mld.nums, mld.den), mld.den) == LESS:
         return (Violation("smooth-threshold", (), "mld above 1 on an all-(-2-or-below) graph"),)
     return ()
 
@@ -679,7 +676,7 @@ def check_vertex_window(
     most -2, a vertex-realized mld strictly between max(2/3, 1 - d/2) and 1
     is impossible, where d is the smallest positive branch coefficient or
     load (absent coefficients leave only the 2/3 floor).  Finding one is
-    reported as a violation; mld > 1 - d/2 for the least d is 2 mld - 2 + d > 0 for every d.
+    reported as a violation.
     """
     g = model.graph
     if g.order == 0 or any(w > -2 for _, w in g.vertices):
@@ -688,14 +685,13 @@ def check_vertex_window(
         profile = mld_point(model)
     if not profile.is_lc or profile.realizing[0] != "vertex":
         return ()
-    mld = profile.mld
-    basis, n, den = model.basis, mld.nums, mld.den
-    third = (3 * n[0] - 2 * den, *[3 * c for c in n[1:]])
-    if _nums_sign(basis, third, den) <= 0 or _nums_sign(basis, _one_minus(n, den), den) <= 0:
+    basis, n, den = profile.mld.basis, profile.mld.nums, profile.mld.den
+    third = _affine(-2, 3, n, den)
+    if _nums_sign(basis, third, den) <= 0 or _nums_sign(basis, _affine(1, -1, n, den), den) <= 0:
         return ()
-    (m, *ds), den = _over_lcm([mld] + positive_inputs(model))
-    low = (2 * m[0] - 2 * den, *[2 * c for c in m[1:]])
-    if any(_nums_sign(basis, tuple(map(add, low, d)), den) != GREATER for d in ds):
+    # mld > 1 - d/2 for the least d is 2 mld - 2 + d > 0 for every d
+    (m, *ds), den = _over_lcm([profile.mld] + positive_inputs(model))
+    if any(_nums_sign(basis, tuple(map(add, _affine(-2, 2, m, den), d)), den) <= 0 for d in ds):
         return ()
     where = (profile.realizing[1],)
     return (Violation("vertex-window", where, "vertex-realized mld inside the excluded window"),)

@@ -51,9 +51,10 @@ from .discrepancy import (
     MldValue,
     NegInfinity,
     SurfaceGermModel,
-    _one_minus,
+    _affine,
     adjunction_form,
     apply_to_coefficients,
+    branch_total,
     check_convexity,
     check_empty_graph_value,
     check_oracle_depth,
@@ -329,8 +330,8 @@ def _realizing_str(locus) -> str:
 # Most models one scan or verify-lemmas run takes (--count), and the
 # largest n of the n-indexed scan families (--n-max).  The an family has a
 # chain of every length up to n_max, built and profiled one at a time: at
-# 1,000, scan takes 6.2-7.6 s and 26 MB.  A corpus of 10,000 models takes
-# 2.8 s and 68 MB under scan and 6.5 s and 59 MB under verify-lemmas
+# 1,000, scan takes 6.2 s and 26 MB.  A corpus of 10,000 models takes
+# 2.9 s and 66 MB under scan and 7.5 s and 59 MB under verify-lemmas
 # (Python 3.11, 2 shared cores).
 MAX_SCAN_COUNT = 10_000
 MAX_SCAN_N = 1_000
@@ -411,10 +412,9 @@ def _scan_instance(model: SurfaceGermModel, config: ScanConfig):
         if profile.is_lc:
             checks.append("vertex-window")
             record(check_vertex_window(model, profile))
-    if g.order == 0 and profile.is_lc:
-        # an lc mld on the empty graph is 2 - mult, so mult <= 1 exactly when mld >= 1
-        mld = profile.mld
-        if _nums_sign(model.basis, _one_minus(mld.nums, mld.den), mld.den) <= 0:
+    if g.order == 0:
+        total = branch_total(model)
+        if _nums_sign(model.basis, _affine(1, -1, total.nums, total.den), total.den) >= 0:
             checks.append("smooth-center")
             record(check_empty_graph_value(model, profile))
     if config.oracle_depth >= 1:

@@ -13,7 +13,9 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from germkit import Branch, HypothesesUnmet, TRIVIAL_BASIS, mld_point
+from germkit import (
+    BasisDescriptor, BasisMismatch, Branch, HypothesesUnmet, ModelError, TRIVIAL_BASIS, mld_point,
+)
 from germkit.corpus import coefficient_pool, corpus, decorate, random_nd_tree, sqrt2_basis
 from germkit.discrepancy import (
     check_convexity,
@@ -22,6 +24,7 @@ from germkit.discrepancy import (
     check_vertex_window,
 )
 from germkit.dualgraph import hj_graph
+from germkit.enclosures import ContinuedFractionEnclosure, PointEnclosure
 
 from util import (
     EMPTY,
@@ -41,6 +44,8 @@ PAIRS = (
     (check_empty_graph_value, reference_empty_graph_value),
 )
 
+MIXED = "operands declared over different bases"
+
 KINDS = {
     "midpoint", "weight-bound", "gap", "smooth-threshold", "vertex-window",
     "smooth-center-value",
@@ -51,8 +56,8 @@ def outcome(check, model, profile):
     """The violations a checker finds, or the text of its refusal."""
     try:
         return check(model, profile)
-    except HypothesesUnmet as e:
-        return f"HypothesesUnmet: {e}"
+    except (BasisMismatch, HypothesesUnmet) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 def rational_models(rng, count):
@@ -167,3 +172,32 @@ def test_unmoved_profiles_are_clean():
         for check, _ in PAIRS:
             got = outcome(check, m, profile)
             assert isinstance(got, str) or got == (), (check.__name__, m)
+
+
+def test_checkers_match_references_on_a_profile_over_another_basis():
+    # a model over sqrt2 handed the profile of its copy over 1/sqrt50: each
+    # checker signs the profile's values over their own basis, as span
+    # arithmetic did, and refuses with BasisMismatch where it combines them
+    # with the model's epsilon or positive inputs.  check_convexity puts
+    # the epsilon over one denominator with the a's before any sign, so on
+    # an eps-lc profile it refuses even when no gap is asked
+    # 1/sqrt50 = [0; 7, 14, 14, ...] lies far from sqrt2, so that signing
+    # its rows over sqrt2 would often give another verdict
+    other = BasisDescriptor(
+        ("1", "r"), (PointEnclosure(Fraction(1)), ContinuedFractionEnclosure((0, 7), (14,)))
+    )
+    models = corpus(3, 150)
+    models += [eps_lc(m) for m in models]
+    kinds = Counter()
+    for m in models:
+        try:
+            profile = mld_point(moved(m, other))
+        except ModelError:
+            continue
+        for check, reference in PAIRS:
+            got, want = outcome(check, m, profile), outcome(reference, m, profile)
+            if check is check_convexity and profile.classification == "eps-lc":
+                want = want if isinstance(want, str) else f"BasisMismatch: {MIXED}"
+            assert got == want, (check.__name__, m)
+            kinds[got.split(":")[0] if isinstance(got, str) else "verdict"] += 1
+    assert kinds["BasisMismatch"] and kinds["verdict"], kinds

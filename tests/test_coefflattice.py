@@ -651,9 +651,9 @@ MANY_PAIRS = tuple((b, declared(b)) for b in MANY_ROOTS)
 
 
 def test_enclosure_equals_the_fraction_sum_over_a_declared_product_basis():
-    # the endpoints are summed as integers over the lcm of the endpoint
-    # denominators; the interval is the sum of c * endpoint per symbol, the
-    # lower endpoint of a symbol for c > 0 and its upper one for c < 0
+    # the endpoints are summed as integers over a running denominator; the
+    # interval is the sum of c * endpoint per symbol, the lower endpoint of
+    # a symbol for c > 0 and its upper one for c < 0
     basis = product_basis(declared(_basis(*PRIME_ROOTS[:5])))
     assert basis.dim == 32 and not basis.certified
     rng = random.Random(5)

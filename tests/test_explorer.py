@@ -1,5 +1,6 @@
 """Model document parsing, digests, and deterministic scan reports."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -22,7 +23,7 @@ from germkit import (
 )
 from germkit.coefflattice import partition_of_one
 from germkit.corpus import corpus, family_an, sqrt2_basis
-from germkit.discrepancy import DiscrepancyProfile, mld_point
+from germkit.discrepancy import DiscrepancyProfile, branch_total, mld_point
 from germkit.explorer import (
     ScanConfig,
     complement_report,
@@ -204,6 +205,23 @@ def test_scan_decides_every_a_at_most_one_once_per_model(monkeypatch, config):
     lc = [i for i in instances if i["classification"] != "not-lc"]
     assert lc and len(asked) == len(lc)
     assert len({id(p) for p in asked}) == len(asked)
+
+
+@pytest.mark.parametrize("mult", ["1/3", "1/2", "1"])
+def test_scan_reports_a_wrong_smooth_center_value(monkeypatch, mult):
+    # the smooth-center gate reads the branch total, not the mld it checks:
+    # an empty-graph mld of 1 - mult instead of 2 - mult is reported
+    real = explorer.mld_point
+
+    def wrong(model):
+        one = model.basis.rational(1)
+        return dataclasses.replace(real(model), mld=one - branch_total(model))
+
+    monkeypatch.setattr(explorer, "mld_point", wrong)
+    m = germ(EMPTY, [Branch(None, TRIVIAL_BASIS.rational(mult))])
+    instance, _ = explorer._scan_instance(m, ScanConfig())
+    assert "smooth-center" in instance["checks"]
+    assert any(v.startswith("smooth-center-value@") for v in instance["violations"])
 
 
 def test_verification_solves_each_adjunction_chain_once(monkeypatch):
