@@ -201,6 +201,12 @@ class DiscrepancyProfile:
         )
         return next(above, None)
 
+    @cached_property
+    def one_minus_mld_sign(self) -> int:
+        """The certified sign of 1 - mld, GREATER when the mld is below 1; lc profiles only."""
+        x = self.mld
+        return _nums_sign(x.basis, _affine(1, -1, x.nums, x.den), x.den)
+
     def a_map(self) -> Dict[int, SpanElement]:
         return dict(self.a)
 
@@ -228,20 +234,20 @@ def solve_discrepancies(model: SurfaceGermModel) -> Dict[int, SpanElement]:
 def _rhs_rows(model: SurfaceGermModel) -> List[Row]:
     """The right-hand side at each vertex, as integer numerators over a denominator.
 
-    Each row is (w + 2) minus the inputs at the vertex, over the lcm of
-    their denominators, in lowest terms.
+    Each row is (w + 2) minus the inputs at the vertex, in lowest terms;
+    every input of the model goes over one denominator first.
     """
-    pos = {vid: i for i, vid in enumerate(model.graph.ids())}
-    zeros = [0] * (model.basis.dim - 1)
-    rows = [((w + 2, *zeros), 1) for _, w in model.graph.vertices]
-    inputs: Dict[int, List[SpanElement]] = {}
-    for vid, x in [(br.vertex, br.coeff) for br in model.branches] + list(model.nef_loads):
-        if vid is not None:
-            inputs.setdefault(pos[vid], []).append(x)
-    for i, xs in inputs.items():
-        scaled, den = _over_lcm(xs)
-        rows[i] = _lowest(_affine(rows[i][0][0], -1, [sum(c) for c in zip(*scaled)], den), den)
-    return rows
+    inputs = [(br.vertex, br.coeff) for br in model.branches if br.vertex is not None]
+    inputs += model.nef_loads
+    scaled, den = _over_lcm([x for _, x in inputs])
+    sums: Dict[int, Sequence[int]] = {}
+    for (vid, _), row in zip(inputs, scaled):
+        sums[vid] = list(map(add, sums[vid], row)) if vid in sums else row
+    zeros = (0,) * (model.basis.dim - 1)
+    return [
+        _lowest(_affine(w + 2, -1, sums[vid], den), den) if vid in sums else ((w + 2,) + zeros, 1)
+        for vid, w in model.graph.vertices
+    ]
 
 
 def mld_point(model: SurfaceGermModel) -> DiscrepancyProfile:
@@ -358,9 +364,9 @@ def _profile(
 
 # Deepest tower the oracle walks.  Its tables, and its work per point with
 # them, grow by at most two forms per level.  At depth 14 the 7/3 chain with
-# one rational branch takes 5 ms, building every table, and 0.1 ms once they
-# are built; `germkit mld` on the 5-curve golden tree and cycle models over
-# sqrt2 takes 0.13 to 0.17 s and 22 MB of process RSS, as at depth 1
+# one rational branch takes 4.5 ms, building every table, and 0.05 ms once
+# they are built; `germkit mld` on the 5-curve golden tree and cycle models
+# over sqrt2 takes 0.15 to 0.23 s and 22 MB of process RSS, as at depth 1
 # (Python 3.11, 2 shared cores).
 MAX_ORACLE_DEPTH = 14
 
@@ -388,23 +394,10 @@ Point2 = Tuple[int, int]
 _TOWER_FORMS: Dict[Tuple[int, int], Tuple[Nums, ...]] = {}
 
 
-def _tower_values(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[Nums]:
+def _composed(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[Nums]:
     """Values over the towers of height up to d above one point, their least included.
 
     ``point`` holds the values of its curves as numerator vectors over den.
-    A point of 1 or 2 curves evaluates its own table, _tower_forms(r, d);
-    any other point (the centre of the empty graph) is composed from the
-    tables one level down.
-    """
-    if len(point) in (1, 2):
-        u, v = (point + ((0,) * dim,))[:2]
-        return _evaluate(_tower_forms(len(point), d), u, v, den)
-    return _composed(point, d, den, dim)
-
-
-def _composed(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[Nums]:
-    """Values over the towers above one point, from the tables one level down.
-
     Its blow-up creates a curve of value 2 - r + sum(point), and every later
     value is a form of _tower_forms(2, d - 1) at (created, x) for a curve x
     through the point, or of _tower_forms(1, d - 1) at created.
@@ -413,17 +406,19 @@ def _composed(point: Tuple[Nums, ...], d: int, den: int, dim: int) -> List[Nums]
     created[0] += (2 - len(point)) * den
     values = [tuple(created)]
     if d > 1:
-        for x, arity in [(x, 2) for x in point] + [((0,) * dim, 1)]:
-            values += _evaluate(_tower_forms(arity, d - 1), created, x, den)
+        values += _evaluate(_tower_forms(2, d - 1), [(created, x) for x in point], den)
+        values += _evaluate(_tower_forms(1, d - 1), [(created, (0,) * dim)], den)
     return values
 
 
-def _evaluate(forms: Sequence[Nums], u: Sequence[int], v: Sequence[int], den: int) -> List[Nums]:
-    """Each form (c0, c1, c2) at the numerator vectors u and v over den."""
-    # one list per coordinate, zipped into vectors at C speed
-    u0, v0 = u[0], v[0]
-    cols = [[c0 * den + c1 * u0 + c2 * v0 for c0, c1, c2 in forms]]
-    cols += [[c1 * p + c2 * q for _, c1, c2 in forms] for p, q in zip(u[1:], v[1:])]
+def _evaluate(forms: Sequence[Nums], points: Sequence[Tuple[Nums, Nums]], den: int) -> List[Nums]:
+    """Each form (c0, c1, c2) at each point (u, v) of numerator vectors over den, point-major."""
+    if not points:
+        return []
+    # one list per coordinate over points x forms, zipped into vectors at C speed
+    cols = [[c0 * den + c1 * u[0] + c2 * v[0] for u, v in points for c0, c1, c2 in forms]]
+    for k in range(1, len(points[0][0])):
+        cols.append([c1 * u[k] + c2 * v[k] for u, v in points for _, c1, c2 in forms])
     return list(zip(*cols))
 
 
@@ -527,11 +522,12 @@ def mld_oracle(
     with each old curve plus one generic point on it.  The oracle takes the
     minimum over all towers of height up to ``depth``.  Those towers do not
     depend on the model, so their values come from the integer forms that
-    can be least, tabled once per process (_tower_forms), evaluated on
-    integer numerators over one common denominator and ranked by _least,
-    which keeps the least candidate per irrational part and, over a
-    certified basis, signs only those whose integer brackets reach the
-    least upper bound; only the minimum becomes a SpanElement again.
+    can be least, tabled once per process (_tower_forms), evaluated once
+    per call over all points of one or two curves (_evaluate), on integer
+    numerators over one common denominator, and ranked by _least, which
+    keeps the least candidate per irrational part and, over a certified
+    basis, signs only those whose integer brackets reach the least upper
+    bound; only the minimum becomes a SpanElement again.
 
     Agrees exactly with mld_point whenever every branch coefficient is at
     most 1 (so, on the whole generated corpus).  With a coefficient above 1
@@ -548,15 +544,25 @@ def mld_oracle(
     # every value as integer numerators over one denominator, each branch as 1 - b
     rows, den = _over_lcm([a[v] for v in ids] + [br.coeff for br in model.branches])
     scaled, comps = dict(zip(ids, rows)), [_affine(1, -1, b, den) for b in rows[len(ids):]]
-
-    points = [(scaled[i], scaled[j]) for i, j in model.graph.edges]
-    branch_points = zip(model.branches, comps)
-    points += [(scaled[br.vertex], c) for br, c in branch_points if br.vertex is not None]
-    points += [(scaled[v],) for v in ids] if ids else [tuple(comps)]
-    # a point seen twice, in any order of its curves, has the same towers
-    unique = dict.fromkeys(tuple(sorted(p)) for p in points)
-    towers = (_tower_values(p, depth, den, basis.dim) for p in unique)
-    best = _least(basis, chain(scaled.values(), chain.from_iterable(towers)), den)
+    zeros = (0,) * basis.dim
+    if ids:
+        pairs = [(scaled[i], scaled[j]) for i, j in model.graph.edges]
+        branch_points = zip(model.branches, comps)
+        pairs += [(scaled[br.vertex], c) for br, c in branch_points if br.vertex is not None]
+        # a point seen twice, in any order of its curves, has the same towers
+        unique = list(dict.fromkeys(tuple(sorted(p)) for p in pairs))
+        towers = _evaluate(_tower_forms(2, depth), unique, den)
+        singles = [(u, zeros) for u in dict.fromkeys(scaled.values())]
+        towers += _evaluate(_tower_forms(1, depth), singles, den)
+    else:
+        # the centre of the empty graph, on every branch; one of other than
+        # one or two curves is composed from the tables one level down
+        centre = tuple(sorted(comps))
+        if len(centre) in (1, 2):
+            towers = _evaluate(_tower_forms(len(centre), depth), [(centre + (zeros,))[:2]], den)
+        else:
+            towers = _composed(centre, depth, den, basis.dim)
+    best = _least(basis, chain(scaled.values(), towers), den)
     if _nums_sign(basis, best, den) == LESS:
         return NEG_INFINITY
     return _reduced(basis, best, den)
@@ -637,8 +643,7 @@ def check_smooth_threshold(
     g = model.graph
     if g.order == 0 or any(w > -2 for _, w in g.vertices) or not profile.is_lc:
         return ()
-    mld = profile.mld
-    if _nums_sign(mld.basis, _affine(1, -1, mld.nums, mld.den), mld.den) == LESS:
+    if profile.one_minus_mld_sign == LESS:
         return (Violation("smooth-threshold", (), "mld above 1 on an all-(-2-or-below) graph"),)
     return ()
 
@@ -686,8 +691,7 @@ def check_vertex_window(
     if not profile.is_lc or profile.realizing[0] != "vertex":
         return ()
     basis, n, den = profile.mld.basis, profile.mld.nums, profile.mld.den
-    third = _affine(-2, 3, n, den)
-    if _nums_sign(basis, third, den) <= 0 or _nums_sign(basis, _affine(1, -1, n, den), den) <= 0:
+    if _nums_sign(basis, _affine(-2, 3, n, den), den) <= 0 or profile.one_minus_mld_sign <= 0:
         return ()
     # mld > 1 - d/2 for the least d is 2 mld - 2 + d > 0 for every d
     (m, *ds), den = _over_lcm([profile.mld] + positive_inputs(model))

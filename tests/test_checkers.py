@@ -24,10 +24,13 @@ from germkit.discrepancy import (
     check_vertex_window,
 )
 from germkit.dualgraph import hj_graph
-from germkit.enclosures import ContinuedFractionEnclosure, PointEnclosure
+from germkit.enclosures import (
+    ContinuedFractionEnclosure, NestedIntervalsEnclosure, PointEnclosure,
+)
 
 from util import (
     EMPTY,
+    chain,
     declared,
     germ,
     moved,
@@ -201,3 +204,33 @@ def test_checkers_match_references_on_a_profile_over_another_basis():
             assert got == want, (check.__name__, m)
             kinds[got.split(":")[0] if isinstance(got, str) else "verdict"] += 1
     assert kinds["BasisMismatch"] and kinds["verdict"], kinds
+
+
+def test_one_minus_mld_is_signed_once_per_profile(monkeypatch):
+    # over an intervals copy of sqrt2 every irrational sign refines; the
+    # smooth threshold signs 1 - mld and caches it on the profile, so the
+    # vertex window reads no enclosure level for it
+    basis = declared(sqrt2_basis())
+    # one (-2)-curve with a branch sqrt2/4: mld = 1 - sqrt2/8, inside (2/3, 1)
+    m = germ(chain(-2), [Branch(0, basis.unit(1) / 4)], basis=basis)
+    reads = []
+    real = NestedIntervalsEnclosure.interval
+
+    def counted(self, k):
+        reads.append(k)
+        return real(self, k)
+
+    def window_reads(profile):
+        reads.clear()
+        assert check_vertex_window(m, profile) == ()
+        return len(reads)
+
+    shared, fresh, alone = mld_point(m), mld_point(m), mld_point(m)
+    assert shared.mld.nums[1] and shared.realizing == ("vertex", 0)
+    monkeypatch.setattr(NestedIntervalsEnclosure, "interval", counted)
+    assert check_smooth_threshold(m, shared) == ()
+    reads.clear()
+    assert alone.one_minus_mld_sign > 0
+    sign_reads = len(reads)
+    assert sign_reads > 0
+    assert window_reads(fresh) - window_reads(shared) == sign_reads

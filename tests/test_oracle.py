@@ -18,13 +18,14 @@ from germkit import (
     mld_oracle,
     mld_point,
 )
+from germkit import discrepancy
 from germkit.coefflattice import LESS, compare, is_lt, refinement_budget, span_min
 from germkit.corpus import corpus
 from germkit.discrepancy import MAX_ORACLE_DEPTH, _TOWER_FORMS, _tower_forms, solve_discrepancies
 from germkit.dualgraph import hj_graph
 from germkit.explorer import load_model
 
-from util import EMPTY, chain, declared, germ, moved, rbranch
+from util import EMPTY, chain, declared, germ, moved, rbranch, reference_oracle_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -328,3 +329,62 @@ def test_the_memo_is_freed_on_return():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+GOLDEN_NAMES = (
+    "chain", "chain60", "cycle", "cycle40", "gen_hj_7_3", "path20", "point", "pool3",
+    "sqrt2_sqrt3", "tree",
+)
+
+
+def test_one_pass_tables_hand_least_the_per_point_rows(monkeypatch):
+    # the tables evaluated over all of a call's points at once give the
+    # ranking the rows of the per-point evaluation, in the same order
+    handed = []
+    real = discrepancy._least
+
+    def spy(basis, rows, den):
+        handed.append(list(rows))
+        return real(basis, handed[-1], den)
+
+    monkeypatch.setattr(discrepancy, "_least", spy)
+    goldens = [load_model(str(GOLDEN / f"{n}.json")) for n in GOLDEN_NAMES]
+    declared_copies = [moved(m, declared(m.basis, 64)) for m in corpus(0, 20)]
+    # distinct coefficients in descending order, so sorting the centre's curves reorders them
+    centres = [
+        germ(EMPTY, [rbranch(None, Fraction(6 - i, 24)) for i in range(k)]) for k in range(6)
+    ]
+    for m in corpus(0, 200) + declared_copies + goldens + centres:
+        profile = mld_point(m)
+        for depth in range(1, 7):
+            handed.clear()
+            mld_oracle(m, depth, profile)
+            assert handed == [reference_oracle_rows(m, depth, profile)], (m, depth)
+
+
+def test_a_nonempty_graph_evaluates_each_table_once_per_call(monkeypatch):
+    # one _evaluate per arity, whatever the number of points; a loop over
+    # points would make one call per point
+    models = corpus(0, 20) + [load_model(str(GOLDEN / f"{n}.json")) for n in GOLDEN_NAMES]
+    models = [m for m in models if m.graph.order]
+    depths = (1, 3, 6)
+    for arity in (1, 2):
+        for depth in depths:
+            _tower_forms(arity, depth)
+    calls = []
+    real = discrepancy._evaluate
+
+    def spy(forms, points, den):
+        calls.append(len(points))
+        return real(forms, points, den)
+
+    monkeypatch.setattr(discrepancy, "_evaluate", spy)
+    points = 0
+    for m in models:
+        for depth in depths:
+            calls.clear()
+            mld_oracle(m, depth)
+            assert len(calls) == 2, (m, depth, calls)
+            points = max(points, *calls)
+    # chain60 alone has 59 edges and 60 vertices
+    assert points >= 59

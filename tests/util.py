@@ -1,15 +1,17 @@
 """Builders shared across test modules."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain as chained, combinations
 from operator import sub
 
 from germkit import (
     BasisDescriptor, Branch, HypothesesUnmet, QLinearMap, SurfaceGermModel, TRIVIAL_BASIS,
     WeightedDualGraph, is_gt, is_lt, mld_oracle, mld_point, span_min,
 )
-from germkit.coefflattice import LESS, _nums_sign
-from germkit.discrepancy import Violation, branch_total, smooth_point_mld
+from germkit.coefflattice import LESS, _nums_sign, _over_lcm
+from germkit.discrepancy import (
+    Violation, _affine, _tower_forms, branch_total, smooth_point_mld, solve_discrepancies,
+)
 from germkit.enclosures import NestedIntervalsEnclosure
 
 
@@ -62,6 +64,49 @@ def reference_least(basis, rows, den):
         if less:
             best = x
     return best
+
+
+def reference_oracle_rows(model, depth, profile=None):
+    """The rows mld_oracle handed to _least when it evaluated each point on its own.
+
+    mld_oracle before it evaluated each table over all of its points in one
+    pass, verbatim up to the ranking: the vertex rows, then the towers of
+    each distinct point in order of first appearance.
+    """
+    a = solve_discrepancies(model) if profile is None else profile.a_map()
+    basis, ids = model.basis, model.graph.ids()
+    rows, den = _over_lcm([a[v] for v in ids] + [br.coeff for br in model.branches])
+    scaled, comps = dict(zip(ids, rows)), [_affine(1, -1, b, den) for b in rows[len(ids):]]
+
+    points = [(scaled[i], scaled[j]) for i, j in model.graph.edges]
+    branch_points = zip(model.branches, comps)
+    points += [(scaled[br.vertex], c) for br, c in branch_points if br.vertex is not None]
+    points += [(scaled[v],) for v in ids] if ids else [tuple(comps)]
+    unique = dict.fromkeys(tuple(sorted(p)) for p in points)
+    towers = (_one_point_towers(p, depth, den, basis.dim) for p in unique)
+    return list(chained(scaled.values(), chained.from_iterable(towers)))
+
+
+def _one_point_towers(point, d, den, dim):
+    """Values over the towers of height up to d above one point, evaluated on its own."""
+    if len(point) in (1, 2):
+        u, v = (point + ((0,) * dim,))[:2]
+        return _one_point_evaluate(_tower_forms(len(point), d), u, v, den)
+    created = [sum(c) for c in zip(*point)] or [0] * dim
+    created[0] += (2 - len(point)) * den
+    values = [tuple(created)]
+    if d > 1:
+        for x, arity in [(x, 2) for x in point] + [((0,) * dim, 1)]:
+            values += _one_point_evaluate(_tower_forms(arity, d - 1), created, x, den)
+    return values
+
+
+def _one_point_evaluate(forms, u, v, den):
+    """Each form (c0, c1, c2) at the numerator vectors u and v over den."""
+    u0, v0 = u[0], v[0]
+    cols = [[c0 * den + c1 * u0 + c2 * v0 for c0, c1, c2 in forms]]
+    cols += [[c1 * p + c2 * q for _, c1, c2 in forms] for p, q in zip(u[1:], v[1:])]
+    return list(zip(*cols))
 
 
 def identity_map(basis):
